@@ -235,7 +235,7 @@ def _jacobian_once(f: YPolynomial, seed: int) -> JacobianPolygon:
         polar = f.dy() - f.dx() * a
         try:
             return _polar_pairs(f, polar)
-        except (NotSquareFree, NotIsolated) as exc:
+        except (NotSquareFree, NotIsolated, NotUnitary) as exc:
             last_error = exc
             continue
     raise GenericityFailure(f"no polar direction worked: {last_error}")

@@ -1,13 +1,13 @@
 """Newton polyhedra of monomial supports in dimension d <= 4.
 
-The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  Covolume
-(the volume of the complement inside the positive orthant) is computed
-exactly: the complement is contained in the box ``[0, M]^d`` with M the
-largest generator coordinate, the intersection ``region /\\ box`` equals the
-convex hull of the corner set ``{A + (M - A) o eps : eps in {0,1}^d}``, and
-that polytope's volume is obtained from a hull triangulation whose
-combinatorics come from qhull but whose geometry is re-verified and summed
-in exact integer arithmetic.
+The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  Its compact
+facets are enumerated exactly: every d-subset of generators that spans a
+supporting hyperplane with strictly positive inward normal gives one.
+Covolume (the volume of the complement inside the positive orthant) is the
+cone sum from the origin over those facets, ``(1/d!) sum |det(simplex)|``
+over a triangulation of each facet, in exact integer arithmetic.  The d = 4
+facets are tetrahedralised with the same facet enumerator, applied to their
+3-dimensional projections.
 
 Mixed covolumes are extracted from the polynomial ``Vol(sum lambda_i N_i)``
 by exact interpolation on an integer grid, matching their defining identity.
@@ -33,15 +33,21 @@ from .errors import (
 MAX_DIM = 4
 
 
-# -- exact hull helpers ------------------------------------------------------
+# -- exact facet helpers ------------------------------------------------------
 
 
-def _det(rows):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+def _det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free Gaussian elimination.
+
+    Bareiss' division by the previous pivot is always exact, so the whole
+    elimination stays in Python ints.
+    """
     n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -50,39 +56,62 @@ def _det(rows):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
 
 def _facet_normal(points):
-    """Integer normal of the hyperplane through d affinely independent points."""
+    """Primitive integer normal of the hyperplane through d points, or None
+    when they are affinely dependent."""
     d = len(points[0])
     base = points[0]
     rows = [[p[i] - base[i] for i in range(d)] for p in points[1:]]
-    normal = []
-    for i in range(d):
-        minor = [[r[j] for j in range(d) if j != i] for r in rows]
-        sub = _det(minor) if minor else Fraction(1)
-        normal.append((-1) ** i * sub)
-    if all(c == 0 for c in normal):
+    normal = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows]) for i in range(d)]
+    g = gcd(*normal)
+    if g == 0:
         return None
-    nums = [int(c) for c in normal]
-    g = 0
-    for c in nums:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in nums)
-
-
-class _HullCertificationError(RuntimeError):
-    pass
+    return tuple(c // g for c in normal)
 
 
 def _dot(n, p):
     return sum(a * b for a, b in zip(n, p))
+
+
+def _facets(points):
+    """Facets of conv(points) as (inward normal, offset, on-points), exact.
+
+    Every d-subset of the points that spans a hyperplane supporting all of
+    them gives a facet: the normal is oriented inward (normal . p >= offset
+    for every point), and the d spanning points give the facet affine rank
+    d - 1.  The on-points keep the order of ``points``.  When all points lie
+    on one hyperplane it supports them from both sides, and both
+    orientations are returned.
+    """
+    d = len(points[0])
+    found = {}
+    for subset in itertools.combinations(points, d):
+        normal = _facet_normal(subset)
+        if normal is None:
+            continue
+        off = _dot(normal, subset[0])
+        flipped = (tuple(-c for c in normal), -off)
+        if (normal, off) in found or flipped in found:
+            continue
+        values = [_dot(normal, p) for p in points]
+        above = any(v > off for v in values)
+        below = any(v < off for v in values)
+        if above and below:
+            continue
+        on = tuple(p for p, v in zip(points, values) if v == off)
+        if not below:
+            found[(normal, off)] = on
+        if not above:
+            found[flipped] = on
+    return [(normal, off, on) for (normal, off), on in sorted(found.items())]
 
 
 def _ring_2d(points):
@@ -109,115 +138,6 @@ def _ring_2d(points):
     return ring
 
 
-def _independent_subset(points, d):
-    """d affinely independent points, or None."""
-    base = points[0]
-    chosen = [base]
-    rows = []
-    for p in points[1:]:
-        cand = rows + [[Fraction(p[i] - base[i]) for i in range(d)]]
-        if _matrix_rank(cand) == len(cand):
-            rows = cand
-            chosen.append(p)
-            if len(chosen) == d:
-                return chosen
-    return None
-
-
-def _matrix_rank(rows):
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _exact_facets(points):
-    """Facets of conv(points) as (inward normal, offset, on-points), exact.
-
-    In dimension >= 3, qhull supplies candidate hyperplanes; each facet is
-    reconstructed exactly from points on it, verified to support the point
-    set, and the facet complex is certified closed by matching every ridge
-    to exactly two facets.  A certification failure raises rather than
-    returning a wrong answer.
-    """
-    pts = sorted(set(map(tuple, points)))
-    d = len(pts[0])
-    if d == 1:
-        lo, hi = pts[0][0], pts[-1][0]
-        if lo == hi:
-            raise _HullCertificationError("degenerate 1d hull")
-        return [((1,), lo, ((lo,),)), ((-1,), -hi, ((hi,),))]
-    if d == 2:
-        ring = _ring_2d(pts)
-        if len(ring) < 3:
-            raise _HullCertificationError("collinear 2d point set")
-        facets = []
-        for i, a in enumerate(ring):
-            b = ring[(i + 1) % len(ring)]
-            normal = (a[1] - b[1], b[0] - a[0])
-            g = gcd(abs(normal[0]), abs(normal[1]))
-            normal = (normal[0] // g, normal[1] // g)
-            off = _dot(normal, a)
-            if any(_dot(normal, p) < off for p in pts):
-                normal = (-normal[0], -normal[1])
-                off = -off
-            on = tuple(p for p in pts if _dot(normal, p) == off)
-            facets.append((normal, off, on))
-        return facets
-
-    from scipy.spatial import ConvexHull  # hyperplane hints only
-
-    hull = ConvexHull(pts)
-    scale = max(1.0, max(abs(c) for p in pts for c in p))
-    hint_rows = {tuple(round(v, 9) for v in row) for row in hull.equations.tolist()}
-    facets = {}
-    for row in sorted(hint_rows):
-        nf, c = row[:-1], row[-1]
-        near = [p for p in pts if abs(_dot(nf, p) + c) < 1e-6 * scale]
-        if len(near) < d:
-            continue
-        basis = _independent_subset(near, d)
-        if basis is None:
-            continue
-        normal = _facet_normal(basis)
-        if normal is None:
-            continue
-        off = _dot(normal, basis[0])
-        values = [_dot(normal, p) for p in pts]
-        if all(v >= off for v in values):
-            pass
-        elif all(v <= off for v in values):
-            normal = tuple(-x for x in normal)
-            off = -off
-            values = [-v for v in values]
-        else:
-            continue  # spurious hint; the closure check guards completeness
-        on = tuple(p for p, v in zip(pts, values) if v == off)
-        facets[(normal, off)] = (normal, off, on)
-    facets = list(facets.values())
-    if not facets:
-        raise _HullCertificationError("no facets reconstructed")
-    ridge_count: dict = {}
-    for normal, off, on in facets:
-        for ridge in _facet_ridges(on, normal):
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    if any(c != 2 for c in ridge_count.values()):
-        raise _HullCertificationError("facet complex is not closed")
-    return facets
-
-
 def _project_facet(on, normal):
     """Drop the coordinate of largest |normal| entry; injective on the facet."""
     k = max(range(len(normal)), key=lambda i: abs(normal[i]))
@@ -225,22 +145,11 @@ def _project_facet(on, normal):
     return shadow
 
 
-def _facet_ridges(on, normal):
-    """Ridge identifiers (sorted point tuples) of a facet, exactly."""
-    d = len(normal)
-    shadow = _project_facet(on, normal)
-    flat = sorted(shadow)
-    if d == 2:
-        return [(shadow[flat[0]],), (shadow[flat[-1]],)]
-    return [
-        tuple(sorted(shadow[p] for p in sub_on))
-        for _, _, sub_on in _exact_facets(flat)
-    ]
-
-
 def _facet_triangulation(on, normal):
     """(d-1)-simplices covering the facet, as tuples of d original points."""
     d = len(normal)
+    if d == 1:
+        return [tuple(on)]
     shadow = _project_facet(on, normal)
     flat = sorted(shadow)
     if d == 2:
@@ -251,33 +160,16 @@ def _facet_triangulation(on, normal):
             (shadow[ring[0]], shadow[ring[i]], shadow[ring[i + 1]])
             for i in range(1, len(ring) - 1)
         ]
-    # d == 4: tetrahedralise the 3-dimensional facet by a vertex fan
+    # d == 4: cone from one vertex over the 2-faces of the 3-dimensional
+    # shadow that miss it
     anchor = flat[0]
     tets = []
-    for sub_normal, sub_off, sub_on in _exact_facets(flat):
+    for sub_normal, sub_off, sub_on in _facets(flat):
         if anchor in sub_on:
             continue
         for tri in _facet_triangulation(sub_on, sub_normal):
             tets.append((shadow[anchor],) + tuple(shadow[p] for p in tri))
     return tets
-
-
-def _polytope_volume(points) -> Fraction:
-    """Exact volume of conv(points) for integer points."""
-    pts = sorted(set(map(tuple, points)))
-    d = len(pts[0])
-    if _affine_rank(pts) < d:
-        return Fraction(0)
-    if d == 1:
-        return Fraction(pts[-1][0] - pts[0][0])
-    facets = _exact_facets(pts)
-    centroid = tuple(Fraction(sum(p[i] for p in pts), len(pts)) for i in range(d))
-    total = Fraction(0)
-    for normal, off, on in facets:
-        for simplex in _facet_triangulation(on, normal):
-            rows = [[Fraction(p[i]) - centroid[i] for i in range(d)] for p in simplex]
-            total += abs(_det(rows))
-    return total / factorial(d)
 
 
 # -- the polyhedron type -----------------------------------------------------
@@ -328,10 +220,10 @@ class NewtonPolyhedron:
         object.__setattr__(self, "_hull_vertices", None)
         object.__setattr__(self, "_hull_facets", None)
         if self.is_finite_volume:
-            object.__setattr__(self, "_covolume", self._compute_covolume())
             object.__setattr__(self, "_hull_facets", self._compute_region_facets())
             verts = sorted({p for n, b, pts in self._hull_facets for p in pts})
             object.__setattr__(self, "_hull_vertices", tuple(verts))
+            object.__setattr__(self, "_covolume", self._compute_covolume())
         else:
             object.__setattr__(self, "_covolume", None)
 
@@ -365,21 +257,18 @@ class NewtonPolyhedron:
     def max_coordinate(self) -> int:
         return max(max(g) for g in self.generators)
 
-    def _corner_points(self, box=None):
-        """Vertex superset of region /\\ [0, box]^d."""
-        m = self.max_coordinate if box is None else box
-        corners = set()
-        for g in self.generators:
-            for eps in itertools.product((0, 1), repeat=self.dim):
-                corners.add(tuple(g[i] if e == 0 else m for i, e in enumerate(eps)))
-        return sorted(corners)
-
     def _compute_covolume(self) -> Fraction:
-        m = self.max_coordinate
-        if m == 0:
-            return Fraction(0)
-        inner = _polytope_volume(self._corner_points(m))
-        return Fraction(m) ** self.dim - inner
+        """Cone sum from the origin over the triangulated compact facets.
+
+        The complement of the region is star-shaped from the origin, and
+        the part of its boundary off the compact facets lies in coordinate
+        hyperplanes, whose cones are flat.
+        """
+        total = 0
+        for normal, b, pts in self._hull_facets:
+            for simplex in _facet_triangulation(pts, normal):
+                total += abs(_det(simplex))
+        return Fraction(total, factorial(self.dim))
 
     def _compute_region_facets(self):
         """Compact facets of the region as (normal, offset, points-on-facet).
@@ -387,32 +276,7 @@ class NewtonPolyhedron:
         A compact facet has a strictly positive inward normal; it is the
         convex hull of the generators lying on its supporting hyperplane.
         """
-        gens = self.generators
-        d = self.dim
-        seen = {}
-        if d == 1:
-            g = min(gens)[0]
-            return ((1,), g, (min(gens),)),
-        for subset in itertools.combinations(gens, d):
-            normal = _facet_normal(list(subset))
-            if normal is None:
-                continue
-            if all(c < 0 for c in normal):
-                normal = tuple(-c for c in normal)
-            if not all(c > 0 for c in normal):
-                continue
-            b = sum(n * c for n, c in zip(normal, subset[0]))
-            if any(sum(n * c for n, c in zip(normal, g)) < b for g in gens):
-                continue
-            on_face = tuple(
-                g for g in gens if sum(n * c for n, c in zip(normal, g)) == b
-            )
-            seen[(normal, b)] = on_face
-        facets = []
-        for (normal, b), pts in sorted(seen.items()):
-            if _affine_rank(pts) == d - 1:
-                facets.append((normal, b, pts))
-        return tuple(facets)
+        return tuple(f for f in _facets(self.generators) if all(c > 0 for c in f[0]))
 
     # -- serialisation ----------------------------------------------------
 
@@ -422,29 +286,6 @@ class NewtonPolyhedron:
     @classmethod
     def from_json_dict(cls, data: dict) -> "NewtonPolyhedron":
         return cls(data["dim"], data["generators"])
-
-
-def _affine_rank(points) -> int:
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
-    # Gaussian elimination over Fractions
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def from_support_d(dim, points) -> NewtonPolyhedron:
@@ -538,7 +379,10 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
         for beta in itertools.product(range(d + 1), repeat=r - 1)
         if sum(beta) <= d
     ] if r > 1 else [(1,)]
-    assert len(nodes) == len(exponents)
+    if len(nodes) != len(exponents):
+        raise ArithmeticError(
+            f"{len(nodes)} interpolation nodes for {len(exponents)} monomials"
+        )
     matrix, rhs = [], []
     for lam in nodes:
         matrix.append([_ipow(lam, e) for e in exponents])
@@ -564,7 +408,10 @@ def face_identity_check(n: NewtonPolyhedron):
     Each product h_i * Vol_{d-1}(sigma_i) equals d times the volume of the
     cone over sigma_i from the origin, so the right-hand side is the exact
     rational sum of |det| / (d-1)! over a triangulation of each facet; no
-    square roots ever appear.
+    square roots ever appear.  The covolume is that same cone sum, so both
+    sides share the facet enumeration and triangulation; the identity is
+    checked independently against the box-hull volume oracle in
+    ``newtonpoly.verify`` (criterion 8).
     """
     if not n.is_finite_volume:
         raise InfiniteVolume("face identity needs a finite-volume polyhedron")
@@ -572,12 +419,8 @@ def face_identity_check(n: NewtonPolyhedron):
     lhs = d * covolume(n)
     rhs = Fraction(0)
     for normal, b, pts in n._hull_facets:
-        if d == 1:
-            rhs += Fraction(pts[0][0])
-            continue
         for simplex in _facet_triangulation(pts, normal):
-            rows = [list(map(Fraction, p)) for p in simplex]
-            rhs += abs(_det(rows)) / factorial(d - 1)
+            rhs += Fraction(abs(_det(simplex)), factorial(d - 1))
     return lhs, rhs
 
 

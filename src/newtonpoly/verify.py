@@ -7,10 +7,11 @@ the pytest acceptance module both run through this registry.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import sympy
 
@@ -527,6 +528,304 @@ def suite_invariant_identities(seed=DEFAULT_SEED):
     return results
 
 
+# -- box-hull covolume oracle ---------------------------------------------------
+#
+# An exact hull pipeline of its own (qhull hyperplane hints, exact
+# re-verification, a ridge-closure certificate), kept apart from the cone
+# sum in polyhedra so that criterion 8 checks covolume against code it does
+# not share.
+
+
+def _det(rows):
+    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _facet_normal(points):
+    """Integer normal of the hyperplane through d affinely independent points."""
+    d = len(points[0])
+    base = points[0]
+    rows = [[p[i] - base[i] for i in range(d)] for p in points[1:]]
+    normal = []
+    for i in range(d):
+        minor = [[r[j] for j in range(d) if j != i] for r in rows]
+        sub = _det(minor) if minor else Fraction(1)
+        normal.append((-1) ** i * sub)
+    if all(c == 0 for c in normal):
+        return None
+    nums = [int(c) for c in normal]
+    g = 0
+    for c in nums:
+        g = gcd(g, abs(c))
+    return tuple(c // g for c in nums)
+
+
+class _HullCertificationError(RuntimeError):
+    pass
+
+
+def _dot(n, p):
+    return sum(a * b for a, b in zip(n, p))
+
+
+def _ring_2d(points):
+    """Convex-position ring of 2d points, counterclockwise, strict turns."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(list(reversed(pts)))
+    ring = lower[:-1] + upper[:-1]
+    return ring
+
+
+def _independent_subset(points, d):
+    """d affinely independent points, or None."""
+    base = points[0]
+    chosen = [base]
+    rows = []
+    for p in points[1:]:
+        cand = rows + [[Fraction(p[i] - base[i]) for i in range(d)]]
+        if _matrix_rank(cand) == len(cand):
+            rows = cand
+            chosen.append(p)
+            if len(chosen) == d:
+                return chosen
+    return None
+
+
+def _matrix_rank(rows):
+    m = [list(r) for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _exact_facets(points):
+    """Facets of conv(points) as (inward normal, offset, on-points), exact.
+
+    In dimension >= 3, qhull supplies candidate hyperplanes; each facet is
+    reconstructed exactly from points on it, verified to support the point
+    set, and the facet complex is certified closed by matching every ridge
+    to exactly two facets.  A certification failure raises rather than
+    returning a wrong answer.
+    """
+    pts = sorted(set(map(tuple, points)))
+    d = len(pts[0])
+    if d == 1:
+        lo, hi = pts[0][0], pts[-1][0]
+        if lo == hi:
+            raise _HullCertificationError("degenerate 1d hull")
+        return [((1,), lo, ((lo,),)), ((-1,), -hi, ((hi,),))]
+    if d == 2:
+        ring = _ring_2d(pts)
+        if len(ring) < 3:
+            raise _HullCertificationError("collinear 2d point set")
+        facets = []
+        for i, a in enumerate(ring):
+            b = ring[(i + 1) % len(ring)]
+            normal = (a[1] - b[1], b[0] - a[0])
+            g = gcd(abs(normal[0]), abs(normal[1]))
+            normal = (normal[0] // g, normal[1] // g)
+            off = _dot(normal, a)
+            if any(_dot(normal, p) < off for p in pts):
+                normal = (-normal[0], -normal[1])
+                off = -off
+            on = tuple(p for p in pts if _dot(normal, p) == off)
+            facets.append((normal, off, on))
+        return facets
+
+    from scipy.spatial import ConvexHull  # hyperplane hints only
+
+    hull = ConvexHull(pts)
+    scale = max(1.0, max(abs(c) for p in pts for c in p))
+    hint_rows = {tuple(round(v, 9) for v in row) for row in hull.equations.tolist()}
+    facets = {}
+    for row in sorted(hint_rows):
+        nf, c = row[:-1], row[-1]
+        near = [p for p in pts if abs(_dot(nf, p) + c) < 1e-6 * scale]
+        if len(near) < d:
+            continue
+        basis = _independent_subset(near, d)
+        if basis is None:
+            continue
+        normal = _facet_normal(basis)
+        if normal is None:
+            continue
+        off = _dot(normal, basis[0])
+        values = [_dot(normal, p) for p in pts]
+        if all(v >= off for v in values):
+            pass
+        elif all(v <= off for v in values):
+            normal = tuple(-x for x in normal)
+            off = -off
+            values = [-v for v in values]
+        else:
+            continue  # spurious hint; the closure check guards completeness
+        on = tuple(p for p, v in zip(pts, values) if v == off)
+        facets[(normal, off)] = (normal, off, on)
+    facets = list(facets.values())
+    if not facets:
+        raise _HullCertificationError("no facets reconstructed")
+    ridge_count: dict = {}
+    for normal, off, on in facets:
+        for ridge in _facet_ridges(on, normal):
+            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+    if any(c != 2 for c in ridge_count.values()):
+        raise _HullCertificationError("facet complex is not closed")
+    return facets
+
+
+def _project_facet(on, normal):
+    """Drop the coordinate of largest |normal| entry; injective on the facet."""
+    k = max(range(len(normal)), key=lambda i: abs(normal[i]))
+    shadow = {tuple(c for i, c in enumerate(p) if i != k): p for p in on}
+    return shadow
+
+
+def _facet_ridges(on, normal):
+    """Ridge identifiers (sorted point tuples) of a facet, exactly."""
+    d = len(normal)
+    shadow = _project_facet(on, normal)
+    flat = sorted(shadow)
+    if d == 2:
+        return [(shadow[flat[0]],), (shadow[flat[-1]],)]
+    return [
+        tuple(sorted(shadow[p] for p in sub_on))
+        for _, _, sub_on in _exact_facets(flat)
+    ]
+
+
+def _facet_triangulation(on, normal):
+    """(d-1)-simplices covering the facet, as tuples of d original points."""
+    d = len(normal)
+    shadow = _project_facet(on, normal)
+    flat = sorted(shadow)
+    if d == 2:
+        return [(shadow[flat[0]], shadow[flat[-1]])]
+    if d == 3:
+        ring = _ring_2d(flat)
+        return [
+            (shadow[ring[0]], shadow[ring[i]], shadow[ring[i + 1]])
+            for i in range(1, len(ring) - 1)
+        ]
+    # d == 4: tetrahedralise the 3-dimensional facet by a vertex fan
+    anchor = flat[0]
+    tets = []
+    for sub_normal, sub_off, sub_on in _exact_facets(flat):
+        if anchor in sub_on:
+            continue
+        for tri in _facet_triangulation(sub_on, sub_normal):
+            tets.append((shadow[anchor],) + tuple(shadow[p] for p in tri))
+    return tets
+
+
+def _polytope_volume(points) -> Fraction:
+    """Exact volume of conv(points) for integer points."""
+    pts = sorted(set(map(tuple, points)))
+    d = len(pts[0])
+    if _affine_rank(pts) < d:
+        return Fraction(0)
+    if d == 1:
+        return Fraction(pts[-1][0] - pts[0][0])
+    facets = _exact_facets(pts)
+    centroid = tuple(Fraction(sum(p[i] for p in pts), len(pts)) for i in range(d))
+    total = Fraction(0)
+    for normal, off, on in facets:
+        for simplex in _facet_triangulation(on, normal):
+            rows = [[Fraction(p[i]) - centroid[i] for i in range(d)] for p in simplex]
+            total += abs(_det(rows))
+    return total / factorial(d)
+
+
+def _affine_rank(points) -> int:
+    pts = list(points)
+    if len(pts) <= 1:
+        return 0
+    base = pts[0]
+    rows = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
+    # Gaussian elimination over Fractions
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    cols = len(base)
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _corner_points(n, box):
+    """Vertex superset of region /\\ [0, box]^d."""
+    corners = set()
+    for g in n.generators:
+        for eps in itertools.product((0, 1), repeat=n.dim):
+            corners.add(tuple(g[i] if e == 0 else box for i, e in enumerate(eps)))
+    return sorted(corners)
+
+
+def _box_hull_covolume(n: ph.NewtonPolyhedron) -> Fraction:
+    """Covolume of a finite-volume polyhedron as M^d - Vol(region /\\ [0, M]^d).
+
+    The complement of the region lies in the box [0, M]^d with M the largest
+    generator coordinate, and region /\\ box is the convex hull of the corner
+    set {A + (M - A) o eps : eps in {0,1}^d}; its volume comes from the
+    certified hull above.
+    """
+    m = n.max_coordinate
+    if m == 0:
+        return Fraction(0)
+    return Fraction(m) ** n.dim - _polytope_volume(_corner_points(n, m))
+
+
 # -- criterion 8: monomial multiplicities ------------------------------------------
 
 
@@ -572,6 +871,17 @@ def _random_monomial_ideal(rng, d):
     return ph.NewtonPolyhedron(d, gens)
 
 
+def _quartic_ideal(rng):
+    """d = 4 ideal: axis powers 3 or 4 and two more generators with entries at
+    most 2, which usually cut the simplex into several compact facets."""
+    gens = {tuple(rng.randint(3, 4) if i == axis else 0 for i in range(4)) for axis in range(4)}
+    while len(gens) < 6:
+        extra = tuple(rng.randint(0, 2) for _ in range(4))
+        if any(extra):
+            gens.add(extra)
+    return ph.NewtonPolyhedron(4, gens)
+
+
 def suite_monomial_multiplicity(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     results = []
@@ -597,14 +907,27 @@ def suite_monomial_multiplicity(seed=DEFAULT_SEED):
     results.append(CheckResult("e = d! Vol matches the colength oracle on 10+ ideals", ok))
 
     ok = True
+    faced = []
     for _ in range(50):
         d = rng.choice([2, 3])
         n = _random_monomial_ideal(rng, d)
+        faced.append(n)
         lhs, rhs = ph.face_identity_check(n)
         if lhs != rhs:
             ok = False
             break
     results.append(CheckResult("face identity d Vol = sum h_i Vol(sigma_i) on 50 polyhedra", ok))
+
+    quartic_rng = random.Random(seed + 4)
+    quartic = [_quartic_ideal(quartic_rng) for _ in range(6)]
+    bad = [n for n in faced + quartic if ph.covolume(n) != _box_hull_covolume(n)]
+    results.append(
+        CheckResult(
+            "covolume = box-hull volume oracle on those polyhedra and 6 at d = 4",
+            not bad,
+            f"differs on {bad[0]}" if bad else "",
+        )
+    )
 
     ok = True
     for _ in range(50):

@@ -116,6 +116,14 @@ class TestDirect:
         views = {jacobian_polygon_direct(f, seed=s).view for s in (1, 7, 123)}
         assert len(views) == 1
 
+    def test_non_unitary_polar_direction_retried(self):
+        # seed 189 first draws a direction whose polar curve is not unitary
+        f = P("(y + x)*(y - 1/2*x^2)*(y + 2*x^3)")
+        j = jacobian_polygon_direct(f, seed=189)
+        assert repr(j) == "{2/1}+{4/1}"
+        assert j == jacobian_polygon_direct(f, seed=7)
+        assert j.length() == 6
+
     def test_specialness(self):
         for f in [P("y^2 - x^5"), P("y^3 - x^4"), P("y^2 - x^3") * P("y - x")]:
             assert is_special(jacobian_polygon_direct(f).view)

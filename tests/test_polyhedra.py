@@ -1,5 +1,10 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,7 @@ from newtonpoly.polyhedra import (
     sum_d,
 )
 from newtonpoly.product import mixed_height
+from newtonpoly.verify import _box_hull_covolume
 
 M2_D3 = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
@@ -115,6 +121,46 @@ class TestCovolume:
     def test_d4_simplex(self):
         n = from_support_d(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         assert covolume(n) == Fraction(1, 24)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_box_hull_oracle(self, d):
+        # degree-3 monomials of entries <= 2 under axis powers 4: the facet
+        # sum = 3 is a hexagon at d = 3 and a solid at d = 4, not a simplex
+        gens = [p for p in itertools.product(range(3), repeat=d) if sum(p) == 3]
+        gens += [tuple(4 if i == a else 0 for i in range(d)) for a in range(d)]
+        n = from_support_d(d, gens)
+        assert covolume(n) == _box_hull_covolume(n)
+        rng = random.Random(29 + d)
+        for _ in range(12):
+            n = random_finite_polyhedron(rng, d)
+            assert covolume(n) == _box_hull_covolume(n)
+        # d + 2 minimal generators: axis powers and two off-axis points
+        checked = 0
+        while checked < 6:
+            gens = {tuple(rng.randint(2, 3) if i == a else 0 for i in range(d)) for a in range(d)}
+            gens |= {tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(2)}
+            n = from_support_d(d, gens)
+            if len(n.generators) != d + 2:
+                continue
+            assert covolume(n) == _box_hull_covolume(n)
+            checked += 1
+
+    def test_no_scipy_on_the_polyhedra_path(self):
+        code = (
+            "import sys\n"
+            "from newtonpoly.polyhedra import NewtonPolyhedron, face_identity_check\n"
+            "for d in (3, 4):\n"
+            "    gens = [tuple(3 if i == a else 0 for i in range(d)) for a in range(d)]\n"
+            "    n = NewtonPolyhedron(d, gens + [(1,) * d, (2,) + (0,) * (d - 2) + (1,)])\n"
+            "    lhs, rhs = face_identity_check(n)\n"
+            "    assert lhs == rhs, (lhs, rhs)\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMixedCovolume:
