@@ -273,7 +273,8 @@ def _dinv(field, level, a):
         r0, r1 = r1, r
     deg = len(mp) - 1
     zero = _const(Fraction(0), lower, field)
-    assert len(res) <= deg, "Bezout coefficient exceeded the extension degree"
+    if len(res) > deg:
+        raise ArithmeticError("Bezout coefficient exceeded the extension degree")
     return tuple((res + [zero] * deg)[:deg])
 
 
@@ -355,9 +356,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return _data_is_zero(self.data)
-
-    def is_rational(self) -> bool:
-        return self.rational_value() is not None
 
     def rational_value(self):
         data = self.data
@@ -500,10 +498,6 @@ def poly_mul(field, p, q):
     return _poly_strip(out)
 
 
-def poly_scale(field, p, c):
-    return _poly_strip([a * c for a in p])
-
-
 def poly_divmod(field, num, den):
     num = list(num)
     den = _poly_strip(list(den))
@@ -539,13 +533,6 @@ def poly_gcd(field, p, q):
 
 def poly_diff(field, p):
     return _poly_strip([p[i] * i for i in range(1, len(p))])
-
-
-def poly_eval(field, p, x):
-    acc = field.zero()
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_compose_linear(field, p, a, b):
@@ -594,7 +581,8 @@ def _sympy_poly_to_rational(poly) -> list[Fraction]:
 def _factor_over_qq(field, p):
     u = sympy.Symbol("u")
     coeffs = [c.rational_value() for c in p]
-    assert all(c is not None for c in coeffs)
+    if any(c is None for c in coeffs):
+        raise ArithmeticError("polynomial to factor over QQ has irrational coefficients")
     spoly = _rational_poly_to_sympy(coeffs, u)
     _, factors = spoly.factor_list()
     out = []

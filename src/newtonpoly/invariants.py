@@ -293,7 +293,8 @@ def invariants_from_polygon(j: JacobianPolygon) -> InvariantReport:
     theta1 = max(Fraction(e, e + m) for e, m in j.pairs)
     determinacy = int(theta2) + 1
     is_ak = mu_n1 == 1
-    assert is_ak == (theta2 == mu_n), "A_k characterisations disagree"
+    if is_ak != (theta2 == mu_n):
+        raise ArithmeticError("A_k characterisations disagree")
     return InvariantReport(
         mu_n=mu_n,
         mu_n1=mu_n1,
@@ -310,7 +311,7 @@ def invariants_from_polygon(j: JacobianPolygon) -> InvariantReport:
 def dual_degree(d: int, n: int, singularities) -> int:
     """Degree of the dual hypersurface: d(d-1)^(n-1) - sum(mu^n + mu^(n-1))."""
     if d < 2 or n < 2:
-        raise ValueError("need degree >= 2 and ambient dimension >= 2")
+        raise ParameterOutOfRange("need degree >= 2 and ambient dimension >= 2")
     return d * (d - 1) ** (n - 1) - sum(mn + mn1 for mn, mn1 in singularities)
 
 

@@ -111,19 +111,31 @@ def _adjoin_root(field: GroundField, poly_coeffs, bound: int, prefix: str):
 
 
 def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
-    """Unique series root with y(0) = 0 when that root is simple."""
+    """Unique series root with y(0) = 0 when that root is simple, mod x^prec.
+
+    Each Newton step doubles the number of correct terms, so the steps run
+    at a working precision w = 2, 4, 8, ... capped at prec; w doubles once
+    f(s) vanishes to O(x^w).  The root is returned only when f(s) vanishes
+    to the full precision, where it is unique.
+    """
     k = f.field
-    s = TruncatedSeries.zero(k, f.xvar, precision=prec)
+    df = f.dy()
+    w = min(2, prec)
+    s = TruncatedSeries.zero(k, f.xvar, precision=w)
     last_order = -1
     for _ in range(80):
         v = f.eval_y(s)
         if v.is_zero_to_precision():
-            return s.rename(_BRANCH_VAR)
+            if w >= prec:
+                return s.rename(_BRANCH_VAR)
+            w = min(2 * w, prec)
+            s = TruncatedSeries(k, f.xvar, s.coeffs, w)
+            continue
         o = v.coeffs[0][0]
-        assert o > last_order, "Newton iteration failed to make progress"
+        if o <= last_order:
+            raise ArithmeticError("Newton iteration failed to make progress")
         last_order = o
-        d = f.dy().eval_y(s)
-        s = (s - v * d.inverse(prec)).truncate(prec)
+        s = (s - v * df.eval_y(s).inverse(w)).truncate(w)
     raise PrecisionInsufficient("Newton iteration did not stabilise")
 
 
@@ -152,15 +164,16 @@ def _substitute_edge(f: YPolynomial, p: int, q: int, c0: FieldElement, w: int) -
     out = []
     for col in cols:
         ser = TruncatedSeries.make(k, f.xvar, col, INF)
-        if ser.coeffs:
-            assert ser.coeffs[0][0] >= w, "edge substitution order below predicted weight"
+        if ser.coeffs and ser.coeffs[0][0] < w:
+            raise ArithmeticError("edge substitution order below predicted weight")
         out.append(ser.shift(-w) if ser.coeffs else ser)
     return YPolynomial.make(out, f.xvar, f.yvar)
 
 
 def _expand_positive(f: YPolynomial, prec: int, bound: int, depth: int = 0):
     """Branch classes (e, series in t, conj) covering the roots with v > 0."""
-    assert depth < 64, "Puiseux recursion failed to terminate"
+    if depth >= 64:
+        raise ArithmeticError("Puiseux recursion failed to terminate")
     m0 = _positive_root_count(f)
     if m0 == 0:
         return []
@@ -172,7 +185,8 @@ def _expand_positive(f: YPolynomial, prec: int, bound: int, depth: int = 0):
         cs, q, p, g = edge_lattice_coefficients(f, edge)
         k = f.field
         chi = fld._poly_strip([cs[g - i] for i in range(g + 1)])
-        assert fld.poly_degree(chi) == g
+        if fld.poly_degree(chi) != g:
+            raise ArithmeticError("edge polynomial degree differs from the edge's lattice length")
         for phi, mult in fld.factor_poly(k, chi):
             dphi = fld.poly_degree(phi)
             k1, w0 = _adjoin_root(k, phi, bound, "a")
@@ -192,7 +206,8 @@ def _expand_positive(f: YPolynomial, prec: int, bound: int, depth: int = 0):
                 yser = (const + s1).shift(q * e1)
                 out.append((p * e1, yser, dphi * conj1))
                 covered += p * e1 * dphi * conj1
-    assert covered == m0, f"edge expansion covered {covered} of {m0} roots"
+    if covered != m0:
+        raise ArithmeticError(f"edge expansion covered {covered} of {m0} roots")
     return out
 
 
@@ -243,12 +258,14 @@ def puiseux_expand(
             shifted = _shift_y(work.lift_field(k1), y0)
             sub = _expand_positive(shifted, t_precision, max_tower_degree)
             total = sum(e * c for e, _, c in sub)
-            assert total == mult, "valuation-zero class count mismatch"
+            if total != mult:
+                raise ArithmeticError("valuation-zero class count mismatch")
             for e, s, conj in sub:
                 const = TruncatedSeries.constant(s.field, _BRANCH_VAR, s.field.lift(y0))
                 branches.append(PuiseuxBranch(e, const + s, dphi * conj, source))
     covered = sum(b.ramification * b.conjugacy_size for b in branches)
-    assert covered == f.degree(), f"branches cover {covered} of {f.degree()} roots"
+    if covered != f.degree():
+        raise ArithmeticError(f"branches cover {covered} of {f.degree()} roots")
     branches.sort(key=_branch_sort_key)
     return branches
 

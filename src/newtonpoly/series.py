@@ -10,13 +10,22 @@ coefficients are truncated series in x.  This module extracts Newton polygons
 and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
 resultants, the shifted resultant realising the polygon product, and
 resultant-valuation intersection numbers.
+
+Resultants have two kernels.  Over QQ, the Sylvester resultant clears
+denominators and runs sympy's subresultant PRS on dense integer polynomials
+in ZZ[x][y]; over a proper tower, and for the shifted resultant, Bareiss
+elimination runs on the Sylvester matrix of exact series.  Both give the
+Sylvester determinant with the first operand in the top rows, sign included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
 
 from . import field as fld
 from .errors import (
@@ -114,11 +123,6 @@ class TruncatedSeries:
         if not self.coeffs:
             raise ValueError("degree of the zero series")
         return self.coeffs[-1][0]
-
-    def leading_coefficient(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("zero series has no leading coefficient")
-        return self.coeffs[0][1]
 
     def coefficient(self, exp: int) -> FieldElement:
         if exp >= self.precision:
@@ -468,7 +472,7 @@ class YPolynomial:
         for coeff in reversed(self.coeffs):
             if not coeff.is_exact:
                 raise PrecisionInsufficient("coordinate change needs exact coefficients")
-            cx = _poly_of_series(coeff, xs)
+            cx = _series_at_series(coeff, xs)
             acc = acc * ys + cx
         return acc
 
@@ -509,9 +513,6 @@ def _series_at_series(c: TruncatedSeries, xs: "YPolynomial") -> "YPolynomial":
             TruncatedSeries.constant(xs.field, xs.xvar, v)
         )
     return acc
-
-
-_poly_of_series = _series_at_series
 
 
 # -- Newton polygon extraction ---------------------------------------------------
@@ -761,7 +762,13 @@ def _require_exact_unitary(f: YPolynomial, what: str):
 
 
 def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
-    """Resultant with respect to y, as an exact series in x."""
+    """Resultant with respect to y, as an exact series in x.
+
+    The value is the determinant of the Sylvester matrix with p1's
+    coefficients in the top deg(p2) rows, sign included.  Over QQ it comes
+    from sympy's subresultant PRS on ZZ[x][y] (see _qq_resultant); over a
+    proper tower, Bareiss elimination on that matrix computes it.
+    """
     k = join_fields(p1.field, p2.field)
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
     _require_exact_unitary(p1, "sylvester_resultant")
@@ -769,6 +776,8 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     m, n = p1.degree(), p2.degree()
     if m == 0 and n == 0:
         return TruncatedSeries.constant(k, p1.xvar, 1)
+    if k.level == 0:
+        return _qq_resultant(p1, p2)
     ring = _SeriesRing(k, p1.xvar)
     size = m + n
     rows = []
@@ -779,6 +788,44 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     for i in range(m):
         rows.append([ring.zero] * i + desc2 + [ring.zero] * (size - n - 1 - i))
     return bareiss_determinant(rows, ring)
+
+
+def _integer_dmp(f: YPolynomial):
+    """(c, F): F = c*f as a dense bivariate sympy polynomial over ZZ, y outside.
+
+    c is the least common denominator of f's rational coefficients.
+    """
+    c = lcm(*(v.data.denominator for s in f.coeffs for _, v in s.coeffs))
+    rows = []
+    for s in reversed(f.coeffs):
+        dense = [0] * (s.coeffs[-1][0] + 1) if s.coeffs else []
+        for e, v in s.coeffs:
+            q = v.data
+            dense[-1 - e] = ZZ.dtype(q.numerator * (c // q.denominator))
+        rows.append(dense)
+    return c, rows
+
+
+def _qq_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
+    """Sylvester resultant of exact unitary polynomials over QQ.
+
+    Clearing denominators, c1*p1 and c2*p2, scales the resultant by
+    c1^deg(p2) * c2^deg(p1).  sympy's dmp_resultant puts the operand of
+    higher degree first; with the operands swapped the Sylvester determinant
+    changes by (-1)^(deg p1 * deg p2), e.g. Res(y + 2x, y^3 + x^4) is
+    x^4 - 8x^3, and sympy's value for that order is its negative.
+    """
+    m, n = p1.degree(), p2.degree()
+    (c1, f1), (c2, f2) = _integer_dmp(p1), _integer_dmp(p2)
+    if m >= n:
+        res, sign = dmp_resultant(f1, f2, 1, ZZ), 1
+    else:
+        res, sign = dmp_resultant(f2, f1, 1, ZZ), (-1) ** (m * n)
+    scale = sign * c1 ** n * c2 ** m
+    top = len(res) - 1
+    return TruncatedSeries.make(
+        QQ, p1.xvar, {top - i: Fraction(int(v), scale) for i, v in enumerate(res) if v}
+    )
 
 
 def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
@@ -821,7 +868,8 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     for i in range(m):
         rows.append([ring.zero] * i + desc2 + [ring.zero] * (size - n - 1 - i))
     res = bareiss_determinant(rows, ring)
-    assert res.degree() == m * n, "shifted resultant degree must be deg P1 * deg P2"
+    if res.degree() != m * n:
+        raise ArithmeticError("shifted resultant degree must be deg P1 * deg P2")
     lead = res.coeffs[-1]
     if not lead.coeffs or lead.coeffs[0][0] != 0:
         raise NotUnitary("shifted resultant leading coefficient is not a unit")
@@ -1072,7 +1120,8 @@ def _parse_adjoin(clause, field) -> GroundField:
     deg = max(i for i, _ in value.terms)
     coeffs = [field.zero() for _ in range(deg + 1)]
     for (i, j), v in value.terms.items():
-        assert j == 0
+        if j != 0:
+            raise ValueError(f"defining polynomial of {name} must be univariate in {name}")
         coeffs[i] = v
     return field.extend(coeffs, name=name, verify=True)
 

@@ -988,10 +988,3 @@ SUITES = {
 
 def run_suite(name: str, seed: int = DEFAULT_SEED):
     return SUITES[name](seed)
-
-
-def run_all(seed: int = DEFAULT_SEED):
-    out = []
-    for name in SUITES:
-        out.append((name, run_suite(name, seed)))
-    return out

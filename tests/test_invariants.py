@@ -168,7 +168,7 @@ class TestDualDegree:
         assert dual_degree(3, 3, []) == 12
 
     def test_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             dual_degree(1, 2, [])
 
 

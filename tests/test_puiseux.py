@@ -123,6 +123,36 @@ class TestExpand:
             puiseux_expand(P("y^2 - 2*x^3"), t_precision=8, max_tower_degree=1)
 
 
+class TestHenselPrecision:
+    """Branch series and their precisions at a target that is not a power of 2."""
+
+    PINNED = {
+        "(y^2 - x^3 - x^4)*(y + x - 2*x^2)": [
+            ("x = t^2; y = t^3 + 1/2*t^5 - 1/8*t^7 + 1/16*t^9 - 5/128*t^11 + 7/256*t^13"
+             " - 21/1024*t^15 + O(t^16); conj = 1; field = QQ", 16),
+            ("x = t^1; y = -t + 2*t^2 + O(t^14); conj = 1; field = QQ", 14),
+        ],
+        "y^2 - 2*x^2 - x^3": [
+            ("x = t^1; y = (a1)*t + (1/4*a1)*t^2 + (-1/32*a1)*t^3 + (1/128*a1)*t^4"
+             " + (-5/2048*a1)*t^5 + (7/8192*a1)*t^6 + (-21/65536*a1)*t^7"
+             " + (33/262144*a1)*t^8 + (-429/8388608*a1)*t^9 + (715/33554432*a1)*t^10"
+             " + (-2431/268435456*a1)*t^11 + (4199/1073741824*a1)*t^12"
+             " + (-29393/17179869184*a1)*t^13 + O(t^14); conj = 2;"
+             " field = QQ[a1: a1^2 - 2]", 14),
+        ],
+        "y^3 - x^5 + x^4*y": [
+            ("x = t^3; y = t^5 - 1/3*t^7 + 1/81*t^11 + 1/243*t^13 - 4/6561*t^17"
+             " + O(t^18); conj = 1; field = QQ", 18),
+        ],
+    }
+
+    @pytest.mark.parametrize("text", sorted(PINNED))
+    def test_pinned_at_precision_13(self, text):
+        branches = puiseux_expand(P(text), t_precision=13)
+        got = [(format_branch(b), b.y_series.precision) for b in branches]
+        assert got == self.PINNED[text]
+
+
 class TestRootValuations:
     def test_cusp(self):
         assert root_valuations(P("y^2 - x^3")) == [(Fraction(3, 2), 2)]

@@ -137,6 +137,16 @@ class TestCli:
                                "--singularities", "2,1")
         assert code == 0 and out.strip() == "3"
 
+    def test_dual_degree_out_of_range_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "curve", "dual-degree", "1", "2")
+        assert code == 1
+        assert "ParameterOutOfRange" in err
+
+    def test_adjoin_clause_with_y_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "series", "polygon", "adjoin u: u^2 - _unused_y; y - x")
+        assert code == 2
+        assert "parse error" in err
+
     def test_bs_example(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "bs-example", "4", "--json")
         assert code == 0

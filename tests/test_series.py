@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newtonpoly import series
 from newtonpoly.errors import (
     NotAnEdge,
     NotIsolated,
@@ -17,6 +18,8 @@ from newtonpoly.product import product
 from newtonpoly.series import (
     TruncatedSeries,
     YPolynomial,
+    _SeriesRing,
+    bareiss_determinant,
     edge_polynomial,
     format_polynomial,
     format_series,
@@ -214,6 +217,85 @@ class TestResultants:
     def test_truncated_rejected(self):
         with pytest.raises(PrecisionInsufficient):
             sylvester_resultant(P("y - x + O(x^9)"), P("y - x^2"))
+
+
+def sylvester_by_bareiss(p1, p2):
+    """Bareiss determinant of the Sylvester matrix, p1's rows on top."""
+    ring = _SeriesRing(p1.field, p1.xvar)
+    m, n = p1.degree(), p2.degree()
+    desc1, desc2 = list(reversed(p1.coeffs)), list(reversed(p2.coeffs))
+    rows = [[ring.zero] * i + desc1 + [ring.zero] * (n - 1 - i) for i in range(n)]
+    rows += [[ring.zero] * i + desc2 + [ring.zero] * (m - 1 - i) for i in range(m)]
+    return bareiss_determinant(rows, ring)
+
+
+def random_unitary(rng, deg):
+    terms = {(0, deg): Fraction(rng.choice([1, -2, 3, Fraction(1, 2)]))}
+    for j in range(deg):
+        for _ in range(rng.randint(0, 2)):
+            terms[(rng.randint(0, 4), j)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+    return YPolynomial.from_terms(terms)
+
+
+class TestQQResultantKernel:
+    """The integer subresultant path over QQ against Bareiss on the same matrix."""
+
+    @pytest.fixture(autouse=True)
+    def no_bareiss(self, monkeypatch):
+        def refuse(rows, ring):
+            raise AssertionError("QQ resultants must not run Bareiss")
+
+        monkeypatch.setattr(series, "bareiss_determinant", refuse)
+
+    def test_matches_bareiss_on_seeded_pairs(self):
+        rng = random.Random(11)
+        degrees = set()
+        for _ in range(60):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            p1, p2 = random_unitary(rng, m), random_unitary(rng, n)
+            degrees.add((m, n))
+            assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+        assert {(1, 2), (2, 1), (1, 3), (3, 1), (0, 2), (2, 0)} <= degrees
+
+    def test_lower_degree_first_keeps_the_sylvester_sign(self):
+        # deg p1 < deg p2 with deg p1 * deg p2 odd
+        p1, p2 = P("y + 2*x"), P("y^3 + x^4")
+        assert sylvester_resultant(p1, p2) == parse_series("x^4 - 8*x^3")
+        assert sylvester_resultant(p2, p1) == parse_series("8*x^3 - x^4")
+        assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+
+    def test_shared_factor_is_exact_zero(self):
+        common = P("y - x + 1/2*x^2")
+        p1, p2 = common * P("y^2 + 3*x"), common * P("y + 2/3*x^3")
+        r = sylvester_resultant(p1, p2)
+        assert r.is_zero() and r.is_exact
+        assert r == sylvester_by_bareiss(p1, p2)
+
+    def test_degree_zero_operands(self):
+        unit, g = P("2 + x"), P("y^2 - x")
+        assert sylvester_resultant(unit, g) == parse_series("4 + 4*x + x^2")
+        assert sylvester_resultant(g, unit) == parse_series("4 + 4*x + x^2")
+        assert sylvester_resultant(unit, P("3 - x")) == parse_series("1")
+
+    def test_non_integral_coefficients(self):
+        p1, p2 = P("y - 1/2*x"), P("y^2 - 2/3*x^3")
+        assert sylvester_resultant(p1, p2) == parse_series("1/4*x^2 - 2/3*x^3")
+        p1, p2 = P("1/3*y^2 - 5/7*x*y + 1/2*x^3"), P("2/5*y + 3/4*x^2")
+        assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+
+
+class TestTowerResultant:
+    def test_tower_pair_takes_bareiss(self, monkeypatch):
+        calls = []
+
+        def spy(rows, ring):
+            calls.append(len(rows))
+            return bareiss_determinant(rows, ring)
+
+        monkeypatch.setattr(series, "bareiss_determinant", spy)
+        r = sylvester_resultant(P("adjoin a: a^2 - 2; y - a*x"), P("adjoin a: a^2 - 2; y + a*x"))
+        assert r == parse_series("adjoin a: a^2 - 2; 2*a*x")
+        assert calls == [2]
 
 
 class TestShiftedResultant:
