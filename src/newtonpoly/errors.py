@@ -30,10 +30,6 @@ class EmptySupport(DomainError):
 
 # polygon product
 
-class IndeterminateForm(DomainError):
-    """The product formula hit 0 * inf."""
-
-
 class UnsupportedInfiniteCombination(DomainError):
     """Product of two infinite polygons is not defined."""
 

@@ -26,7 +26,7 @@ from .errors import (
     NotUnitary,
     ParameterOutOfRange,
 )
-from .polygon import NewtonPolygon, make_elementary, sum_all
+from .polygon import ElementaryPolygon, NewtonPolygon
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
 from .series import YPolynomial, intersection_number
 
@@ -115,7 +115,7 @@ class JacobianPolygon:
     @property
     def view(self) -> NewtonPolygon:
         """Polygon sum of {e_q/m_q}; same-ratio pairs merge."""
-        return sum_all(make_elementary(e, m) for e, m in self.pairs)
+        return NewtonPolygon(edges=tuple(ElementaryPolygon(e, m) for e, m in self.pairs))
 
     def length(self) -> int:
         return sum(e for e, _ in self.pairs)

@@ -198,21 +198,17 @@ def polygon_sum(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
     )
 
 
-def sum_all(polys) -> NewtonPolygon:
-    total = EMPTY
-    for p in polys:
-        total = polygon_sum(total, p)
-    return total
-
-
 def scale(p: NewtonPolygon, k: int) -> NewtonPolygon:
-    """Sum of k copies of p."""
+    """Sum of k copies of p: offsets and extents multiply by k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = EMPTY
-    for _ in range(k):
-        total = polygon_sum(total, p)
-    return total
+    if k == 0:
+        return EMPTY
+    return NewtonPolygon(
+        k * p.x_offset,
+        k * p.y_offset,
+        tuple(ElementaryPolygon(ext_mul(k, e.ell), ext_mul(k, e.h)) for e in p.edges),
+    )
 
 
 def canonical_decomposition(p: NewtonPolygon):

@@ -322,14 +322,19 @@ def covolume(n: NewtonPolyhedron) -> Fraction:
 
 
 def _combo(polys, lams) -> NewtonPolyhedron:
-    """Integer combination sum(lam_i * N_i), skipping zero coefficients."""
-    parts = [scale_d(n, lam) for n, lam in zip(polys, lams) if lam > 0]
-    if not parts:
-        return scale_d(polys[0], 0)
-    total = parts[0]
-    for p in parts[1:]:
-        total = sum_d(total, p)
-    return total
+    """Integer combination sum(lam_i * N_i), skipping zero coefficients.
+
+    Its generators are the sums of lam_i * g_i, one g_i from each N_i with
+    lam_i > 0; the constructor keeps the minimal ones.
+    """
+    d = polys[0].dim
+    weights = [lam for lam in lams if lam > 0]
+    choices = itertools.product(*(n.generators for n, lam in zip(polys, lams) if lam > 0))
+    gens = {
+        tuple(sum(lam * g[i] for lam, g in zip(weights, choice)) for i in range(d))
+        for choice in choices
+    }
+    return NewtonPolyhedron(d, gens)
 
 
 def _solve_exact(matrix, rhs):
@@ -371,7 +376,6 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
         raise IndexMismatch(f"index {alpha} does not fit {len(polys)} polyhedra in dimension {d}")
     r = len(polys)
     exponents = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
-    # unisolvent node set: lambda = (beta, 1) over the simplex grid |beta| <= d
     # principal-lattice nodes lambda = (beta, 1), |beta| <= d: unisolvent and
     # in bijection with the homogeneous degree-d monomials
     nodes = [

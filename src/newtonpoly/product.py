@@ -12,14 +12,7 @@ independently as :func:`mixed_height` so the identity can be cross-checked.
 from __future__ import annotations
 
 from .errors import NotFiniteVolume, UnsupportedInfiniteCombination
-from .polygon import (
-    EMPTY,
-    ElementaryPolygon,
-    NewtonPolygon,
-    ext_mul,
-    is_inf,
-    polygon_sum,
-)
+from .polygon import ElementaryPolygon, NewtonPolygon, ext_mul, is_inf
 
 
 def _ext_min(a, b):
@@ -32,7 +25,6 @@ def _ext_min(a, b):
 
 def product_elementary(p: ElementaryPolygon, q: ElementaryPolygon) -> ElementaryPolygon:
     """{l l' / min(l h', l' h)} with infinity-absorbing arithmetic."""
-    # entries are >= 1, so 0*inf cannot arise; ext_mul asserts it anyway
     ell = ext_mul(p.ell, q.ell)
     h = _ext_min(ext_mul(p.ell, q.h), ext_mul(q.ell, p.h))
     return ElementaryPolygon(ell, h)
@@ -63,12 +55,9 @@ def product(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
         raise NotFiniteVolume(f"operand {p!r} is not finite volume")
     if q_inf is None and not q.is_finite_volume:
         raise NotFiniteVolume(f"operand {q!r} is not finite volume")
-    q_parts = [q_inf] if q_inf is not None else list(q.edges)
-    total = EMPTY
-    for pe in p.edges:
-        for qe in q_parts:
-            total = polygon_sum(total, NewtonPolygon(edges=(product_elementary(pe, qe),)))
-    return total
+    return NewtonPolygon(
+        edges=tuple(product_elementary(pe, qe) for pe in p.edges for qe in q.edges)
+    )
 
 
 def is_special(p: NewtonPolygon) -> bool:

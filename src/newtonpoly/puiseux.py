@@ -229,8 +229,7 @@ def puiseux_expand(
     for c in f.coeffs:
         if not c.is_exact:
             raise PrecisionInsufficient("puiseux expansion requires exact coefficients")
-    disc = sylvester_resultant(f, f.dy()) if f.degree() >= 1 else None
-    if disc is not None and disc.is_zero():
+    if sylvester_resultant(f, f.dy()).is_zero():
         raise NotSquareFree("polynomial has a repeated factor")
     source = f
     branches = []
@@ -357,7 +356,7 @@ def parse_branch(text: str) -> PuiseuxBranch:
 
 def _parse_field_description(text: str) -> GroundField:
     from .field import QQ
-    from .series import _Parser
+    from .series import _parse_adjoin
 
     text = text.strip()
     if not text.replace(" ", "").startswith("field="):
@@ -368,16 +367,7 @@ def _parse_field_description(text: str) -> GroundField:
     if not (body.startswith("QQ[") and body.endswith("]")):
         raise ValueError(f"bad field description {body!r}")
     field = QQ
+    # each "name: polynomial" clause reads as the adjoin clause of the text format
     for clause in body[3:-1].split(","):
-        name, _, poly = clause.partition(":")
-        name = name.strip()
-        parser = _Parser(poly, field, xvar=name, yvar="_unused_y")
-        value = parser.parse_expr()
-        if not parser.tz.at_end():
-            raise ValueError("trailing input in field description")
-        deg = max(i for i, _ in value.terms)
-        coeffs = [field.zero() for _ in range(deg + 1)]
-        for (i, j), v in value.terms.items():
-            coeffs[i] = v
-        field = field.extend(coeffs, name=name, verify=True)
+        field = _parse_adjoin("adjoin " + clause, field)
     return field

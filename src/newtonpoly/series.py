@@ -413,6 +413,29 @@ class YPolynomial:
 
     __rmul__ = __mul__
 
+    def exact_div(self, den: "YPolynomial") -> "YPolynomial":
+        """Exact division in (K[x])[y], long division with exact series division."""
+        if den.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        z = TruncatedSeries.zero(self.field, self.xvar)
+        ncoeffs = list(self.coeffs)
+        dd = den.degree()
+        dlc = den.coeffs[-1]
+        out = [z] * max(len(ncoeffs) - dd, 1)
+        while True:
+            while len(ncoeffs) > 1 and ncoeffs[-1].is_zero():
+                ncoeffs.pop()
+            if len(ncoeffs) == 1 and ncoeffs[0].is_zero():
+                break
+            nd = len(ncoeffs) - 1
+            if nd < dd:
+                raise ArithmeticError("exact polynomial division has a remainder")
+            q = ncoeffs[-1].exact_div(dlc)
+            out[nd - dd] = out[nd - dd] + q
+            for i, c in enumerate(den.coeffs):
+                ncoeffs[nd - dd + i] = ncoeffs[nd - dd + i] - q * c
+        return YPolynomial.make(out, self.xvar, self.yvar)
+
     def scale_series(self, s: TruncatedSeries) -> "YPolynomial":
         return YPolynomial.make([c * s for c in self.coeffs], self.xvar, self.yvar)
 
@@ -648,102 +671,41 @@ def is_nondegenerate_pair(f1: YPolynomial, f2: YPolynomial) -> bool:
 # -- determinants and resultants ---------------------------------------------
 
 
-class _SeriesRing:
-    """Bareiss ring adapter for exact series."""
+def bareiss_determinant(rows, one):
+    """Fraction-free determinant over an integral domain.
 
-    def __init__(self, field, var):
-        self.zero = TruncatedSeries.zero(field, var)
-        self.one = TruncatedSeries.constant(field, var, 1)
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def div(a, b):
-        return a.exact_div(b)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-
-class _YPolyRing:
-    """Bareiss ring adapter for polynomials in T over exact series."""
-
-    def __init__(self, field, xvar, yvar):
-        self.zero = YPolynomial.from_terms({}, field, xvar, yvar)
-        self.one = YPolynomial.from_terms({(0, 0): field.one()}, field, xvar, yvar)
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def div(a, b):
-        return _ypoly_exact_div(a, b)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-
-def _ypoly_exact_div(num: YPolynomial, den: YPolynomial) -> YPolynomial:
-    """Exact division in (K[x])[T], long division with exact series division."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    z = TruncatedSeries.zero(num.field, num.xvar)
-    ncoeffs = list(num.coeffs)
-    dd = den.degree()
-    dlc = den.coeffs[-1]
-    out = [z] * max(len(ncoeffs) - dd, 1)
-    while True:
-        while len(ncoeffs) > 1 and ncoeffs[-1].is_zero():
-            ncoeffs.pop()
-        if len(ncoeffs) == 1 and ncoeffs[0].is_zero():
-            break
-        nd = len(ncoeffs) - 1
-        if nd < dd:
-            raise ArithmeticError("exact polynomial division has a remainder")
-        q = ncoeffs[-1].exact_div(dlc)
-        out[nd - dd] = out[nd - dd] + q
-        for i, c in enumerate(den.coeffs):
-            ncoeffs[nd - dd + i] = ncoeffs[nd - dd + i] - q * c
-    return YPolynomial.make(out, num.xvar, num.yvar)
-
-
-def bareiss_determinant(rows, ring):
-    """Fraction-free determinant over an integral domain adapter."""
+    The entries need ``*``, ``-``, ``exact_div`` and ``is_zero()``; ``one``
+    is the unit of their ring, the first pivot divisor.
+    """
     n = len(rows)
     if n == 0:
-        return ring.one
+        return one
     m = [list(r) for r in rows]
     sign = 1
-    prev = ring.one
+    prev = one
     for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
-            pivot = next((i for i in range(k + 1, n) if not ring.is_zero(m[i][k])), None)
+        if m[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
             if pivot is None:
-                return ring.zero
+                return m[k][k]  # zero, as is the rest of column k
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = ring.sub(ring.mul(m[i][j], m[k][k]), ring.mul(m[i][k], m[k][j]))
-                m[i][j] = ring.div(num, prev)
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = ring.sub(ring.zero, det)
-    return det
+    return det if sign > 0 else -det
+
+
+def _sylvester_rows(p1_coeffs, p2_coeffs, zero):
+    """Sylvester matrix of two coefficient lists in ascending degree, with
+    p1's coefficients in the top deg(p2) rows."""
+    m, n = len(p1_coeffs) - 1, len(p2_coeffs) - 1
+    desc1, desc2 = list(reversed(p1_coeffs)), list(reversed(p2_coeffs))
+    rows = [[zero] * i + desc1 + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + desc2 + [zero] * (m - 1 - i) for i in range(m)]
+    return rows
 
 
 def _require_exact_unitary(f: YPolynomial, what: str):
@@ -778,16 +740,8 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
         return TruncatedSeries.constant(k, p1.xvar, 1)
     if k.level == 0:
         return _qq_resultant(p1, p2)
-    ring = _SeriesRing(k, p1.xvar)
-    size = m + n
-    rows = []
-    desc1 = list(reversed(p1.coeffs))
-    desc2 = list(reversed(p2.coeffs))
-    for i in range(n):
-        rows.append([ring.zero] * i + desc1 + [ring.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ring.zero] * i + desc2 + [ring.zero] * (size - n - 1 - i))
-    return bareiss_determinant(rows, ring)
+    rows = _sylvester_rows(p1.coeffs, p2.coeffs, TruncatedSeries.zero(k, p1.xvar))
+    return bareiss_determinant(rows, TruncatedSeries.constant(k, p1.xvar, 1))
 
 
 def _integer_dmp(f: YPolynomial):
@@ -844,7 +798,6 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     if p1.is_y_divisible() or p2.is_y_divisible():
         raise YDivisible("shifted resultant requires polynomials not divisible by y")
     m, n = p1.degree(), p2.degree()
-    ring = _YPolyRing(k, p1.xvar, "T")
     # P1(T+U) as a polynomial in U: coefficient of U^k is sum_j C(j,k) a_j T^(j-k)
     p1_in_u = []
     for kk in range(m + 1):
@@ -859,15 +812,8 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     p2_in_u = [
         YPolynomial.make([c], p1.xvar, "T") for c in p2.coeffs
     ]
-    size = m + n
-    rows = []
-    desc1 = list(reversed(p1_in_u))
-    desc2 = list(reversed(p2_in_u))
-    for i in range(n):
-        rows.append([ring.zero] * i + desc1 + [ring.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ring.zero] * i + desc2 + [ring.zero] * (size - n - 1 - i))
-    res = bareiss_determinant(rows, ring)
+    rows = _sylvester_rows(p1_in_u, p2_in_u, YPolynomial.from_terms({}, k, p1.xvar, "T"))
+    res = bareiss_determinant(rows, YPolynomial.from_terms({(0, 0): k.one()}, k, p1.xvar, "T"))
     if res.degree() != m * n:
         raise ArithmeticError("shifted resultant degree must be deg P1 * deg P2")
     lead = res.coeffs[-1]
@@ -1050,8 +996,12 @@ class _Parser:
         if self.tz.accept("op", "^"):
             n = int(self.tz.expect("int")[1])
             acc = self.const(1)
-            for _ in range(n):
-                acc = _pv_mul(self.field, acc, base)
+            while n:
+                if n & 1:
+                    acc = _pv_mul(self.field, acc, base)
+                n >>= 1
+                if n:
+                    base = _pv_mul(self.field, base, base)
             return acc
         return base
 

@@ -224,6 +224,20 @@ class TestCovolume:
         assert covolume2(polygon_sum(p, q)) != covolume2(p) + covolume2(q)
 
 
+class TestScale:
+    @given(polygons(offsets=True, allow_infinite=True), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_equals_repeated_sum(self, p, k):
+        total = EMPTY
+        for _ in range(k):
+            total = polygon_sum(total, p)
+        assert scale(p, k) == total
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            scale(make_elementary(2, 1), -1)
+
+
 class TestMonoidLaws:
     @given(polygons(offsets=True, allow_infinite=True),
            polygons(offsets=True, allow_infinite=True),

@@ -18,6 +18,7 @@ from newtonpoly.polygon import make_elementary, polygon_sum, covolume2, from_sup
 from newtonpoly.polyhedra import (
     MixedVolumeIndex,
     NewtonPolyhedron,
+    _combo,
     colength_growth_oracle,
     covolume,
     face_identity_check,
@@ -197,6 +198,20 @@ class TestMixedCovolume:
                     for i in range(d + 1)
                 )
                 assert covolume(combo) == expected
+
+    def test_combination_equals_sum_of_scaled_operands(self):
+        rng = random.Random(23)
+        for d in (2, 3):
+            for r in (2, 3):
+                polys = [random_finite_polyhedron(rng, d) for _ in range(r)]
+                for lams in itertools.product(range(3), repeat=r):
+                    total = scale_d(polys[0], 0)
+                    for n, lam in zip(polys, lams):
+                        if lam > 0:
+                            total = sum_d(total, scale_d(n, lam))
+                    combo = _combo(polys, lams)
+                    assert combo == total
+                    assert covolume(combo) == covolume(total)
 
     def test_d2_bridge_to_mixed_height(self):
         rng = random.Random(9)

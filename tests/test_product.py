@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonpoly.errors import NotFiniteVolume, UnsupportedInfiniteCombination
 from newtonpoly.polygon import (
@@ -14,7 +15,12 @@ from newtonpoly.polygon import (
 )
 from newtonpoly.product import is_special, mixed_height, product, product_elementary
 
-from strategies import elementary, finite_polygons
+from strategies import elementary, extents, finite_polygons
+
+infinite_elementary = st.one_of(
+    st.builds(lambda ell: make_elementary(ell, INF), extents),
+    st.builds(lambda h: make_elementary(INF, h), extents),
+)
 
 
 class TestElementaryProduct:
@@ -57,6 +63,15 @@ class TestProduct:
     def test_empty_rejected(self):
         with pytest.raises(NotFiniteVolume):
             product(EMPTY, ONE)
+
+    @given(finite_polygons(max_edges=4), st.one_of(finite_polygons(max_edges=4), infinite_elementary))
+    @settings(max_examples=100)
+    def test_equals_sum_of_elementary_products(self, p, q):
+        total = EMPTY
+        for pe in p.edges:
+            for qe in q.edges:
+                total = polygon_sum(total, NewtonPolygon(edges=(product_elementary(pe, qe),)))
+        assert product(p, q) == product(q, p) == total
 
     @given(finite_polygons(max_edges=3), finite_polygons(max_edges=3))
     @settings(max_examples=100)

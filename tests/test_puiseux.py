@@ -225,3 +225,7 @@ class TestBranchFormat:
         rb = parse_branch(format_branch(b))
         assert rb.y_series == b.y_series
         assert rb.field == b.field
+
+    def test_defining_polynomial_with_y_rejected(self):
+        with pytest.raises(ValueError):
+            parse_branch("x = t^1; y = t; conj = 1; field = QQ[u: u^2 - 2*_unused_y]")

@@ -107,6 +107,10 @@ class TestCli:
         code, out, _ = run_cli(capsys, "series", "polygon", "y^2 - x^3")
         assert code == 0 and out.strip() == "{3/2}"
 
+    def test_series_polygon_of_a_high_power(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "polygon", "x^9999999")
+        assert code == 0 and out.strip() == '{"x_offset":9999999,"y_offset":0,"edges":[]}'
+
     def test_puiseux_expand(self, capsys):
         code, out, _ = run_cli(capsys, "puiseux", "expand", "y^2 - x^3", "--precision", "6")
         assert code == 0

@@ -18,7 +18,6 @@ from newtonpoly.product import product
 from newtonpoly.series import (
     TruncatedSeries,
     YPolynomial,
-    _SeriesRing,
     bareiss_determinant,
     edge_polynomial,
     format_polynomial,
@@ -221,12 +220,12 @@ class TestResultants:
 
 def sylvester_by_bareiss(p1, p2):
     """Bareiss determinant of the Sylvester matrix, p1's rows on top."""
-    ring = _SeriesRing(p1.field, p1.xvar)
+    zero = TruncatedSeries.zero(p1.field, p1.xvar)
     m, n = p1.degree(), p2.degree()
     desc1, desc2 = list(reversed(p1.coeffs)), list(reversed(p2.coeffs))
-    rows = [[ring.zero] * i + desc1 + [ring.zero] * (n - 1 - i) for i in range(n)]
-    rows += [[ring.zero] * i + desc2 + [ring.zero] * (m - 1 - i) for i in range(m)]
-    return bareiss_determinant(rows, ring)
+    rows = [[zero] * i + desc1 + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + desc2 + [zero] * (m - 1 - i) for i in range(m)]
+    return bareiss_determinant(rows, TruncatedSeries.constant(p1.field, p1.xvar, 1))
 
 
 def random_unitary(rng, deg):
@@ -242,7 +241,7 @@ class TestQQResultantKernel:
 
     @pytest.fixture(autouse=True)
     def no_bareiss(self, monkeypatch):
-        def refuse(rows, ring):
+        def refuse(rows, one):
             raise AssertionError("QQ resultants must not run Bareiss")
 
         monkeypatch.setattr(series, "bareiss_determinant", refuse)
@@ -288,9 +287,9 @@ class TestTowerResultant:
     def test_tower_pair_takes_bareiss(self, monkeypatch):
         calls = []
 
-        def spy(rows, ring):
+        def spy(rows, one):
             calls.append(len(rows))
-            return bareiss_determinant(rows, ring)
+            return bareiss_determinant(rows, one)
 
         monkeypatch.setattr(series, "bareiss_determinant", spy)
         r = sylvester_resultant(P("adjoin a: a^2 - 2; y - a*x"), P("adjoin a: a^2 - 2; y + a*x"))
