@@ -82,6 +82,10 @@ class NotIsolated(DomainError):
     """Resultant vanishes identically; intersection is not isolated."""
 
 
+class NotLocal(DomainError):
+    """Curves also meet on the line x = 0 away from the origin."""
+
+
 class YDivisible(DomainError):
     """Polynomial divisible by the distinguished variable where forbidden."""
 

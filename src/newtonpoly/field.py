@@ -183,7 +183,7 @@ def _gen_data(field: GroundField, index: int):
     if deg == 1:
         # degenerate degree-1 step: generator is a constant
         mp = field.steps[index].minpoly
-        data = _dneg(index, mp[0])
+        data = (_dneg(index, mp[0]),)
     else:
         data = (zero, one) + tuple(zero for _ in range(deg - 2))
     for k in range(index + 1, field.level):
@@ -215,12 +215,6 @@ def _dsub(level, a, b):
     return _dadd(level, a, _dneg(level, b))
 
 
-def _dscale(level, a, q: Fraction):
-    if level == 0:
-        return a * q
-    return tuple(_dscale(level - 1, x, q) for x in a)
-
-
 def _dmul(field, level, a, b):
     if level == 0:
         return a * b
@@ -246,81 +240,6 @@ def _dmul(field, level, a, b):
                 lower, prod[k - deg + j], _dmul(field, lower, c, mp[j])
             )
     return tuple(prod[:deg])
-
-
-def _dinv(field, level, a):
-    if level == 0:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-    # extended Euclid between a (as poly in the top generator) and the minpoly
-    lower = level - 1
-    mp = field.steps[level - 1].minpoly
-    r0 = list(mp)
-    r1 = list(a)
-    s0 = [_const(Fraction(0), lower, field)]
-    s1 = [_const(Fraction(1), lower, field)]
-    while True:
-        r1 = _rstrip(r1)
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        if len(r1) == 1:
-            c_inv = _dinv(field, lower, r1[0])
-            res = [_dmul(field, lower, c_inv, c) for c in s1]
-            break
-        q, r = _rdivmod(field, lower, r0, r1)
-        s0, s1 = s1, _rsub(field, lower, s0, _rmul(field, lower, q, s1))
-        r0, r1 = r1, r
-    deg = len(mp) - 1
-    zero = _const(Fraction(0), lower, field)
-    if len(res) > deg:
-        raise ArithmeticError("Bezout coefficient exceeded the extension degree")
-    return tuple((res + [zero] * deg)[:deg])
-
-
-def _rstrip(poly):
-    while poly and _data_is_zero(poly[-1]):
-        poly.pop()
-    return poly
-
-
-def _rsub(field, level, a, b):
-    n = max(len(a), len(b))
-    zero = _const(Fraction(0), level, field)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(_dsub(level, x, y))
-    return out
-
-
-def _rmul(field, level, a, b):
-    zero = _const(Fraction(0), level, field)
-    out = [zero] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if _data_is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            if _data_is_zero(bj):
-                continue
-            out[i + j] = _dadd(level, out[i + j], _dmul(field, level, ai, bj))
-    return out
-
-
-def _rdivmod(field, level, num, den):
-    num = list(num)
-    den = _rstrip(list(den))
-    lc_inv = _dinv(field, level, den[-1])
-    quot = [_const(Fraction(0), level, field)] * max(len(num) - len(den) + 1, 0)
-    while len(_rstrip(num)) >= len(den):
-        num = _rstrip(num)
-        shift = len(num) - len(den)
-        factor = _dmul(field, level, num[-1], lc_inv)
-        quot[shift] = _dadd(level, quot[shift], factor)
-        for i, c in enumerate(den):
-            num[shift + i] = _dsub(level, num[shift + i], _dmul(field, level, factor, c))
-    return quot, _rstrip(num)
 
 
 def _data_str(data, field: GroundField, level: int) -> str:
@@ -412,9 +331,28 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.field.level == 0:
-            return FieldElement(self.field, Fraction(1) / self.data)
-        return FieldElement(self.field, _dinv(self.field, self.field.level, self.data))
+        """Extended Euclid of the element, as a polynomial in the top
+        generator, against the top minimal polynomial, one level down."""
+        field = self.field
+        if field.level == 0:
+            return FieldElement(field, Fraction(1) / self.data)
+        base = GroundField(field.steps[:-1])
+        r0 = [FieldElement(base, c) for c in field.steps[-1].minpoly]
+        r1 = _poly_strip(FieldElement(base, c) for c in self.data)
+        s0, s1 = [], [base.one()]
+        while poly_degree(r1) > 0:
+            q, r = poly_divmod(base, r0, r1)
+            s0, s1 = s1, poly_sub(base, s0, poly_mul(base, q, s1))
+            r0, r1 = r1, r
+        if not r1:
+            raise ZeroDivisionError("inverse of zero")
+        deg = field.steps[-1].degree
+        if len(s1) > deg:
+            raise ArithmeticError("Bezout coefficient exceeded the extension degree")
+        c_inv = r1[0].inverse()
+        data = [(c_inv * c).data for c in s1]
+        zero = _const(Fraction(0), base.level, base)
+        return FieldElement(field, tuple(data + [zero] * (deg - len(data))))
 
     def __truediv__(self, other):
         pair = self._binary(other)
@@ -626,7 +564,7 @@ def _norm_to_qq(field, p, u):
 
 def _trager_factor(field, p):
     """Factor a monic squarefree p over a proper tower."""
-    u = sympy.Symbol("u")
+    u = sympy.Dummy("u")  # a generator may be named u
     gamma = field.generator(0)
     for i in range(1, field.level):
         gamma = gamma + field.generator(i)
@@ -661,13 +599,11 @@ def factor_poly(field, p):
     p = poly_monic(field, list(p))
     if poly_degree(p) < 1:
         return []
+    if field.level == 0:
+        return _factor_over_qq(field, p)
     out = []
     for sqf, mult in squarefree_decomposition(field, p):
-        if field.level == 0:
-            parts = _factor_over_qq(field, sqf)
-        else:
-            parts = _trager_factor(field, sqf)
-        for fac, m in parts:
+        for fac, m in _trager_factor(field, sqf):
             out.append((fac, m * mult))
     out.sort(key=lambda fm: (poly_degree(fm[0]), _poly_sort_key(fm[0])))
     return out

@@ -19,6 +19,7 @@ from .errors import (
     GcdChainInvalid,
     GenericityFailure,
     NotIsolated,
+    NotLocal,
     NotMerleShaped,
     NotMinimal,
     NotRealizable,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .polygon import ElementaryPolygon, NewtonPolygon
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
-from .series import YPolynomial, intersection_number
+from .series import YPolynomial, intersection_number, sylvester_resultant
 
 DEFAULT_SEED = 7
 
@@ -174,18 +175,13 @@ def semigroup_from_polygon(j: JacobianPolygon) -> SemigroupType:
 
 
 def milnor_number(f: YPolynomial, seed: int = DEFAULT_SEED) -> int:
-    """dim C{x,y}/(f_x, f_y) as the x-order of a resultant of the partials,
-    taken in seeded generic coordinates and certified by seed agreement."""
-    values = [_milnor_once(f, seed + k) for k in range(2)]
-    if values[0] != values[1]:
-        third = _milnor_once(f, seed + 2)
-        if third in values:
-            return third
-        raise GenericityFailure(f"milnor numbers {values + [third]} disagree")
-    return values[0]
+    """dim C{x,y}/(f_x, f_y) as the intersection number of the partials at
+    the origin, taken in the first seeded linear coordinates where the
+    resultant of the partials counts no other point (see intersection_number).
 
-
-def _milnor_once(f: YPolynomial, seed: int) -> int:
+    Every direction that passes gives the same local number, so the result
+    does not depend on the seed.
+    """
     rng = random.Random(seed)
     for _ in range(12):
         a, b = rng.randint(1, 9), rng.randint(1, 9)
@@ -194,8 +190,8 @@ def _milnor_once(f: YPolynomial, seed: int) -> int:
             continue
         try:
             return intersection_number(g.dx(), g.dy())
-        except (NotUnitary, NotIsolated, ValueError):
-            continue  # degenerate direction (zero partial) or shared factor
+        except (NotUnitary, NotIsolated, NotLocal, ValueError):
+            continue  # degenerate direction, shared factor or critical point on x = 0
     raise NotIsolated("no generic coordinates produced a finite milnor number")
 
 
@@ -242,8 +238,12 @@ def _jacobian_once(f: YPolynomial, seed: int) -> JacobianPolygon:
 
 
 def _polar_pairs(f: YPolynomial, polar: YPolynomial) -> JacobianPolygon:
-    res = intersection_number(f, polar)  # also certifies no shared component
-    branches = puiseux_expand(polar, t_precision=res + 8)
+    # the global resultant certifies that no component is shared and bounds
+    # the contact of f with every polar branch
+    res = sylvester_resultant(f, polar)
+    if res.is_zero():
+        raise NotIsolated("f and its polar curve share a component")
+    branches = puiseux_expand(polar, t_precision=res.order() + 8)
     pairs = []
     for b in branches:
         if not b.passes_through_origin():

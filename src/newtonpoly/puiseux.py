@@ -124,7 +124,7 @@ def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
     s = TruncatedSeries.zero(k, f.xvar, precision=w)
     last_order = -1
     for _ in range(80):
-        v = f.eval_y(s)
+        v = f.eval_on_branch(1, s)
         if v.is_zero_to_precision():
             if w >= prec:
                 return s.rename(_BRANCH_VAR)
@@ -135,7 +135,7 @@ def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
         if o <= last_order:
             raise ArithmeticError("Newton iteration failed to make progress")
         last_order = o
-        s = (s - v * df.eval_y(s).inverse(w)).truncate(w)
+        s = (s - v * df.eval_on_branch(1, s).inverse(w)).truncate(w)
     raise PrecisionInsufficient("Newton iteration did not stabilise")
 
 
@@ -254,7 +254,7 @@ def puiseux_expand(
         for phi, mult in fld.factor_poly(k, tail):
             dphi = fld.poly_degree(phi)
             k1, y0 = _adjoin_root(k, phi, max_tower_degree, "b")
-            shifted = _shift_y(work.lift_field(k1), y0)
+            shifted = _substitute_edge(work, 1, 0, y0, 0)  # f(x, y0 + y)
             sub = _expand_positive(shifted, t_precision, max_tower_degree)
             total = sum(e * c for e, _, c in sub)
             if total != mult:
@@ -273,23 +273,6 @@ def _branch_sort_key(b: PuiseuxBranch):
     v = b.valuation()
     primary = Fraction(-10**9) if is_inf(v) else -v
     return (primary, repr(b.y_series))
-
-
-def _shift_y(f: YPolynomial, y0: FieldElement) -> YPolynomial:
-    """f(x, y0 + y)."""
-    k = f.field
-    n = f.degree()
-    z = TruncatedSeries.zero(k, f.xvar)
-    out = [z] * (n + 1)
-    for kk in range(n + 1):
-        ck = f.coeffs[kk]
-        if ck.is_zero():
-            continue
-        pw = k.one()
-        for j in range(kk, -1, -1):
-            out[j] = out[j] + ck.scale(k.coerce(comb(kk, j)) * pw)
-            pw = pw * y0
-    return YPolynomial.make(out, f.xvar, f.yvar)
 
 
 def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:

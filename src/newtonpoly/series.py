@@ -9,7 +9,7 @@ A :class:`YPolynomial` is a polynomial in a distinguished variable y whose
 coefficients are truncated series in x.  This module extracts Newton polygons
 and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
 resultants, the shifted resultant realising the polygon product, and
-resultant-valuation intersection numbers.
+intersection numbers at the origin read off the resultant's valuation.
 
 Resultants have two kernels.  Over QQ, the Sylvester resultant clears
 denominators and runs sympy's subresultant PRS on dense integer polynomials
@@ -31,6 +31,7 @@ from . import field as fld
 from .errors import (
     NotAnEdge,
     NotIsolated,
+    NotLocal,
     NotUnitary,
     PrecisionInsufficient,
     YDivisible,
@@ -461,19 +462,9 @@ class YPolynomial:
             )
         return YPolynomial.make(out, self.xvar, self.yvar)
 
-    def eval_y(self, s: TruncatedSeries) -> TruncatedSeries:
-        """Horner evaluation of f(x, s(x)) at a series in the same variable."""
-        k = join_fields(self.field, s.field)
-        s = s.lift_field(k)
-        if s.var != self.xvar:
-            raise ValueError("substituted series must use the x-variable")
-        acc = TruncatedSeries.zero(k, s.var)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c.lift_field(k)
-        return acc
-
     def eval_on_branch(self, e: int, yseries: TruncatedSeries) -> TruncatedSeries:
-        """Evaluate f(t^e, y(t)) for a branch parameterisation."""
+        """Evaluate f(t^e, y(t)) for a branch parameterisation; with e = 1
+        this is f(x, y(x)) for a series y in the x-variable."""
         k = join_fields(self.field, yseries.field)
         ys = yseries.lift_field(k)
         acc = TruncatedSeries.zero(k, ys.var)
@@ -841,11 +832,21 @@ def realization_polygon(f: YPolynomial) -> NewtonPolygon:
 
 
 def intersection_number(f1: YPolynomial, f2: YPolynomial) -> int:
-    """ord_x Res_y(f1, f2), the colength of the ideal pair."""
+    """Intersection multiplicity of f1 = 0 and f2 = 0 at the origin.
+
+    ord_x Res_y(f1, f2) sums the multiplicities at every point (0, y0) where
+    the curves meet, so it is returned only when f1(0, y) and f2(0, y) share
+    no root other than y = 0; otherwise NotLocal is raised.
+    """
     res = sylvester_resultant(f1, f2)
     order = res.order()
     if is_inf(order):
         raise NotIsolated("resultant vanishes identically")
+    k = join_fields(f1.field, f2.field)
+    at_x0 = [[k.lift(c.coefficient(0)) for c in f.coeffs] for f in (f1, f2)]
+    common = fld.poly_gcd(k, *at_x0)  # monic, so a power of y iff all else is zero
+    if any(not c.is_zero() for c in common[:-1]):
+        raise NotLocal("the curves also meet on x = 0 away from the origin")
     return order
 
 
@@ -1076,7 +1077,7 @@ def _parse_adjoin(clause, field) -> GroundField:
     return field.extend(coeffs, name=name, verify=True)
 
 
-def _format_field_coeff(c: FieldElement, *, lead=False):
+def _format_field_coeff(c: FieldElement):
     q = c.rational_value()
     if q is not None:
         text = str(q)
@@ -1097,21 +1098,27 @@ def _format_monomial(mag, xvar, e, yvar=None, j=0):
     return "*".join(pieces)
 
 
-def format_series(s: TruncatedSeries) -> str:
-    bits = []
-    for e, c in s.coeffs:
-        neg, mag = _format_field_coeff(c)
-        bits.append((neg, _format_monomial(mag, s.var, e)))
+def _format_terms(bits, var, precision) -> str:
+    """Join (negative, term) pairs into a signed sum, with O(var^precision)
+    appended when the precision is finite."""
     if bits:
         text = ("-" if bits[0][0] else "") + bits[0][1]
         for neg, term in bits[1:]:
             text += (" - " if neg else " + ") + term
     else:
         text = "0"
-    if not is_inf(s.precision):
-        tail = f"O({s.var}^{s.precision})"
+    if not is_inf(precision):
+        tail = f"O({var}^{precision})"
         text = f"{text} + {tail}" if text != "0" else tail
     return text
+
+
+def format_series(s: TruncatedSeries) -> str:
+    bits = []
+    for e, c in s.coeffs:
+        neg, mag = _format_field_coeff(c)
+        bits.append((neg, _format_monomial(mag, s.var, e)))
+    return _format_terms(bits, s.var, s.precision)
 
 
 def format_polynomial(f: YPolynomial) -> str:
@@ -1134,13 +1141,4 @@ def format_polynomial(f: YPolynomial) -> str:
     for j, e, c in items:
         neg, mag = _format_field_coeff(c)
         bits.append((neg, _format_monomial(mag, f.xvar, e, f.yvar, j)))
-    if bits:
-        out = ("-" if bits[0][0] else "") + bits[0][1]
-        for neg, term in bits[1:]:
-            out += (" - " if neg else " + ") + term
-    else:
-        out = "0"
-    if not is_inf(prec):
-        tail = f"O({f.xvar}^{prec})"
-        out = f"{out} + {tail}" if out != "0" else tail
-    return out
+    return _format_terms(bits, f.xvar, prec)

@@ -766,7 +766,7 @@ def _polytope_volume(points) -> Fraction:
     """Exact volume of conv(points) for integer points."""
     pts = sorted(set(map(tuple, points)))
     d = len(pts[0])
-    if _affine_rank(pts) < d:
+    if _matrix_rank([[Fraction(p[i] - pts[0][i]) for i in range(d)] for p in pts[1:]]) < d:
         return Fraction(0)
     if d == 1:
         return Fraction(pts[-1][0] - pts[0][0])
@@ -778,29 +778,6 @@ def _polytope_volume(points) -> Fraction:
             rows = [[Fraction(p[i]) - centroid[i] for i in range(d)] for p in simplex]
             total += abs(_det(rows))
     return total / factorial(d)
-
-
-def _affine_rank(points) -> int:
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
-    # Gaussian elimination over Fractions
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def _corner_points(n, box):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +72,36 @@ class TestArithmetic:
             assert (x / y) * y == x
 
 
+class TestTowerInverse:
+    def test_zero_raises(self, qq_sqrt2, tower):
+        with pytest.raises(ZeroDivisionError):
+            qq_sqrt2.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            tower.zero().inverse()
+
+    def test_degree_one_step(self):
+        k = QQ.extend([-3, 1], name="c")  # c = 3
+        c = k.generator()
+        assert c.inverse() == k.from_rational(Fraction(1, 3))
+        e = k.from_rational(5) + c
+        assert e * e.inverse() == k.one()
+
+    def test_seeded_elements_of_a_three_step_tower(self, tower):
+        # QQ[r2, s, w] with w^3 = s + 2, degree 12
+        k = tower.extend([-(tower.generator() + 2), 0, 0, 1], name="w", verify=True)
+        basis = [
+            k.generator(0) ** i * k.generator(1) ** j * k.generator(2) ** m
+            for i in range(2) for j in range(2) for m in range(3)
+        ]
+        rng = random.Random(5)
+        for _ in range(6):
+            e = k.zero()
+            for b in basis:
+                e = e + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b
+            if not e.is_zero():
+                assert e * e.inverse() == k.one()
+
+
 class TestExtensions:
     def test_reducible_rejected(self):
         with pytest.raises(ReducibleExtension):
@@ -103,6 +136,11 @@ class TestFactorisation:
         s = tower.generator()
         roots = {(-f[0]) for f, _ in factors}
         assert roots == {s, -s}
+
+    def test_generator_named_u(self):
+        k = QQ.extend([-3, 0, 1], name="u")
+        p = [-k.generator(), k.zero(), k.one()]  # T^2 - u, irreducible
+        assert [(poly_degree(f), m) for f, m in factor_poly(k, p)] == [(2, 1)]
 
     def test_multiplicities(self):
         one = QQ.one()

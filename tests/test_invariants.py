@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from newtonpoly.corpus import curve_from_parameterisation, reducible_corpus
 from newtonpoly.errors import (
     GcdChainInvalid,
     NotIsolated,
+    NotLocal,
     NotMerleShaped,
     NotMinimal,
     NotRealizable,
@@ -24,7 +26,7 @@ from newtonpoly.invariants import (
 )
 from newtonpoly.polygon import dominates, make_elementary
 from newtonpoly.product import is_special
-from newtonpoly.series import parse_polynomial
+from newtonpoly.series import intersection_number, parse_polynomial, sylvester_resultant
 
 
 def P(text):
@@ -124,6 +126,10 @@ class TestDirect:
         assert j == jacobian_polygon_direct(f, seed=7)
         assert j.length() == 6
 
+    def test_critical_point_off_the_origin(self):
+        f = P("y^4 - 1/2*x^3*y^2 - 2*x^5*y + 1/16*x^6 - x^7")
+        assert repr(jacobian_polygon_direct(f, seed=827)) == "{5/1}+{11/2}"
+
     def test_specialness(self):
         for f in [P("y^2 - x^5"), P("y^3 - x^4"), P("y^2 - x^3") * P("y - x")]:
             assert is_special(jacobian_polygon_direct(f).view)
@@ -140,6 +146,22 @@ class TestMilnor:
         assert milnor_number(P("y^3 - x^4")) == 6
         for f, mu in reducible_corpus():
             assert milnor_number(f) == mu
+
+    def test_critical_point_off_the_origin_not_counted(self):
+        # f also has a critical point at (1, 1); mu at the origin is 2
+        f = P("y^2 - x^3 + 11/4*x^2*y^2 - 5/2*x*y^3")
+        assert [milnor_number(f, seed=s) for s in range(12)] == [2] * 12
+        # seed 2 first draws coordinates that put (1, 1) on the line x = 0,
+        # where the global resultant of the partials also counts it
+        rng = random.Random(2)
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        g = f.substitute_linear(1, a, b, 1)
+        assert sylvester_resultant(g.dx(), g.dy()).order() == 3
+        with pytest.raises(NotLocal):
+            intersection_number(g.dx(), g.dy())
+
+    def test_product_of_mixed_slopes(self):
+        assert milnor_number(P("(y - x)*(y - 2/3*x)*(y - 1/2*x^2)"), seed=596) == 4
 
 
 class TestReports:

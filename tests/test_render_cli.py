@@ -151,6 +151,21 @@ class TestCli:
         assert code == 2
         assert "parse error" in err
 
+    def test_intersect_away_from_the_origin_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "series", "intersect", "y^2 - y + x", "y^2 - y - x")
+        assert code == 1
+        assert "NotLocal" in err
+
+    def test_milnor_counts_only_the_origin(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "milnor",
+                               "(y - x)*(y - 2/3*x)*(y - 1/2*x^2)", "--seed", "596")
+        assert code == 0 and out == "4\n"
+
+    def test_jacobian_with_a_critical_point_off_the_origin(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "jacobian",
+                               "y^4 - 1/2*x^3*y^2 - 2*x^5*y + 1/16*x^6 - x^7", "--seed", "827")
+        assert code == 0 and out == "{5/1}+{11/2}\n"
+
     def test_bs_example(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "bs-example", "4", "--json")
         assert code == 0

@@ -9,6 +9,7 @@ from newtonpoly import series
 from newtonpoly.errors import (
     NotAnEdge,
     NotIsolated,
+    NotLocal,
     NotUnitary,
     PrecisionInsufficient,
 )
@@ -347,3 +348,13 @@ class TestIntersection:
         f = P("y^2 - x^3")
         with pytest.raises(NotIsolated):
             intersection_number(f, f)
+
+    def test_meeting_away_from_the_origin_rejected(self):
+        # the curves meet at (0, 0) once and at (0, 1); ord_x Res_y is 2
+        f1, f2 = P("y^2 - y + x"), P("y^2 - y - x")
+        assert sylvester_resultant(f1, f2).order() == 2
+        with pytest.raises(NotLocal):
+            intersection_number(f1, f2)
+
+    def test_curves_missing_the_origin(self):
+        assert intersection_number(P("y - 1"), P("y - x")) == 0
