@@ -73,10 +73,17 @@ def _parse_pairs_arg(text: str) -> JacobianPolygon:
 
 
 def _default_precision(args):
-    if getattr(args, "precision", None):
-        return args.precision
-    env = os.environ.get(PRECISION_ENV)
-    return int(env) if env else None
+    """--precision, else $NEWTONPOLY_PRECISION, else None (automatic); a
+    value below 1 raises ValueError."""
+    precision = args.precision
+    if precision is None:
+        env = os.environ.get(PRECISION_ENV)
+        if not env:
+            return None
+        precision = int(env)
+    if precision < 1:
+        raise ValueError(f"precision must be a positive integer, got {precision}")
+    return precision
 
 
 def _report_payload(j: JacobianPolygon) -> dict:

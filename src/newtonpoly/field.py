@@ -229,8 +229,16 @@ def _dmul(field, level, a, b):
             if _data_is_zero(bj):
                 continue
             prod[i + j] = _dadd(lower, prod[i + j], _dmul(field, lower, ai, bj))
+    return _dreduce(field, level, prod)
+
+
+def _dreduce(field, level, prod):
+    """Reduce a polynomial in the level's generator modulo the level's monic
+    minimal polynomial; prod lists its 2*deg - 1 coefficients, ascending,
+    each reduced one level down.  Reuses prod as scratch."""
+    deg = field.steps[level - 1].degree
     mp = field.steps[level - 1].minpoly
-    # reduce modulo the monic minimal polynomial
+    lower = level - 1
     for k in range(len(prod) - 1, deg - 1, -1):
         c = prod[k]
         if _data_is_zero(c):

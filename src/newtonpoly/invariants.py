@@ -180,8 +180,12 @@ def milnor_number(f: YPolynomial, seed: int = DEFAULT_SEED) -> int:
     resultant of the partials counts no other point (see intersection_number).
 
     Every direction that passes gives the same local number, so the result
-    does not depend on the seed.
+    does not depend on the seed.  When f_x(0, 0) or f_y(0, 0) is nonzero the
+    origin is not a critical point and the result is 0, before any
+    resultant: the partials may still share a component away from it.
     """
+    if not (f.coefficient(1, 0).is_zero() and f.coefficient(0, 1).is_zero()):
+        return 0
     rng = random.Random(seed)
     for _ in range(12):
         a, b = rng.randint(1, 9), rng.randint(1, 9)

@@ -284,8 +284,23 @@ class NewtonPolyhedron:
         return {"dim": self.dim, "generators": [list(g) for g in self.generators]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "NewtonPolyhedron":
-        return cls(data["dim"], data["generators"])
+    def from_json_dict(cls, data) -> "NewtonPolyhedron":
+        """Read {"dim": d, "generators": [[...], ...]} (docs/polyhedron.schema.json);
+        anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError('a polyhedron is a JSON object {"dim": d, "generators": [...]}')
+        dim, gens = data.get("dim"), data.get("generators")
+        if not _is_int(dim):
+            raise ValueError('"dim" must be an integer')
+        if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(_is_int(c) for c in g) for g in gens
+        )):
+            raise ValueError('"generators" must be a list of lists of integers')
+        return cls(dim, gens)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_support_d(dim, points) -> NewtonPolyhedron:

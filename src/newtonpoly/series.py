@@ -5,6 +5,13 @@ precision bound (INF for exact polynomials); every operation propagates the
 bound pessimistically, and polygon or valuation extraction refuses to answer
 when a hidden term could change the result.
 
+Series products over every tower share one kernel (Kronecker substitution):
+each operand is read as a polynomial in t and the tower's generators, its
+denominators are cleared, and it is packed into one Python integer; one
+multiplication gives every coefficient of the product, which is unpacked
+and reduced modulo the minimal polynomials.  Series inverses run Newton
+iteration on that product.
+
 A :class:`YPolynomial` is a polynomial in a distinguished variable y whose
 coefficients are truncated series in x.  This module extracts Newton polygons
 and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
@@ -189,22 +196,34 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product, known to min(p_a + v_b, p_b + v_a).
+
+        Terms that cannot land below that precision are dropped, and the
+        rest are multiplied by the packed kernel, _packed_product, one pair
+        of runs (see _runs) at a time.
+        """
         a, b = self._coerce_pair(other)
-        # known part of the product: min(p_a + v_b, p_b + v_a)
         if is_inf(a.precision) and is_inf(b.precision):
             p = INF
         else:
             va = a.coeffs[0][0] if a.coeffs else a.precision
             vb = b.coeffs[0][0] if b.coeffs else b.precision
             p = min(a.precision + vb, b.precision + va)
+        if not (a.coeffs and b.coeffs):
+            return TruncatedSeries(a.field, a.var, (), p)
+        terms_a, terms_b = a.coeffs, b.coeffs
+        if not is_inf(p):
+            va, vb = terms_a[0][0], terms_b[0][0]
+            terms_a = [t for t in terms_a if t[0] + vb < p]
+            terms_b = [t for t in terms_b if t[0] + va < p]
+        runs_a, runs_b = _runs(terms_a), _runs(terms_b)
+        parts = [_packed_product(a.field, ra, rb, p) for ra in runs_a for rb in runs_b]
+        if len(parts) == 1:
+            return TruncatedSeries(a.field, a.var, parts[0], p)
         out: dict = {}
-        for e1, c1 in a.coeffs:
-            for e2, c2 in b.coeffs:
-                e = e1 + e2
-                if e >= p:
-                    continue
-                v = c1 * c2
-                out[e] = out[e] + v if e in out else v
+        for part in parts:
+            for e, c in part:
+                out[e] = out[e] + c if e in out else c
         return TruncatedSeries.make(a.field, a.var, out, p)
 
     __rmul__ = __mul__
@@ -242,27 +261,31 @@ class TruncatedSeries:
         return TruncatedSeries(self.field, new_var, self.coeffs, self.precision)
 
     def inverse(self, target=None) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit series, to the given precision."""
+        """Multiplicative inverse of a unit series, to the given precision.
+
+        Newton iteration x <- x + x*(1 - a*x) doubles the number of correct
+        terms at each step, starting from the inverse of the constant term.
+        Between steps x is held as an exact polynomial, so that a*x is known
+        to the new precision.  When x is correct below n, a*x is 1 below n,
+        so 1 - a*x is minus the terms of a*x from n on, and the correction
+        x*(1 - a*x) has no term below n to add to x's.
+        """
         if not self.coeffs or self.coeffs[0][0] != 0:
             raise NotUnitary("series inverse needs a unit (order-0) series")
         p = self.precision if target is None else min(self.precision, target)
+        k, var = self.field, self.var
+        x = TruncatedSeries.constant(k, var, self.coeffs[0][1].inverse())
         if is_inf(p):
             if len(self.coeffs) == 1:
-                return TruncatedSeries.constant(self.field, self.var, self.coeffs[0][1].inverse())
+                return x
             raise PrecisionInsufficient("inverse of a non-constant unit needs a finite target")
-        a = self.as_dict()
-        inv0 = a[0].inverse()
-        out = {0: inv0}
-        for n in range(1, p):
-            acc = self.field.zero()
-            for e, c in self.coeffs:
-                if 0 < e <= n:
-                    term = out.get(n - e)
-                    if term is not None:
-                        acc = acc + c * term
-            if not acc.is_zero():
-                out[n] = -(inv0 * acc)
-        return TruncatedSeries.make(self.field, self.var, out, p)
+        n = 1
+        while n < p:
+            n, low = min(2 * n, p), n
+            ax = self.truncate(n) * x
+            err = TruncatedSeries(k, var, tuple((e, -c) for e, c in ax.coeffs if e >= low), n)
+            x = TruncatedSeries(k, var, x.coeffs + (x * err).coeffs, INF)
+        return x.truncate(p)
 
     def exact_div(self, other) -> "TruncatedSeries":
         """Exact polynomial division; both operands must be exact."""
@@ -306,6 +329,122 @@ class TruncatedSeries:
 
     def __repr__(self):
         return format_series(self)
+
+
+# -- the packed product kernel ------------------------------------------------
+# A series over a tower with step degrees d_1..d_k is read as a polynomial in
+# (t, a_1, ..., a_k) with rational coefficients.  Its terms go to slots of
+# one integer: the term t^e a_1^i_1 ... a_k^i_k (e counted from the valuation)
+# takes slot e*S + i_1 + (2d_1 - 1)*(i_2 + (2d_2 - 1)*(...)), where
+# S = prod(2d_i - 1), so that the exponents of a product never overflow into
+# the next slot.  Each slot is w bytes wide, enough for any product
+# coefficient with its sign, so one big-integer multiplication computes every
+# coefficient of the product at once.
+
+
+def _runs(terms):
+    """Split terms where consecutive exponents lie more than len(terms)
+    apart, so that no run packs more than len(terms)**2 slots of each power
+    of t, however far apart the exponents of a sparse series are."""
+    n = len(terms)
+    if terms[-1][0] - terms[0][0] <= n:
+        return [terms]
+    cuts = [i for i in range(1, n) if terms[i][0] - terms[i - 1][0] > n]
+    return [terms[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+
+
+def _slot_strides(field):
+    strides = [1]
+    for step in field.steps:
+        strides.append(strides[-1] * (2 * step.degree - 1))
+    return strides
+
+
+def _flatten(data, level, strides, slot, slots, rationals):
+    """Append the slot and value of each nonzero rational of a field datum."""
+    if level == 0:
+        if data:
+            slots.append(slot)
+            rationals.append(data)
+        return
+    stride = strides[level - 1]
+    for i, c in enumerate(data):
+        _flatten(c, level - 1, strides, slot + i * stride, slots, rationals)
+
+
+def _integer_slots(terms, level, strides):
+    """(D, slots, integers): the nonzero rationals of the terms by slot,
+    times D, the lcm of their denominators."""
+    size, v = strides[-1], terms[0][0]
+    slots, rationals = [], []
+    for e, c in terms:
+        _flatten(c.data, level, strides, (e - v) * size, slots, rationals)
+    den = lcm(*[q.denominator for q in rationals])
+    return den, slots, [q.numerator * (den // q.denominator) for q in rationals]
+
+
+def _pack(slots, values, width, bias):
+    """The integer sum of value * 2^(8 * width * slot): each value goes into
+    its slot as width bytes of two's complement, and XOR-ing the bias (the top
+    bit of every slot) then subtracting it turns those into signed digits."""
+    buf = bytearray((slots[-1] + 1) * width)
+    for slot, value in zip(slots, values):
+        i = slot * width
+        buf[i:i + width] = value.to_bytes(width, "little", signed=True)
+    return (int.from_bytes(buf, "little") ^ bias) - bias
+
+
+_ZERO = Fraction(0)
+
+
+def _unflatten(field, level, values, slot, strides, den):
+    """Field datum of the slots from slot on, divided by den and reduced
+    modulo the minimal polynomials, innermost level first."""
+    if level == 0:
+        return Fraction(values[slot], den) if values[slot] else _ZERO
+    stride = strides[level - 1]
+    span = 2 * field.steps[level - 1].degree - 1
+    prod = [
+        _unflatten(field, level - 1, values, slot + i * stride, strides, den)
+        for i in range(span)
+    ]
+    return fld._dreduce(field, level, prod)
+
+
+def _packed_product(field, terms_a, terms_b, p):
+    """Terms (exp, FieldElement) of the product below p, by one big-integer
+    multiplication (Kronecker substitution).
+
+    Denominators are cleared first, so every slot of the product holds an
+    integer bounded by max|A| * max|B| * min(#A, #B); the slot width leaves
+    room for it and a sign.  Adding the bias (the top bit of every slot)
+    makes each slot of the product nonnegative without carries, and XOR-ing
+    it back leaves each slot in two's complement, read by byte slicing.
+    """
+    strides, level = _slot_strides(field), field.level
+    size = strides[-1]
+    den_a, slots_a, ints_a = _integer_slots(terms_a, level, strides)
+    den_b, slots_b, ints_b = _integer_slots(terms_b, level, strides)
+    bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(ints_a), len(ints_b))
+    width = (bound.bit_length() + 8) // 8
+    v = terms_a[0][0] + terms_b[0][0]
+    nslots = (terms_a[-1][0] + terms_b[-1][0] - v + 1) * size
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
+    product = _pack(slots_a, ints_a, width, bias) * _pack(slots_b, ints_b, width, bias)
+    raw = ((product + bias) ^ bias).to_bytes(nslots * width, "little")
+    count = nslots if is_inf(p) else min(nslots, (p - v) * size)
+    values = [
+        int.from_bytes(raw[i:i + width], "little", signed=True)
+        for i in range(0, count * width, width)
+    ]
+    den, out = den_a * den_b, []
+    for lo in range(0, count, size):
+        if any(values[lo:lo + size]):
+            data = _unflatten(field, level, values, lo, strides, den)
+            # over a tower, a nonzero block can reduce to zero
+            if not (level and fld._data_is_zero(data)):
+                out.append((v + lo // size, FieldElement(field, data)))
+    return tuple(out)
 
 
 # -- polynomials in y over series ----------------------------------------------
@@ -437,9 +576,6 @@ class YPolynomial:
                 ncoeffs[nd - dd + i] = ncoeffs[nd - dd + i] - q * c
         return YPolynomial.make(out, self.xvar, self.yvar)
 
-    def scale_series(self, s: TruncatedSeries) -> "YPolynomial":
-        return YPolynomial.make([c * s for c in self.coeffs], self.xvar, self.yvar)
-
     def dy(self) -> "YPolynomial":
         if self.degree() == 0:
             return YPolynomial.make(
@@ -474,21 +610,26 @@ class YPolynomial:
         return acc
 
     def substitute_linear(self, a, b, c, d) -> "YPolynomial":
-        """Exact coordinate change (x, y) -> (a x + b y, c x + d y)."""
+        """Exact coordinate change (x, y) -> (a x + b y, c x + d y).
+
+        Expanded by Horner's rule in y on term dictionaries (see _pv_mul),
+        whose products are of field elements, not of series.
+        """
         k = self.field
-        xs = YPolynomial.from_terms(
-            {(1, 0): k.coerce(a), (0, 1): k.coerce(b)}, k, self.xvar, self.yvar
+        if not all(coeff.is_exact for coeff in self.coeffs):
+            raise PrecisionInsufficient("coordinate change needs exact coefficients")
+        xs, ys = (
+            _PolyValue({(1, 0): k.coerce(p), (0, 1): k.coerce(q)}) for p, q in ((a, b), (c, d))
         )
-        ys = YPolynomial.from_terms(
-            {(1, 0): k.coerce(c), (0, 1): k.coerce(d)}, k, self.xvar, self.yvar
-        )
-        acc = YPolynomial.from_terms({}, k, self.xvar, self.yvar)
+        x_powers = [_PolyValue({(0, 0): k.one()})]
+        acc = _PolyValue({})
         for coeff in reversed(self.coeffs):
-            if not coeff.is_exact:
-                raise PrecisionInsufficient("coordinate change needs exact coefficients")
-            cx = _series_at_series(coeff, xs)
-            acc = acc * ys + cx
-        return acc
+            acc = _pv_mul(k, acc, ys)
+            for e, v in coeff.coeffs:
+                while len(x_powers) <= e:
+                    x_powers.append(_pv_mul(k, x_powers[-1], xs))
+                acc = _pv_add(k, acc, _pv_mul(k, x_powers[e], _PolyValue({(0, 0): v})))
+        return YPolynomial.from_terms(acc.terms, k, self.xvar, self.yvar)
 
     def support(self) -> dict:
         """Known support {(xexp, ydeg): coefficient}."""
@@ -512,21 +653,6 @@ class YPolynomial:
 
     def __repr__(self):
         return format_polynomial(self)
-
-
-def _series_at_series(c: TruncatedSeries, xs: "YPolynomial") -> "YPolynomial":
-    """Evaluate a series coefficient at a polynomial substitution for x."""
-    acc = YPolynomial.from_terms({}, xs.field, xs.xvar, xs.yvar)
-    power = YPolynomial.from_terms({(0, 0): xs.field.one()}, xs.field, xs.xvar, xs.yvar)
-    prev = 0
-    for e, v in c.coeffs:
-        for _ in range(e - prev):
-            power = power * xs
-        prev = e
-        acc = acc + power.scale_series(
-            TruncatedSeries.constant(xs.field, xs.xvar, v)
-        )
-    return acc
 
 
 # -- Newton polygon extraction ---------------------------------------------------

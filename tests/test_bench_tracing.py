@@ -23,14 +23,22 @@ def test_tracer_installs_and_uninstalls():
         invariants.milnor_number,
         invariants.intersection_number,
         field.FieldElement.inverse,
+        field.FieldElement.__mul__,
+        series.TruncatedSeries.__mul__,
+        series.TruncatedSeries.__rmul__,
     )
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
         assert invariants.milnor_number is not originals[1]
         assert invariants.milnor_number(series.parse_polynomial("y^2 - x^3")) == 2
-        metrics = tracer.metrics(1, ["invariants.milnor_number.calls"])
+        unit = series.parse_series("1 - x")
+        assert unit * unit == series.parse_series("1 - 2*x + x^2")
+        assert field.QQ.from_rational(2) * 3 == 6
+        metrics = tracer.metrics(
+            1, ["invariants.milnor_number.calls", "series.mul.calls", "field.mul.qq.calls"])
         assert metrics["invariants.milnor_number.calls"] == 1
+        assert metrics["series.mul.calls"] >= 1 and metrics["field.mul.qq.calls"] >= 1
     finally:
         tracer.uninstall()
     assert (
@@ -38,4 +46,7 @@ def test_tracer_installs_and_uninstalls():
         invariants.milnor_number,
         invariants.intersection_number,
         field.FieldElement.inverse,
+        field.FieldElement.__mul__,
+        series.TruncatedSeries.__mul__,
+        series.TruncatedSeries.__rmul__,
     ) == originals

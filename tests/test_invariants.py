@@ -164,6 +164,13 @@ class TestMilnor:
         assert milnor_number(P("(y - x)*(y - 2/3*x)*(y - 1/2*x^2)"), seed=596) == 4
 
 
+    def test_origin_not_a_critical_point(self):
+        # f = u*(u + 8) with u = y^2 - x/2 + 2: the partials share the factor
+        # u + 4, a curve of critical points that misses the origin
+        assert milnor_number(P("(y^2 - 1/2*x + 2)*(y^2 - 1/2*x + 10)")) == 0
+        assert milnor_number(P("y - x^2")) == milnor_number(P("x + y^2")) == 0
+
+
 class TestReports:
     def test_cusp_report(self):
         rep = invariants_from_polygon(JacobianPolygon(((2, 1),)))

@@ -121,6 +121,22 @@ class TestCli:
         code, out, _ = run_cli(capsys, "puiseux", "expand", "y^2 - x^3")
         assert code == 0 and "O(t^" in out
 
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_non_positive_precision_exit_2(self, capsys, monkeypatch, precision):
+        code, out, err = run_cli(capsys, "puiseux", "expand", "y^2 - x^3", "--precision", precision)
+        assert code == 2 and out == "" and "parse error" in err
+        monkeypatch.setenv("NEWTONPOLY_PRECISION", precision)
+        code, out, err = run_cli(capsys, "puiseux", "expand", "y^2 - x^3")
+        assert code == 2 and out == "" and "parse error" in err
+
+    @pytest.mark.parametrize("text", [
+        "[1,2]", '"x"', '{"dim": 2}', '{"dim": "2", "generators": [[1, 0], [0, 1]]}',
+        '{"dim": 2, "generators": [[1, 0], [0, 1.5]]}', '{"dim": 2, "generators": {"a": 1}}',
+    ])
+    def test_malformed_polyhedron_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "polyhedron", "covolume", text)
+        assert code == 2 and out == "" and err.startswith("parse error")
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1
@@ -160,6 +176,10 @@ class TestCli:
         code, out, _ = run_cli(capsys, "curve", "milnor",
                                "(y - x)*(y - 2/3*x)*(y - 1/2*x^2)", "--seed", "596")
         assert code == 0 and out == "4\n"
+
+    def test_milnor_of_a_germ_without_a_critical_point(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "milnor", "(y^2 - 1/2*x + 2)*(y^2 - 1/2*x + 10)")
+        assert code == 0 and out == "0\n"
 
     def test_jacobian_with_a_critical_point_off_the_origin(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "jacobian",

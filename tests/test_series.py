@@ -14,7 +14,7 @@ from newtonpoly.errors import (
     PrecisionInsufficient,
 )
 from newtonpoly.field import QQ
-from newtonpoly.polygon import ElementaryPolygon, make_elementary, polygon_sum
+from newtonpoly.polygon import INF, ElementaryPolygon, make_elementary, polygon_sum
 from newtonpoly.product import product
 from newtonpoly.series import (
     TruncatedSeries,
@@ -70,6 +70,140 @@ class TestSeriesArithmetic:
         b = parse_series("1 + x")
         q = a.exact_div(b)
         assert q * b == a
+
+
+def schoolbook_product(a, b):
+    """Term-by-term product of two series over one field, known to
+    min(p_a + v_b, p_b + v_a): the reference for the packed kernel."""
+    if a.is_exact and b.is_exact:
+        p = INF
+    else:
+        va = a.coeffs[0][0] if a.coeffs else a.precision
+        vb = b.coeffs[0][0] if b.coeffs else b.precision
+        p = min(a.precision + vb, b.precision + va)
+    out = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            if e1 + e2 < p:
+                out[e1 + e2] = out[e1 + e2] + c1 * c2 if e1 + e2 in out else c1 * c2
+    return TruncatedSeries.make(a.field, a.var, out, p)
+
+
+def quadratic_inverse(a, p):
+    """Inverse of a unit series mod x^p, one coefficient at a time."""
+    inv0 = a.coefficient(0).inverse()
+    out = {0: inv0}
+    for n in range(1, p):
+        acc = a.field.zero()
+        for e, c in a.coeffs:
+            if 0 < e <= n and n - e in out:
+                acc = acc + c * out[n - e]
+        out[n] = -(inv0 * acc)
+    return TruncatedSeries.make(a.field, a.var, out, p)
+
+
+def _towers():
+    quadratic = QQ.extend([-2, 0, 1], name="r", verify=True)
+    r = quadratic.generator()
+    return {
+        "QQ": QQ,
+        "degree 2": quadratic,
+        "degree 3": QQ.extend([Fraction(-1, 2), Fraction(-3, 4), 0, 1], name="c", verify=True),
+        "degree 1": QQ.extend([-3, 1], name="d"),
+        "two steps": quadratic.extend([-r, 0, 0, 1], name="s", verify=True),
+    }
+
+
+TOWERS = _towers()
+
+
+def random_element(rng, field, zero_chance=0.0):
+    """Seeded element: a rational combination of the generators' power
+    products, with negative and non-integral coefficients."""
+    if rng.random() < zero_chance:
+        return field.zero()
+    monomials = [field.one()]
+    for i, step in enumerate(field.steps):
+        g = field.generator(i)
+        monomials = [m * g ** k for m in monomials for k in range(step.degree)]
+    out = field.zero()
+    while out.is_zero():
+        for m in monomials:
+            if rng.random() < 0.7:
+                out = out + m * Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 10, 49]))
+    return out
+
+
+def random_series(rng, field, precision, max_terms=8, max_gap=3, start=0):
+    terms, e = {}, start
+    for _ in range(rng.randint(1, max_terms)):
+        terms[e] = random_element(rng, field, zero_chance=0.1)
+        e += rng.randint(1, max_gap)
+    return TruncatedSeries.make(field, "x", terms, precision)
+
+
+class TestPackedKernel:
+    """Products and inverses against the term-by-term references above."""
+
+    @pytest.mark.parametrize("name", list(TOWERS))
+    def test_products_match_schoolbook(self, name):
+        field = TOWERS[name]
+        rng = random.Random(5)
+        for _ in range(25):
+            pa, pb = (rng.choice([INF, INF, rng.randint(1, 14)]) for _ in range(2))
+            a = random_series(rng, field, pa, start=rng.randint(0, 3))
+            b = random_series(rng, field, pb, start=rng.randint(0, 3))
+            assert a * b == schoolbook_product(a, b)
+            assert b * a == schoolbook_product(b, a)
+
+    @pytest.mark.parametrize("name", list(TOWERS))
+    def test_zero_and_constant_operands(self, name):
+        field = TOWERS[name]
+        rng = random.Random(6)
+        a = random_series(rng, field, INF)
+        for z in (TruncatedSeries.zero(field, "x"), TruncatedSeries.zero(field, "x", 5)):
+            assert a * z == z * a == schoolbook_product(a, z)
+        c = random_element(rng, field)
+        assert a * c == c * a == schoolbook_product(a, TruncatedSeries.constant(field, "x", c))
+        assert a * 0 == TruncatedSeries.zero(field, "x")
+
+    @pytest.mark.parametrize("name", list(TOWERS))
+    def test_truncation_exactly_at_the_product_precision(self, name):
+        field = TOWERS[name]
+        rng = random.Random(7)
+        dense = {e: random_element(rng, field) for e in range(6)}
+        for pa, pb in ((INF, 4), (4, INF), (3, 4), (6, 6)):
+            a = TruncatedSeries.make(field, "x", dense, pa)
+            b = TruncatedSeries.make(field, "x", {e: c for e, c in dense.items() if e}, pb)
+            prod = a * b
+            assert prod == schoolbook_product(a, b)
+            assert prod.precision == min(pa + 1, pb)
+
+    def test_sparse_operands_far_apart(self):
+        field = TOWERS["degree 3"]
+        rng = random.Random(8)
+        c = [random_element(rng, field) for _ in range(4)]
+        a = TruncatedSeries.make(field, "x", {0: c[0], 10**6: c[1]})
+        b = TruncatedSeries.make(field, "x", {1: c[2], 3: c[3], 10**9: c[0]})
+        assert a * b == schoolbook_product(a, b)
+        assert (a * b).truncate(10**6 + 2) == schoolbook_product(a, b.truncate(10**6 + 2))
+
+    @pytest.mark.parametrize("name", list(TOWERS))
+    def test_inverses_match_the_quadratic_recurrence(self, name):
+        field = TOWERS[name]
+        rng = random.Random(9)
+        def unit(precision):
+            head = TruncatedSeries.constant(field, "x", random_element(rng, field), precision)
+            return head + random_series(rng, field, precision, max_gap=2, start=1)
+
+        for target in (0, 1, 2, 3, 7, 13, 16):
+            a = unit(INF)
+            inv = a.inverse(target)
+            assert inv == quadratic_inverse(a, target)
+            assert (a * inv).truncate(target) == TruncatedSeries.constant(field, "x", 1, target)
+        a = unit(11)
+        assert a.inverse() == quadratic_inverse(a, 11)
+        assert a.inverse(50) == quadratic_inverse(a, 11)
 
 
 class TestParsing:
