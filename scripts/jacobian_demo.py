@@ -22,7 +22,7 @@ from newtonpoly.series import parse_polynomial
 def inspect(f, expected=None, seed=7):
     t0 = time.time()
     j = jacobian_polygon_direct(f, seed=seed)
-    mu = milnor_number(f, seed=seed)
+    mu = milnor_number(f)
     rep = invariants_from_polygon(j)
     checks = [
         ("length = mu", j.length() == mu),

@@ -8,6 +8,7 @@ from .invariants import (
     JacobianPolygon,
     SemigroupType,
     briancon_speder_polygons,
+    cerf_polygon,
     dual_degree,
     invariants_from_polygon,
     jacobian_polygon_direct,

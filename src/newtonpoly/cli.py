@@ -227,7 +227,7 @@ def _cmd_curve(args):
         print(json.dumps(v) if args.json else str(v))
     elif args.op == "milnor":
         f = parse_polynomial(args.operands[0])
-        print(milnor_number(f, seed=args.seed))
+        print(milnor_number(f))
     elif args.op == "bs-example":
         beta = args.beta if args.beta is not None else int(args.operands[0])
         special, generic = briancon_speder_polygons(beta)

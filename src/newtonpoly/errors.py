@@ -126,8 +126,12 @@ class NotMerleShaped(DomainError):
     """Polygon cannot be inverted to a plane-branch semigroup."""
 
 
+class NotSingular(DomainError):
+    """The origin is not a singular point of the curve."""
+
+
 class GenericityFailure(DomainError):
-    """Independent seeds disagreed on a generically-defined invariant."""
+    """No tried direction gave a certified generically-defined invariant."""
 
 
 class ParameterOutOfRange(DomainError):

@@ -1,10 +1,14 @@
 """Jacobian Newton polygons of plane curve singularities and their invariants.
 
-The jacobian polygon is computed two independent ways: from a plane-branch
-semigroup by Merle's packet formula, and directly from an equation f by
-expanding the polar curve into Puiseux branches and measuring, per branch,
-its multiplicity m_q and the contact e_q with f.  Derived equisingularity
-data (Milnor numbers, Lojasiewicz exponents, determinacy, class diminution,
+The jacobian polygon of a plane branch comes from its semigroup by Merle's
+packet formula.  From an equation f it comes from three independent
+computations (polar pairs, Cerf polygon, mu): the polar curve is expanded
+into Puiseux branches, and per class its multiplicity m_q and its contact
+e_q with f give the pairs; the Newton polygon of the Cerf diagram, the
+discriminant Res_y(f - v, f_y) of the map (l, f) in an admissible direction
+l, must be their polygon; and the intersection number of the partials at
+the origin, the Milnor number, must be their length.  Derived
+equisingularity data (Lojasiewicz exponents, determinacy, class diminution,
 the double-point bracket) are read off the polygon.
 """
 
@@ -23,13 +27,19 @@ from .errors import (
     NotMerleShaped,
     NotMinimal,
     NotRealizable,
+    NotSingular,
     NotSquareFree,
     NotUnitary,
     ParameterOutOfRange,
 )
-from .polygon import ElementaryPolygon, NewtonPolygon
+from .polygon import ElementaryPolygon, NewtonPolygon, from_support
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
-from .series import YPolynomial, intersection_number, sylvester_resultant
+from .series import (
+    YPolynomial,
+    intersection_number,
+    meet_on_x0_only_at_origin,
+    sylvester_resultant,
+)
 
 DEFAULT_SEED = 7
 
@@ -174,71 +184,150 @@ def semigroup_from_polygon(j: JacobianPolygon) -> SemigroupType:
 # -- direct computation from an equation ----------------------------------------
 
 
+def _shears(f: YPolynomial):
+    """Pairs (a, g) with g = f(x - a*y, y) unitary, for a = 0, 1, 2, ... in turn.
+
+    The directions a caller rejects are roots of finitely many polynomials in
+    a, fewer than the (d + 1)^2 tried (d the total degree of f) when f is
+    reduced and its critical points are isolated.
+    """
+    d = max(i + j for i, j in f.support())
+    for a in range((d + 1) ** 2):
+        g = f.substitute_linear(1, -a, 0, 1) if a else f
+        if g.is_unitary():
+            yield a, g
+
+
 def milnor_number(f: YPolynomial, seed: int = DEFAULT_SEED) -> int:
     """dim C{x,y}/(f_x, f_y) as the intersection number of the partials at
-    the origin, taken in the first seeded linear coordinates where the
-    resultant of the partials counts no other point (see intersection_number).
+    the origin, taken in the coordinates g = f(x - a*y, y) of the smallest
+    a >= 0 for which g is unitary and the resultant of the partials counts
+    no other point (see intersection_number).
 
-    Every direction that passes gives the same local number, so the result
-    does not depend on the seed.  When f_x(0, 0) or f_y(0, 0) is nonzero the
-    origin is not a critical point and the result is 0, before any
-    resultant: the partials may still share a component away from it.
+    Every direction that passes gives the same local number.  The search
+    draws no random numbers: seed is accepted and ignored.  When f_x(0, 0)
+    or f_y(0, 0) is nonzero the origin is not a critical point and the
+    result is 0, before any resultant: the partials may still share a
+    component away from it.  Otherwise NotIsolated is raised as soon as the
+    partials share a component of positive degree in y, which a further
+    shear would not remove.
     """
     if not (f.coefficient(1, 0).is_zero() and f.coefficient(0, 1).is_zero()):
         return 0
-    rng = random.Random(seed)
-    for _ in range(12):
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
-        g = f.substitute_linear(1, a, b, 1)
-        if not g.is_unitary():
-            continue
+    for _, g in _shears(f):
+        g_x, g_y = g.dx(), g.dy()
+        if not (g_x.is_unitary() and g_y.is_unitary()):
+            continue  # the resultant of the partials needs them unitary
         try:
-            return intersection_number(g.dx(), g.dy())
-        except (NotUnitary, NotIsolated, NotLocal, ValueError):
-            continue  # degenerate direction, shared factor or critical point on x = 0
-    raise NotIsolated("no generic coordinates produced a finite milnor number")
+            return intersection_number(g_x, g_y)
+        except NotLocal:
+            continue  # a critical point on x = 0 away from the origin
+    raise NotIsolated("no coordinates produced a finite milnor number")
+
+
+def cerf_directions(f: YPolynomial):
+    """Admissible directions of the Cerf diagram, by increasing a >= 0.
+
+    Yields (a, g) with g = f(x - a*y, y) such that the line x = 0 of g is
+    transversal to f = 0 (in_f(-a, 1) != 0 for the lowest-degree form in_f
+    of f), g is unitary, and g(0, y) and g_y(0, y) share no root but 0, so
+    that the polar branches of g away from the origin add only units to the
+    discriminant (see discriminant_polygon).
+    """
+    mult = f.multiplicity()
+    initial = [(i, c) for (i, j), c in f.support().items() if i + j == mult]
+    for a, g in _shears(f):
+        if sum((c * (-a) ** i for i, c in initial), f.field.zero()).is_zero():
+            continue
+        if meet_on_x0_only_at_origin(g, g.dy()):
+            yield a, g
+
+
+def discriminant_polygon(g: YPolynomial) -> NewtonPolygon:
+    """Newton polygon of the Cerf diagram of g, in an admissible direction
+    (see cerf_directions).
+
+    The discriminant Delta(x, v) = Res_y(g - v, g_y) of the map (x, g) has
+    degree at most n - 1 in v (n = deg_y g), so it is interpolated from the
+    resultants at v = 0, 1, ..., n - 1, one power of x at a time.  Each polar
+    class of contact e + m with g and multiplicity m gives an edge of length
+    e + m and height m; the shear (i, j) -> (i + j - (mult - 1), j) of the
+    terms x^i v^j turns it into {e/m} and puts the polygon on both axes.
+    """
+    n = g.degree()
+    g_y = g.dy()
+    values = [sylvester_resultant(g - v, g_y) for v in range(n)]
+    shift = g.multiplicity() - 1
+    points = []
+    for j, weights in enumerate(_interpolation_rows(n)):
+        column = {}
+        for w, r in zip(weights, values):
+            if w:
+                for i, c in r.coeffs:
+                    column[i] = column[i] + c * w if i in column else c * w
+        points.extend((i + j - shift, j) for i, c in column.items() if not c.is_zero())
+    return from_support(points)
+
+
+def _interpolation_rows(n: int):
+    """rows[j][k]: coefficient of v^j in the Lagrange polynomial of the node k
+    among the nodes 0, 1, ..., n - 1."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        basis = [Fraction(1)]
+        for node in range(n):
+            if node != k:  # times (v - node) / (k - node)
+                basis = [(lo - node * hi) / (k - node) for lo, hi in zip([0] + basis, basis + [0])]
+        for j, c in enumerate(basis):
+            rows[j][k] = c
+    return rows
+
+
+def cerf_polygon(f: YPolynomial) -> NewtonPolygon:
+    """Jacobian Newton polygon of f as the Newton polygon of its Cerf
+    diagram, the image of the polar curve under (l, f), in the first
+    admissible direction (see cerf_directions).  By Teissier ("The hunting
+    of invariants in the geometry of discriminants", 1977) it is the same
+    for every transversal l.
+    """
+    for _, g in cerf_directions(f):
+        return discriminant_polygon(g)
+    raise GenericityFailure("no admissible direction for the Cerf diagram")
 
 
 def jacobian_polygon_direct(f: YPolynomial, seed: int = DEFAULT_SEED) -> JacobianPolygon:
-    """Jacobian polygon from the polar curve of f.
+    """Jacobian polygon from the polar curve of f, certified by three
+    independent computations: the polar pairs, the Cerf polygon and mu.
 
-    The polar for a seeded generic direction is expanded into branches; each
-    class contributes m_q = multiplicity and e_q = ord_t f - m_q, weighted by
-    conjugacy.  Genericity is certified by agreement of two seeds and by the
-    resultant oracle sum(e_q) = milnor number.
+    The polar curve f_y - a f_x for seeded directions a is expanded into
+    branches; each class contributes m_q = multiplicity and e_q = ord_t f -
+    m_q, weighted by conjugacy.  The first direction whose pairs give the
+    Cerf polygon (cerf_polygon, from resultants) and sum to the Milnor number
+    (milnor_number, from the partials) is returned.  NotSingular is raised
+    when the origin is not a singular point of f = 0, and GenericityFailure
+    when none of the 12 directions is certified.
     """
-    first = _jacobian_once(f, seed)
-    second = _jacobian_once(f, seed + 1)
-    if first != second:
-        third = _jacobian_once(f, seed + 2)
-        if third in (first, second):
-            first = third
-        else:
-            raise GenericityFailure(
-                f"jacobian polygons disagree across seeds: {first} vs {second} vs {third}"
-            )
-    mu = milnor_number(f, seed)
-    if first.length() != mu:
-        raise GenericityFailure(
-            f"sum of e_q = {first.length()} does not match milnor number {mu}"
-        )
-    return first
-
-
-def _jacobian_once(f: YPolynomial, seed: int) -> JacobianPolygon:
     if not f.is_unitary():
         raise NotUnitary("jacobian polygon needs a unitary polynomial")
+    mult = f.multiplicity()
+    if mult < 2:
+        raise NotSingular(f"the origin is not a singular point (multiplicity {mult})")
+    mu = milnor_number(f)
+    cerf = cerf_polygon(f)
     rng = random.Random(seed)
     last_error = None
     for _ in range(12):
         a = rng.randint(1, 19)
         polar = f.dy() - f.dx() * a
         try:
-            return _polar_pairs(f, polar)
+            j = _polar_pairs(f, polar)
         except (NotSquareFree, NotIsolated, NotUnitary) as exc:
             last_error = exc
             continue
-    raise GenericityFailure(f"no polar direction worked: {last_error}")
+        if j.view == cerf and j.length() == mu:
+            return j
+        last_error = f"pairs {j} against Cerf polygon {cerf} and milnor number {mu}"
+    raise GenericityFailure(f"no polar direction was certified: {last_error}")
 
 
 def _polar_pairs(f: YPolynomial, polar: YPolynomial) -> JacobianPolygon:

@@ -968,12 +968,17 @@ def intersection_number(f1: YPolynomial, f2: YPolynomial) -> int:
     order = res.order()
     if is_inf(order):
         raise NotIsolated("resultant vanishes identically")
+    if not meet_on_x0_only_at_origin(f1, f2):
+        raise NotLocal("the curves also meet on x = 0 away from the origin")
+    return order
+
+
+def meet_on_x0_only_at_origin(f1: YPolynomial, f2: YPolynomial) -> bool:
+    """True when f1(0, y) and f2(0, y) share no root other than y = 0."""
     k = join_fields(f1.field, f2.field)
     at_x0 = [[k.lift(c.coefficient(0)) for c in f.coeffs] for f in (f1, f2)]
     common = fld.poly_gcd(k, *at_x0)  # monic, so a power of y iff all else is zero
-    if any(not c.is_zero() for c in common[:-1]):
-        raise NotLocal("the curves also meet on x = 0 away from the origin")
-    return order
+    return all(c.is_zero() for c in common[:-1])
 
 
 # -- text format ----------------------------------------------------------------

@@ -22,6 +22,8 @@ from .corpus import merle_corpus, reducible_corpus
 from .invariants import (
     JacobianPolygon,
     briancon_speder_polygons,
+    cerf_directions,
+    discriminant_polygon,
     dual_degree,
     invariants_from_polygon,
     jacobian_polygon_direct,
@@ -483,7 +485,7 @@ def suite_invariant_identities(seed=DEFAULT_SEED):
     ok_len = ok_height = ok_special = ok_ak = True
     for s, f, known_mu in curves:
         j = jacobian_polygon_direct(f, seed=seed)
-        mu = milnor_number(f, seed=seed)
+        mu = milnor_number(f)
         if known_mu is not None and mu != known_mu:
             ok_len = False
         if j.length() != mu:
@@ -499,6 +501,18 @@ def suite_invariant_identities(seed=DEFAULT_SEED):
     results.append(CheckResult("height(nu_j) = multiplicity - 1 on the corpus", ok_height))
     results.append(CheckResult("nu_j is special on the corpus", ok_special))
     results.append(CheckResult("theta2 = mu iff A_k, and theta2 <= mu", ok_ak))
+
+    # the Cerf polygon against the semigroup and against itself, never
+    # against the polar pairs, which jacobian_polygon_direct certifies by it
+    ok_cerf = True
+    for s, f, _ in curves:
+        polygons = [discriminant_polygon(g) for _, g in itertools.islice(cerf_directions(f), 3)]
+        if len(polygons) != 3 or len(set(polygons)) != 1:
+            ok_cerf = False
+        elif s is not None and polygons[0] != merle_polygon(s).view:
+            ok_cerf = False
+    results.append(CheckResult(
+        "Cerf polygon = merle polygon for branches, same in 3 admissible directions", ok_cerf))
 
     cusp = invariants_from_polygon(JacobianPolygon(((2, 1),)))
     exact = (

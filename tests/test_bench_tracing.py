@@ -5,9 +5,26 @@ benchmark runs with tracing on."""
 import importlib.util
 import pathlib
 
-from newtonpoly import field, invariants, series
+from newtonpoly import field, invariants, puiseux, series
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# (owner, attribute) pairs the tracer replaces while installed; the module
+# functions are also replaced where invariants imported them
+WRAPPED = (
+    (series, "intersection_number"),
+    (series, "sylvester_resultant"),
+    (puiseux, "puiseux_expand"),
+    (invariants, "jacobian_polygon_direct"),
+    (invariants, "milnor_number"),
+    (invariants, "intersection_number"),
+    (invariants, "sylvester_resultant"),
+    (invariants, "puiseux_expand"),
+    (field.FieldElement, "inverse"),
+    (field.FieldElement, "__mul__"),
+    (series.TruncatedSeries, "__mul__"),
+    (series.TruncatedSeries, "__rmul__"),
+)
 
 
 def _load_tracing():
@@ -18,35 +35,27 @@ def _load_tracing():
 
 
 def test_tracer_installs_and_uninstalls():
-    originals = (
-        series.intersection_number,
-        invariants.milnor_number,
-        invariants.intersection_number,
-        field.FieldElement.inverse,
-        field.FieldElement.__mul__,
-        series.TruncatedSeries.__mul__,
-        series.TruncatedSeries.__rmul__,
-    )
+    originals = tuple(getattr(owner, attr) for owner, attr in WRAPPED)
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        assert invariants.milnor_number is not originals[1]
+        unwrapped = [
+            f"{getattr(owner, '__name__', owner)}.{attr}"
+            for (owner, attr), original in zip(WRAPPED, originals)
+            if getattr(owner, attr) is original
+        ]
+        assert not unwrapped, f"not wrapped: {unwrapped}"
         assert invariants.milnor_number(series.parse_polynomial("y^2 - x^3")) == 2
+        j = invariants.jacobian_polygon_direct(series.parse_polynomial("y^3 - x^4"))
+        assert repr(j) == "{6/2}"
         unit = series.parse_series("1 - x")
         assert unit * unit == series.parse_series("1 - 2*x + x^2")
         assert field.QQ.from_rational(2) * 3 == 6
         metrics = tracer.metrics(
             1, ["invariants.milnor_number.calls", "series.mul.calls", "field.mul.qq.calls"])
-        assert metrics["invariants.milnor_number.calls"] == 1
+        assert metrics["invariants.milnor_number.calls"] == 2
+        assert metrics["invariants.jacobian_polygon_direct.expansions_per_call"] == 1.0
         assert metrics["series.mul.calls"] >= 1 and metrics["field.mul.qq.calls"] >= 1
     finally:
         tracer.uninstall()
-    assert (
-        series.intersection_number,
-        invariants.milnor_number,
-        invariants.intersection_number,
-        field.FieldElement.inverse,
-        field.FieldElement.__mul__,
-        series.TruncatedSeries.__mul__,
-        series.TruncatedSeries.__rmul__,
-    ) == originals
+    assert tuple(getattr(owner, attr) for owner, attr in WRAPPED) == originals

@@ -1,21 +1,28 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from newtonpoly.corpus import curve_from_parameterisation, reducible_corpus
+from newtonpoly import invariants
+from newtonpoly.corpus import curve_from_parameterisation, merle_corpus, reducible_corpus
 from newtonpoly.errors import (
     GcdChainInvalid,
+    GenericityFailure,
     NotIsolated,
     NotLocal,
     NotMerleShaped,
     NotMinimal,
     NotRealizable,
+    NotSingular,
     ParameterOutOfRange,
 )
 from newtonpoly.invariants import (
     JacobianPolygon,
     briancon_speder_polygons,
+    cerf_directions,
+    cerf_polygon,
+    discriminant_polygon,
     dual_degree,
     invariants_from_polygon,
     jacobian_polygon_direct,
@@ -24,7 +31,7 @@ from newtonpoly.invariants import (
     semigroup_from_polygon,
     validate_semigroup,
 )
-from newtonpoly.polygon import dominates, make_elementary
+from newtonpoly.polygon import dominates, make_elementary, parse_compact
 from newtonpoly.product import is_special
 from newtonpoly.series import intersection_number, parse_polynomial, sylvester_resultant
 
@@ -137,6 +144,68 @@ class TestDirect:
     def test_non_isolated_rejected(self):
         with pytest.raises(NotIsolated):
             milnor_number(P("y^2 - 2*x*y + x^2"))  # (y - x)^2, non-reduced
+
+    def test_uncertified_polar_direction_skipped(self):
+        # seed 31 first draws a = 1, and the polar f_y - f_x is tangent to the
+        # branch y = -x of the node: its pairs sum to 2, not to mu = 1
+        f = P("y^2 - x^2 - x^3")
+        assert random.Random(31).randint(1, 19) == 1
+        assert repr(invariants._polar_pairs(f, f.dy() - f.dx())) == "{2/1}"
+        assert repr(jacobian_polygon_direct(f, seed=31)) == "{1/1}"
+
+    def test_pairs_checked_against_the_cerf_polygon(self, monkeypatch):
+        monkeypatch.setattr(invariants, "cerf_polygon", lambda f: parse_compact("{3/1}"))
+        with pytest.raises(GenericityFailure):
+            jacobian_polygon_direct(P("y^2 - x^3"))
+
+    def test_origin_not_singular(self):
+        # the first and the last curve miss the origin, the second is smooth there
+        for text in ["(y^2 - 1/2*x + 2)*(y^2 - 1/2*x + 10)", "x + y^2", "y^2 - x^3 + 1"]:
+            with pytest.raises(NotSingular):
+                jacobian_polygon_direct(P(text))
+
+    def test_one_polar_expansion(self, monkeypatch):
+        calls = []
+        expand = invariants.puiseux_expand
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "puiseux_expand", counting)
+        for f in [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]:
+            calls.clear()
+            jacobian_polygon_direct(f)
+            assert len(calls) == 1, f
+
+
+class TestCerf:
+    def test_cusp(self):
+        assert cerf_polygon(P("y^2 - x^3")) == parse_compact("{2/1}")
+
+    def test_merged_polygon_of_two_classes(self):
+        f = P("(y^2 - x^3)*(y^2 - 2*x^3)")
+        assert cerf_polygon(f) == parse_compact("{15/3}")
+        assert repr(jacobian_polygon_direct(f)) == "{5/1}+{10/2}"
+
+    def test_tower_curve(self):
+        f = P("adjoin u: u^2 - 3; (y^2 - u*x^3)*(y - x)")
+        assert cerf_polygon(f) == parse_compact("{2/1}+{3/1}")
+        assert repr(jacobian_polygon_direct(f)) == "{2/1}+{3/1}"
+
+    def test_tangent_direction_rejected(self):
+        f = P("x^2 - y^3")  # the line x = 0 is the tangent
+        a, g = next(cerf_directions(f))
+        assert a == 1
+        assert discriminant_polygon(g) == cerf_polygon(f) == parse_compact("{2/1}")
+        assert discriminant_polygon(f) != cerf_polygon(f)  # the polygon for a = 0
+
+    def test_same_polygon_in_three_directions(self):
+        curves = [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]
+        curves += [P("x^2 - y^3"), P("(y + x)*(y - 1/2*x^2)*(y + 2*x^3)")]
+        for f in curves:
+            polygons = [discriminant_polygon(g) for _, g in itertools.islice(cerf_directions(f), 3)]
+            assert len(polygons) == 3 and set(polygons) == {cerf_polygon(f)}, f
 
 
 class TestMilnor:

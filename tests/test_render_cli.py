@@ -186,6 +186,12 @@ class TestCli:
                                "y^4 - 1/2*x^3*y^2 - 2*x^5*y + 1/16*x^6 - x^7", "--seed", "827")
         assert code == 0 and out == "{5/1}+{11/2}\n"
 
+    def test_jacobian_of_a_germ_not_singular_at_the_origin_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "jacobian",
+                                 "(y^2 - 1/2*x + 2)*(y^2 - 1/2*x + 10)")
+        assert code == 1 and out == ""
+        assert "NotSingular" in err
+
     def test_bs_example(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "bs-example", "4", "--json")
         assert code == 0
