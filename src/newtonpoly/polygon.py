@@ -9,8 +9,9 @@ extent ``h``; one of the two entries may be infinite (a vertical ray when
 
 Polygons form a commutative monoid under the sum (convex hull of pointwise
 sums of the bounded regions), realised here as a merge of edge multisets in
-which edges of equal slope coalesce by componentwise addition.  All slope
-comparisons and areas use exact rational arithmetic.
+which edges of equal slope coalesce by componentwise addition.  Slope
+comparisons and areas use exact rational arithmetic; the dominance order is
+decided by integer cross-multiplication in one walk over the corners.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import BothInfinite, EmptySupport, NotFiniteVolume, ZeroDimension
 
@@ -92,14 +94,16 @@ class ElementaryPolygon:
 
 def _merge_edges(edges):
     """Sort steepest first and coalesce equal slopes componentwise."""
-    ordered = sorted(edges, key=lambda e: e.slope, reverse=True)
+    keyed = sorted(((e.slope, e) for e in edges), key=itemgetter(0), reverse=True)
     merged: list[ElementaryPolygon] = []
-    for e in ordered:
-        if merged and merged[-1].slope == e.slope:
+    last_slope = None
+    for slope, e in keyed:
+        if slope == last_slope:
             last = merged[-1]
             merged[-1] = ElementaryPolygon(ext_add(last.ell, e.ell), ext_add(last.h, e.h))
         else:
             merged.append(e)
+            last_slope = slope
     return tuple(merged)
 
 
@@ -229,11 +233,12 @@ def from_support(points) -> NewtonPolygon:
         raise EmptySupport("support is empty")
     if any(a < 0 or b < 0 for a, b in pts):
         raise ValueError("support points must have nonnegative coordinates")
-    minimal = [
-        p for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    ]
-    minimal.sort()
+    # in lexicographic order a point is Pareto-minimal iff it lies strictly
+    # below every point kept before it
+    minimal: list[tuple[int, int]] = []
+    for p in sorted(pts):
+        if not minimal or p[1] < minimal[-1][1]:
+            minimal.append(p)
     # lower-left convex chain; pop middle points on non-strict turns
     chain: list[tuple[int, int]] = []
     for p in minimal:
@@ -284,24 +289,46 @@ def boundary_at(p: NewtonPolygon, x) -> object:
     return floor
 
 
+def _wall_floor_chain(p: NewtonPolygon):
+    """Abscissa of the wall, ordinate of the floor and the finite edges of p."""
+    wall, floor = p.x_offset, p.y_offset
+    chain = []
+    for e in p.edges:
+        if is_inf(e.h):
+            wall += e.ell
+        elif is_inf(e.ell):
+            floor += e.h
+        else:
+            chain.append(e)
+    return wall, floor, chain
+
+
 def dominates(p: NewtonPolygon, q: NewtonPolygon) -> bool:
     """True iff the region bounded by p is contained in the region of q.
 
-    Equivalent to boundary_at(p, .) >= boundary_at(q, .) everywhere; by
-    piecewise linearity it suffices to compare at both vertex abscissae.
+    The region of q is convex and closed upward, and the region of p is the
+    convex hull of p's corners plus the quadrant, so p dominates q iff every
+    corner of p lies in the region of q.  The corners of p and the edges of q
+    are walked together by abscissa, in integer arithmetic.
     """
-    xs = {Fraction(0)}
-    last = Fraction(0)
-    for poly in (p, q):
-        cur = Fraction(poly.x_offset)
-        xs.add(cur)
-        for e in poly.edges:
-            if not is_inf(e.ell):
-                cur += e.ell
-                xs.add(cur)
-        last = max(last, cur)
-    xs.add(last + 1)
-    return all(boundary_at(p, x) >= boundary_at(q, x) for x in xs)
+    p_wall, p_floor, p_chain = _wall_floor_chain(p)
+    q_wall, q_floor, q_chain = _wall_floor_chain(q)
+    if p_wall < q_wall or p_floor < q_floor:
+        return False
+    x, y = p_wall, p_floor + sum(e.h for e in p_chain)
+    cx, cy = q_wall, q_floor + sum(e.h for e in q_chain)
+    i = 0
+    for dx, dy in [(0, 0)] + [(e.ell, e.h) for e in p_chain]:
+        x, y = x + dx, y - dy
+        while i < len(q_chain) and x > cx + q_chain[i].ell:
+            cx, cy = cx + q_chain[i].ell, cy - q_chain[i].h
+            i += 1
+        if i == len(q_chain):
+            if y < q_floor:
+                return False
+        elif y * q_chain[i].ell < cy * q_chain[i].ell - q_chain[i].h * (x - cx):
+            return False
+    return True
 
 
 def transpose(p: NewtonPolygon) -> NewtonPolygon:
@@ -336,12 +363,16 @@ def _extent_to_json(v):
     return "inf" if is_inf(v) else v
 
 
+def _int_from_json(v, expected):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{expected}, got {v!r}")
+    return v
+
+
 def _extent_from_json(v):
     if v == "inf":
         return INF
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"extent must be an integer or 'inf', got {v!r}")
-    return v
+    return _int_from_json(v, "extent must be an integer or 'inf'")
 
 
 def to_json_dict(p: NewtonPolygon) -> dict:
@@ -358,7 +389,11 @@ def from_json_dict(data: dict) -> NewtonPolygon:
         ElementaryPolygon(_extent_from_json(item["l"]), _extent_from_json(item["h"]))
         for item in data.get("edges", [])
     )
-    return NewtonPolygon(int(data.get("x_offset", 0)), int(data.get("y_offset", 0)), edges)
+    return NewtonPolygon(
+        _int_from_json(data.get("x_offset", 0), "x_offset must be an integer"),
+        _int_from_json(data.get("y_offset", 0), "y_offset must be an integer"),
+        edges,
+    )
 
 
 def dumps(p: NewtonPolygon) -> str:

@@ -2,16 +2,27 @@
 name, so renaming or deleting one of them must fail here, not only when the
 benchmark runs with tracing on."""
 
+import importlib
 import importlib.util
 import pathlib
 
-from newtonpoly import field, invariants, puiseux, series
+from newtonpoly import field, invariants, polygon, puiseux, series
+
+# the package re-exports the function product under the module's name
+product = importlib.import_module("newtonpoly.product")
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # (owner, attribute) pairs the tracer replaces while installed; the module
 # functions are also replaced where invariants imported them
 WRAPPED = (
+    (polygon, "polygon_sum"),
+    (polygon, "dominates"),
+    (polygon, "from_support"),
+    (polygon, "format_compact"),
+    (polygon, "parse_compact"),
+    (product, "product"),
+    (product, "mixed_height"),
     (series, "intersection_number"),
     (series, "sylvester_resultant"),
     (puiseux, "puiseux_expand"),
@@ -51,11 +62,17 @@ def test_tracer_installs_and_uninstalls():
         unit = series.parse_series("1 - x")
         assert unit * unit == series.parse_series("1 - 2*x + x^2")
         assert field.QQ.from_rational(2) * 3 == 6
-        metrics = tracer.metrics(
-            1, ["invariants.milnor_number.calls", "series.mul.calls", "field.mul.qq.calls"])
+        steep, diagonal = polygon.parse_compact("{2/3}"), polygon.make_elementary(1, 1)
+        assert polygon.dominates(polygon.make_elementary(3, 3), product.product(steep, diagonal))
+        metrics = tracer.metrics(1, [
+            "invariants.milnor_number.calls", "series.mul.calls", "field.mul.qq.calls",
+            "product.product.calls", "polygon.dominates.self_ms",
+        ])
         assert metrics["invariants.milnor_number.calls"] == 2
         assert metrics["invariants.jacobian_polygon_direct.expansions_per_call"] == 1.0
         assert metrics["series.mul.calls"] >= 1 and metrics["field.mul.qq.calls"] >= 1
+        assert metrics["product.product.calls"] == 1
+        assert metrics["polygon.dominates.self_ms"] >= 0
     finally:
         tracer.uninstall()
     assert tuple(getattr(owner, attr) for owner, attr in WRAPPED) == originals

@@ -121,6 +121,20 @@ class TestFromSupport:
     def test_permutation_invariance(self, pts):
         assert from_support(pts) == from_support(list(reversed(pts)))
 
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12))
+    def test_matches_brute_force_pareto_filter(self, pts):
+        minimal = sorted(
+            p for p in set(pts)
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
+        )
+        poly = from_support(pts)
+        corners = poly.vertices()
+        # the corners are Pareto-minimal points, the outermost two among them,
+        # and every Pareto-minimal point lies in the region
+        assert corners[0] == minimal[0] and corners[-1] == minimal[-1]
+        assert set(corners) <= set(minimal)
+        assert all(boundary_at(poly, x) <= y for x, y in minimal)
+
 
 class TestMeasurements:
     def test_length_height_sums(self):
@@ -194,9 +208,58 @@ class TestDominates:
 
     @given(polygons(offsets=True), polygons(offsets=True))
     def test_matches_dense_sampling(self, p, q):
-        xs = [Fraction(k, 3) for k in range(0, 3 * 40)]
-        dense = all(boundary_at(p, x) >= boundary_at(q, x) for x in xs)
-        assert dominates(p, q) == dense
+        assert dominates(p, q) == _dense_dominates(p, q)
+
+    @given(polygons(offsets=True, allow_infinite=True),
+           polygons(offsets=True, allow_infinite=True))
+    def test_matches_dense_sampling_with_infinite_edges(self, p, q):
+        assert dominates(p, q) == _dense_dominates(p, q)
+
+    def test_corner_on_the_interior_of_an_edge(self):
+        q = make_elementary(6, 4)  # (0, 4) to (6, 0) through the lattice point (3, 2)
+        touching = polygon_sum(make_elementary(3, 4), make_elementary(4, 2))  # corner (3, 2)
+        below = polygon_sum(make_elementary(3, 5), make_elementary(4, 1))  # corner (3, 1)
+        assert boundary_at(q, 3) == 2
+        assert dominates(touching, q)
+        assert not dominates(below, q)
+
+    def test_corner_over_a_non_lattice_ordinate(self):
+        q = make_elementary(3, 2)  # ordinate 4/3 at x = 1
+        above = polygon_sum(make_elementary(1, 2), make_elementary(3, 2))  # corner (1, 2)
+        below = polygon_sum(make_elementary(1, 3), make_elementary(3, 1))  # corner (1, 1)
+        assert boundary_at(q, 1) == Fraction(4, 3)
+        assert dominates(above, q)
+        assert not dominates(below, q)
+
+    def test_wall_or_floor_alone_decides(self):
+        walled = NewtonPolygon(0, 0, (ElementaryPolygon(2, INF), ElementaryPolygon(1, 1)))
+        assert not dominates(NewtonPolygon(1, 9, ()), walled)
+        assert dominates(NewtonPolygon(2, 9, ()), walled)
+        floored = NewtonPolygon(0, 0, (ElementaryPolygon(1, 1), ElementaryPolygon(INF, 3)))
+        assert not dominates(NewtonPolygon(9, 2, ()), floored)
+        assert dominates(NewtonPolygon(9, 3, ()), floored)
+
+    def test_independent_of_boundary_at(self, monkeypatch):
+        # boundary_at is the oracle of the sampling tests above
+        def refuse(*args):
+            raise AssertionError("dominates called boundary_at")
+
+        monkeypatch.setattr(pg, "boundary_at", refuse)
+        special = polygon_sum(make_elementary(8, 2), make_elementary(48, 6))
+        generic = polygon_sum(make_elementary(56, 7), make_elementary(1, INF))
+        assert not dominates(special, generic)
+        assert dominates(polygon_sum(special, generic), generic)
+
+
+def _dense_dominates(p, q):
+    """Compare boundaries on a grid of step 1/3 up to one unit past the last
+    corner of either polygon, where both boundaries are flat."""
+    end = 1 + max(
+        poly.x_offset + sum(e.ell for e in poly.edges if not pg.is_inf(e.ell))
+        for poly in (p, q)
+    )
+    xs = [Fraction(k, 3) for k in range(3 * end + 1)]
+    return all(boundary_at(p, x) >= boundary_at(q, x) for x in xs)
 
 
 class TestCovolume:
@@ -272,6 +335,12 @@ class TestJson:
     @given(polygons(offsets=True, allow_infinite=True))
     def test_round_trip(self, p):
         assert pg.loads(pg.dumps(p)) == p
+
+    @pytest.mark.parametrize("key", ["x_offset", "y_offset"])
+    @pytest.mark.parametrize("value", [1.7, True, "3", None])
+    def test_offsets_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            pg.from_json_dict({key: value, "edges": [{"l": 2, "h": 1}]})
 
     @given(finite_polygons())
     def test_compact_round_trip(self, p):

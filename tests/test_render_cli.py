@@ -137,6 +137,15 @@ class TestCli:
         code, out, err = run_cli(capsys, "polyhedron", "covolume", text)
         assert code == 2 and out == "" and err.startswith("parse error")
 
+    @pytest.mark.parametrize("text", [
+        '{"x_offset": 1.7, "edges": [{"l": 2, "h": 1}]}',
+        '{"x_offset": true, "edges": [{"l": 2, "h": 1}]}',
+        '{"y_offset": "3", "edges": [{"l": 2, "h": 1}]}',
+    ])
+    def test_malformed_polygon_offset_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "polygon", "sum", text, "{}")
+        assert code == 2 and out == "" and err.startswith("parse error")
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1
