@@ -383,11 +383,19 @@ def to_json_dict(p: NewtonPolygon) -> dict:
     }
 
 
-def from_json_dict(data: dict) -> NewtonPolygon:
-    """Parse the JSON encoding; unordered edges are normalised."""
+def from_json_dict(data) -> NewtonPolygon:
+    """Parse the JSON encoding (docs/polygon.schema.json); unordered edges are
+    normalised, and data of any other shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError('a polygon is a JSON object {"x_offset": n, "y_offset": n, "edges": [...]}')
+    items = data.get("edges", [])
+    if not (isinstance(items, list) and all(
+        isinstance(item, dict) and "l" in item and "h" in item for item in items
+    )):
+        raise ValueError('"edges" must be a list of objects {"l": ..., "h": ...}')
     edges = tuple(
         ElementaryPolygon(_extent_from_json(item["l"]), _extent_from_json(item["h"]))
-        for item in data.get("edges", [])
+        for item in items
     )
     return NewtonPolygon(
         _int_from_json(data.get("x_offset", 0), "x_offset must be an integer"),
@@ -404,6 +412,17 @@ def loads(text: str) -> NewtonPolygon:
     return from_json_dict(json.loads(text))
 
 
+def _extent_from_compact(text: str):
+    """ASCII digits or 'inf'; ``int()`` alone would also take underscores,
+    signs and non-ASCII digits."""
+    text = text.strip()
+    if text == "inf":
+        return INF
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"extent must be ASCII digits or 'inf', got {text!r}")
+    return int(text)
+
+
 def parse_compact(text: str) -> NewtonPolygon:
     """Parse the compact notation ``{5/1}+{11/2}``; 'inf' allowed as entry."""
     text = text.strip()
@@ -415,9 +434,7 @@ def parse_compact(text: str) -> NewtonPolygon:
         if not (part.startswith("{") and part.endswith("}")):
             raise ValueError(f"bad elementary polygon {part!r}")
         ell_s, _, h_s = part[1:-1].partition("/")
-        ell = INF if ell_s.strip() == "inf" else int(ell_s)
-        h = INF if h_s.strip() == "inf" else int(h_s)
-        edges.append(ElementaryPolygon(ell, h))
+        edges.append(ElementaryPolygon(_extent_from_compact(ell_s), _extent_from_compact(h_s)))
     return NewtonPolygon(edges=tuple(edges))
 
 

@@ -342,6 +342,24 @@ class TestJson:
         with pytest.raises(ValueError, match=key):
             pg.from_json_dict({key: value, "edges": [{"l": 2, "h": 1}]})
 
+    @pytest.mark.parametrize("data", [
+        [1, 2], {"edges": 5}, {"edges": [[2, 1]]}, {"edges": None},
+        {"edges": {"l": 2}}, {"edges": [{"l": 2}]},
+    ])
+    def test_edges_must_be_a_list_of_objects(self, data):
+        with pytest.raises(ValueError, match="edges" if isinstance(data, dict) else "object"):
+            pg.from_json_dict(data)
+
+    @pytest.mark.parametrize("text", ["{1_0/2}", "{\u0663/1}", "{3/\uff11}", "{-3/1}", "{3/}", "{ /1}"])
+    def test_compact_extents_are_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            pg.parse_compact(text)
+
+    def test_compact_spaces_around_extents(self):
+        assert pg.parse_compact(" { 3 / 1 } + {inf/ 2} ") == polygon_sum(
+            make_elementary(3, 1), make_elementary(INF, 2)
+        )
+
     @given(finite_polygons())
     def test_compact_round_trip(self, p):
         assert pg.parse_compact(pg.format_compact(p)) == p

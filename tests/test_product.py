@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,16 +13,29 @@ from newtonpoly.polygon import (
     NewtonPolygon,
     covolume2,
     make_elementary,
+    parse_compact,
     polygon_sum,
 )
 from newtonpoly.product import is_special, mixed_height, product, product_elementary
 
 from strategies import elementary, extents, finite_polygons
 
+# the package re-exports the function ``product``, which hides the module
+# of the same name as an attribute of ``newtonpoly``
+product_module = importlib.import_module("newtonpoly.product")
+
 infinite_elementary = st.one_of(
     st.builds(lambda ell: make_elementary(ell, INF), extents),
     st.builds(lambda h: make_elementary(INF, h), extents),
 )
+
+
+def _sum_of_elementary_products(p, q):
+    total = EMPTY
+    for pe in p.edges:
+        for qe in q.edges:
+            total = polygon_sum(total, NewtonPolygon(edges=(product_elementary(pe, qe),)))
+    return total
 
 
 class TestElementaryProduct:
@@ -64,14 +79,38 @@ class TestProduct:
         with pytest.raises(NotFiniteVolume):
             product(EMPTY, ONE)
 
-    @given(finite_polygons(max_edges=4), st.one_of(finite_polygons(max_edges=4), infinite_elementary))
+    @given(finite_polygons(max_edges=8), st.one_of(finite_polygons(max_edges=8), infinite_elementary))
     @settings(max_examples=100)
     def test_equals_sum_of_elementary_products(self, p, q):
-        total = EMPTY
-        for pe in p.edges:
-            for qe in q.edges:
-                total = polygon_sum(total, NewtonPolygon(edges=(product_elementary(pe, qe),)))
-        assert product(p, q) == product(q, p) == total
+        assert product(p, q) == product(q, p) == _sum_of_elementary_products(p, q)
+
+    @pytest.mark.parametrize("p, q, expected", [
+        # every slope shared
+        ("{2/1}+{1/3}", "{4/2}+{2/6}", "{2/6}+{16/8}"),
+        ("{2/2}", "{3/3}", "{6/6}"),
+        # the slopes of q (1, 1/2) lie strictly between those of p (4, 1/4)
+        ("{1/4}+{4/1}", "{1/1}+{2/1}", "{1/1}+{2/1}+{12/3}"),
+        ("{1/1}+{2/1}", "{1/4}+{4/1}", "{1/1}+{2/1}+{12/3}"),
+        # p entirely steeper than q, so P*Q = l(P)·Q
+        ("{1/3}+{1/2}", "{2/1}+{3/1}", "{4/2}+{6/2}"),
+    ])
+    def test_worked_cases(self, p, q, expected):
+        p, q, expected = parse_compact(p), parse_compact(q), parse_compact(expected)
+        assert _sum_of_elementary_products(p, q) == expected
+        assert product(p, q) == expected
+
+    def test_finite_operands_do_not_use_elementary_products(self, monkeypatch):
+        # the bilinear oracles in verify and above build on product_elementary,
+        # so product must not
+        p = parse_compact("{1/5}+{2/3}+{4/1}")
+        q = parse_compact("{3/4}+{1/1}+{6/1}")
+        expected = _sum_of_elementary_products(p, q)
+
+        def refuse(a, b):
+            raise AssertionError("product_elementary called")
+
+        monkeypatch.setattr(product_module, "product_elementary", refuse)
+        assert product(p, q) == expected
 
     @given(finite_polygons(max_edges=3), finite_polygons(max_edges=3))
     @settings(max_examples=100)

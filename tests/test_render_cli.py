@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -146,6 +148,19 @@ class TestCli:
         code, out, err = run_cli(capsys, "polygon", "sum", text, "{}")
         assert code == 2 and out == "" and err.startswith("parse error")
 
+    @pytest.mark.parametrize("text", [
+        '{"edges":5}', '{"edges":[[2,1]]}', '{"edges":null}', '{"edges":{"l":2}}',
+        '{"edges":[{"l":2}]}',
+    ])
+    def test_malformed_polygon_edges_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "polygon", "product", text, "{1/1}")
+        assert code == 2 and out == "" and err.startswith("parse error") and '"edges"' in err
+
+    @pytest.mark.parametrize("text", ["{1_0/2}", "{\u0663/1}"])
+    def test_non_ascii_compact_extent_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "polygon", "sum", text, "{}")
+        assert code == 2 and out == "" and err.startswith("parse error")
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1
@@ -216,3 +231,29 @@ class TestCli:
         code1, out1, _ = run_cli(capsys, "polygon", "render", "{2/1}", "--format", "svg")
         code2, out2, _ = run_cli(capsys, "polygon", "render", "{2/1}", "--format", "svg")
         assert code1 == code2 == 0 and out1 == out2
+
+
+def _readme_examples():
+    """The ``newtonpoly polygon`` and ``polyhedron`` lines of the README's
+    "Command line" block, split as a shell would, without output redirection."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line)
+        if argv[:1] == ["newtonpoly"] and argv[1:2] in (["polygon"], ["polyhedron"]):
+            if ">" in argv:
+                argv = argv[:argv.index(">")]
+            examples.append(argv[1:])
+    return examples
+
+
+def test_readme_has_examples():
+    # an empty parameter list below would skip silently
+    assert len(_readme_examples()) >= 7
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_example(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.strip()
