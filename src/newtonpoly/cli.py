@@ -3,7 +3,8 @@
 One verb per concept: polygon arithmetic, polyhedron volumes, series
 resultants, Puiseux expansion, curve invariants, and the verification
 suites.  Machine-readable output with --json, human text otherwise; domain
-errors exit 1 with the error class name on stderr, parse errors exit 2.
+errors exit 1 with the error class name on stderr, parse errors and usage
+errors (such as a wrong number of operands) exit 2.
 """
 
 from __future__ import annotations
@@ -42,6 +43,33 @@ from .series import (
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 PRECISION_ENV = "NEWTONPOLY_PRECISION"
+
+
+class UsageError(Exception):
+    """A command given the wrong number of operands or a missing option."""
+
+
+def _operands(args, fewest, most=None, stand_in=None):
+    """The operands of a command, after checking their count.
+
+    The value of the option ``stand_in``, when given, counts as the first
+    operand.  Fewer than ``fewest`` or more than ``most`` (no bound when
+    None) raise UsageError.
+    """
+    values = list(args.operands)
+    flag = getattr(args, stand_in) if stand_in else None
+    if flag is not None:
+        values.insert(0, str(flag))
+    if fewest <= len(values) and (most is None or len(values) <= most):
+        return values
+    if most is None:
+        want = f"at least {fewest}"
+    else:
+        want = str(fewest) if most == fewest else f"{fewest} to {most}"
+    counted = f" counting --{stand_in}" if flag is not None else ""
+    raise UsageError(
+        f"{args.command} {args.op} takes {want} operand(s){counted}, got {len(values)}"
+    )
 
 
 def _parse_polygon_arg(text: str) -> pg.NewtonPolygon:
@@ -112,29 +140,31 @@ def _print_report(j: JacobianPolygon, args):
 
 def _cmd_polygon(args):
     if args.op == "sum":
-        p = _parse_polygon_arg(args.operands[0])
-        for other in args.operands[1:]:
+        first, *rest = _operands(args, 1)
+        p = _parse_polygon_arg(first)
+        for other in rest:
             p = pg.polygon_sum(p, _parse_polygon_arg(other))
         print(_polygon_out(p, args))
     elif args.op == "product":
-        p = _parse_polygon_arg(args.operands[0])
-        for other in args.operands[1:]:
+        first, *rest = _operands(args, 1)
+        p = _parse_polygon_arg(first)
+        for other in rest:
             p = product(p, _parse_polygon_arg(other))
         print(_polygon_out(p, args))
     elif args.op == "decompose":
-        p = _parse_polygon_arg(args.operands[0])
+        (text,) = _operands(args, 1, 1)
+        p = _parse_polygon_arg(text)
         parts = pg.canonical_decomposition(p)
         if args.json:
             print(json.dumps([{"l": e.ell, "h": e.h} for e in parts]))
         else:
             print(" ".join(repr(e) for e in parts))
     elif args.op == "dominates":
-        p = _parse_polygon_arg(args.operands[0])
-        q = _parse_polygon_arg(args.operands[1])
+        p, q = (_parse_polygon_arg(t) for t in _operands(args, 2, 2))
         result = pg.dominates(p, q)
         print(json.dumps(result) if args.json else ("yes" if result else "no"))
     elif args.op == "render":
-        polys = [_parse_polygon_arg(t) for t in args.operands]
+        polys = [_parse_polygon_arg(t) for t in _operands(args, 1)]
         if args.format == "svg":
             sys.stdout.write(render_svg(polys, shade_between=len(polys) == 2))
         else:
@@ -145,16 +175,20 @@ def _cmd_polygon(args):
 
 def _cmd_polyhedron(args):
     if args.op == "covolume":
-        n = ph.NewtonPolyhedron.from_json_dict(json.loads(args.operands[0]))
+        (text,) = _operands(args, 1, 1)
+        n = ph.NewtonPolyhedron.from_json_dict(json.loads(text))
         v = ph.covolume(n)
         print(json.dumps(str(v)) if args.json else str(v))
     elif args.op == "mixed":
-        ns = [ph.NewtonPolyhedron.from_json_dict(json.loads(t)) for t in args.operands]
+        if not args.alpha:
+            raise UsageError("polyhedron mixed requires --alpha, e.g. --alpha 1,1")
+        ns = [ph.NewtonPolyhedron.from_json_dict(json.loads(t)) for t in _operands(args, 1)]
         alpha = ph.MixedVolumeIndex(tuple(int(a) for a in args.alpha.split(",")))
         v = ph.mixed_covolume(ns, alpha)
         print(json.dumps(str(v)) if args.json else str(v))
     elif args.op == "multiplicity":
-        n = ph.NewtonPolyhedron.from_json_dict(json.loads(args.operands[0]))
+        (text,) = _operands(args, 1, 1)
+        n = ph.NewtonPolyhedron.from_json_dict(json.loads(text))
         e = ph.monomial_multiplicity(n)
         print(json.dumps(e) if args.json else str(e))
     return 0
@@ -162,21 +196,17 @@ def _cmd_polyhedron(args):
 
 def _cmd_series(args):
     if args.op == "polygon":
-        f = parse_polynomial(args.operands[0])
-        print(_polygon_out(newton_polygon_of(f), args))
-    elif args.op == "resultant":
-        f1 = parse_polynomial(args.operands[0])
-        f2 = parse_polynomial(args.operands[1])
+        (text,) = _operands(args, 1, 1)
+        print(_polygon_out(newton_polygon_of(parse_polynomial(text)), args))
+        return 0
+    f1, f2 = (parse_polynomial(t) for t in _operands(args, 2, 2))
+    if args.op == "resultant":
         r = sylvester_resultant(f1, f2)
         print(json.dumps(format_series(r)) if args.json else format_series(r))
     elif args.op == "shifted-resultant":
-        f1 = parse_polynomial(args.operands[0])
-        f2 = parse_polynomial(args.operands[1])
         r = shifted_resultant(f1, f2)
         print(json.dumps(format_polynomial(r)) if args.json else format_polynomial(r))
     elif args.op == "intersect":
-        f1 = parse_polynomial(args.operands[0])
-        f2 = parse_polynomial(args.operands[1])
         n = intersection_number(f1, f2)
         print(json.dumps(n) if args.json else str(n))
     return 0
@@ -195,29 +225,33 @@ def _cmd_puiseux(args):
 
 def _cmd_curve(args):
     if args.op == "merle":
-        s = _parse_semigroup_arg(args.operands[0])
+        (text,) = _operands(args, 1, 1)
+        s = _parse_semigroup_arg(text)
         j = merle_polygon(s)
         if args.report:
             _print_report(j, args)
         else:
             print(json.dumps(_report_payload(j)["polygon"]) if args.json else repr(j))
     elif args.op == "invert":
-        j = _parse_pairs_arg(args.operands[0])
+        (text,) = _operands(args, 1, 1)
+        j = _parse_pairs_arg(text)
         s = semigroup_from_polygon(j)
         print(json.dumps(list(s.generators)) if args.json else repr(s))
     elif args.op == "jacobian":
-        f = parse_polynomial(args.operands[0])
+        (text,) = _operands(args, 1, 1)
+        f = parse_polynomial(text)
         j = jacobian_polygon_direct(f, seed=args.seed)
         if args.report:
             _print_report(j, args)
         else:
             print(json.dumps(_report_payload(j)["polygon"]) if args.json else repr(j))
     elif args.op == "invariants":
-        j = _parse_pairs_arg(args.operands[0])
+        (text,) = _operands(args, 1, 1)
+        j = _parse_pairs_arg(text)
         _print_report(j, args)
     elif args.op == "dual-degree":
-        degree = args.degree if args.degree is not None else int(args.operands[0])
-        dim = args.dimension if not args.operands[1:] else int(args.operands[1])
+        degree, *dim = (int(v) for v in _operands(args, 1, 2, stand_in="degree"))
+        dim = dim[0] if dim else args.dimension
         sings = []
         if args.singularities:
             for chunk in args.singularities.split(";"):
@@ -226,10 +260,11 @@ def _cmd_curve(args):
         v = dual_degree(degree, dim, sings)
         print(json.dumps(v) if args.json else str(v))
     elif args.op == "milnor":
-        f = parse_polynomial(args.operands[0])
-        print(milnor_number(f))
+        (text,) = _operands(args, 1, 1)
+        print(milnor_number(parse_polynomial(text)))
     elif args.op == "bs-example":
-        beta = args.beta if args.beta is not None else int(args.operands[0])
+        (beta,) = _operands(args, 1, 1, stand_in="beta")
+        beta = int(beta)
         special, generic = briancon_speder_polygons(beta)
         if args.json:
             print(json.dumps({
@@ -325,6 +360,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args) or 0
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,13 @@
 
 The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  Its compact
 facets are enumerated exactly: every d-subset of generators that spans a
-supporting hyperplane with strictly positive inward normal gives one.
-Covolume (the volume of the complement inside the positive orthant) is the
-cone sum from the origin over those facets, ``(1/d!) sum |det(simplex)|``
-over a triangulation of each facet, in exact integer arithmetic.  The d = 4
+supporting hyperplane with strictly positive inward normal gives one.  A
+d-subset lying on a hyperplane already found is skipped unexamined, which
+changes no answer: d affinely independent points of a hyperplane span it,
+and dependent points span none.  Covolume (the volume of the complement
+inside the positive orthant) is the cone sum from the origin over those
+facets, ``(1/d!) sum |det(simplex)|`` over a triangulation of each facet, in
+exact integer arithmetic.  The d = 4
 facets are tetrahedralised with the same facet enumerator, applied to their
 3-dimensional projections.
 
@@ -19,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -37,14 +41,21 @@ MAX_DIM = 4
 
 
 def _det(rows) -> int:
-    """Determinant of an integer matrix by fraction-free Gaussian elimination.
+    """Determinant of an integer matrix.
 
-    Bareiss' division by the previous pivot is always exact, so the whole
-    elimination stays in Python ints.
+    Sizes up to 2 are closed forms; they are every cofactor of
+    ``_facet_normal`` at d <= 3 and every simplex of a d = 2 covolume.
+    Larger ones run fraction-free Gaussian elimination: Bareiss' division
+    by the previous pivot is always exact, so it stays in Python ints.
     """
     n = len(rows)
     if n == 0:
         return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -78,7 +89,7 @@ def _facet_normal(points):
 
 
 def _dot(n, p):
-    return sum(a * b for a, b in zip(n, p))
+    return sum(map(mul, n, p))
 
 
 def _facets(points):
@@ -90,27 +101,42 @@ def _facets(points):
     d - 1.  The on-points keep the order of ``points``.  When all points lie
     on one hyperplane it supports them from both sides, and both
     orientations are returned.
+
+    A d-subset that lies inside the on-points of a hyperplane already found
+    is skipped before its normal is computed: d affinely independent points
+    of a hyperplane span that hyperplane, so the subset would give a facet
+    already listed, and dependent points give none.  Each supporting
+    hyperplane is therefore tested in full once.  The side test of any
+    other stops at the first pair of points strictly on opposite sides.
     """
     d = len(points[0])
     found = {}
+    on_sets = []
     for subset in itertools.combinations(points, d):
+        if any(on.issuperset(subset) for on in on_sets):
+            continue
         normal = _facet_normal(subset)
         if normal is None:
             continue
         off = _dot(normal, subset[0])
-        flipped = (tuple(-c for c in normal), -off)
-        if (normal, off) in found or flipped in found:
-            continue
-        values = [_dot(normal, p) for p in points]
-        above = any(v > off for v in values)
-        below = any(v < off for v in values)
-        if above and below:
-            continue
-        on = tuple(p for p, v in zip(points, values) if v == off)
-        if not below:
-            found[(normal, off)] = on
-        if not above:
-            found[flipped] = on
+        above = below = False
+        for p in points:
+            v = _dot(normal, p)
+            if v > off:
+                above = True
+            elif v < off:
+                below = True
+            else:
+                continue
+            if above and below:
+                break
+        else:
+            on = tuple(p for p in points if _dot(normal, p) == off)
+            on_sets.append(frozenset(on))
+            if not below:
+                found[(normal, off)] = on
+            if not above:
+                found[(tuple(-c for c in normal), -off)] = on
     return [(normal, off, on) for (normal, off), on in sorted(found.items())]
 
 

@@ -19,6 +19,10 @@ from newtonpoly.polyhedra import (
     MixedVolumeIndex,
     NewtonPolyhedron,
     _combo,
+    _det,
+    _dot,
+    _facet_normal,
+    _facets,
     colength_growth_oracle,
     covolume,
     face_identity_check,
@@ -29,7 +33,7 @@ from newtonpoly.polyhedra import (
     sum_d,
 )
 from newtonpoly.product import mixed_height
-from newtonpoly.verify import _box_hull_covolume
+from newtonpoly.verify import _box_hull_covolume, _det as _oracle_det
 
 M2_D3 = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
@@ -284,3 +288,112 @@ class TestJson:
     def test_round_trip(self):
         n = from_support_d(3, M2_D3)
         assert NewtonPolyhedron.from_json_dict(n.to_json_dict()) == n
+
+
+def _facets_reference(points):
+    """The unpruned facet enumerator, the reference for ``_facets``: every
+    d-subset is tested against every point, and a known hyperplane is
+    caught only after its normal is computed."""
+    d = len(points[0])
+    found = {}
+    for subset in itertools.combinations(points, d):
+        normal = _facet_normal(subset)
+        if normal is None:
+            continue
+        off = _dot(normal, subset[0])
+        flipped = (tuple(-c for c in normal), -off)
+        if (normal, off) in found or flipped in found:
+            continue
+        values = [_dot(normal, p) for p in points]
+        above = any(v > off for v in values)
+        below = any(v < off for v in values)
+        if above and below:
+            continue
+        on = tuple(p for p, v in zip(points, values) if v == off)
+        if not below:
+            found[(normal, off)] = on
+        if not above:
+            found[flipped] = on
+    return [(normal, off, on) for (normal, off), on in sorted(found.items())]
+
+
+def _random_combo(rng, d):
+    """lam_1 N + lam_2 (2N): many generators on few hyperplanes."""
+    n = random_finite_polyhedron(rng, d)
+    lam = (rng.randint(1, 2), rng.randint(1, 2))
+    return _combo([n, scale_d(n, 2)], lam)
+
+
+class TestFacetEnumerator:
+    """The pruned enumerator returns the reference's lists: normals,
+    offsets, on-points and their order."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_point_sets(self, d):
+        rng = random.Random(41 + d)
+        for _ in range(40 if d < 4 else 15):
+            pts = list({tuple(rng.randint(0, 4) for _ in range(d))
+                        for _ in range(rng.randint(d + 1, 9))})
+            rng.shuffle(pts)
+            assert _facets(pts) == _facets_reference(pts)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_combination_generators(self, d):
+        rng = random.Random(53 + d)
+        for _ in range(6 if d == 3 else 3):
+            combo = _random_combo(rng, d)
+            pts = list(combo.generators)
+            assert _facets(pts) == _facets_reference(pts)
+            assert covolume(combo) == _box_hull_covolume(combo)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_all_points_on_one_hyperplane(self, d):
+        pts = [p for p in itertools.product(range(3), repeat=d) if sum(p) == 2]
+        facets = _facets(pts)
+        assert facets == _facets_reference(pts)
+        ones = (1,) * d
+        assert [(normal, off) for normal, off, _ in facets] == [
+            (tuple(-c for c in ones), -2), (ones, 2)]
+
+    @pytest.mark.parametrize("points", [
+        # every lattice point of a cube: points inside facets and on edges
+        list(itertools.product(range(3), repeat=3)),
+        # a pyramid over 3 * simplex with the lattice points of its base
+        [(0, 0, 0)] + [p for p in itertools.product(range(4), repeat=3) if sum(p) == 3],
+        # d = 4: lattice points of the facet sum = 3, on its 2-faces and
+        # edges, with the origin and midpoints of the axis edges
+        [(0,) * 4] + [p for p in itertools.product(range(4), repeat=4) if sum(p) in (1, 3)],
+    ], ids=["cube-d3", "pyramid-d3", "simplex-d4"])
+    def test_lattice_points_on_facets_and_edges(self, points):
+        rng = random.Random(len(points))
+        rng.shuffle(points)
+        assert _facets(points) == _facets_reference(points)
+
+
+class TestDet:
+    def test_empty_matrix(self):
+        assert _det([]) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_oracle(self, n):
+        rng = random.Random(61 + n)
+        for _ in range(60):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            kind = rng.randrange(3)
+            if kind == 1 and n > 1:  # singular: a repeated row
+                rows[rng.randrange(1, n)] = list(rows[0])
+            elif kind == 2 and n > 1:  # the first pivot is zero
+                rows[0][0] = 0
+            assert _det(rows) == _oracle_det(rows)
+
+    def test_pivot_swap_and_singular_cases(self):
+        cases = [
+            [[0, 1], [1, 0]],
+            [[0, 2, 1], [3, 0, 1], [1, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+            [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+            [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [3, 1, 4, 1]],
+        ]
+        for rows in cases:
+            assert _det(rows) == _oracle_det(rows)

@@ -57,10 +57,34 @@ class TestSvgRender:
         assert out == render_svg([special, generic], shade_between=True)
 
 
+POLYHEDRON = '{"dim": 2, "generators": [[0, 1], [2, 0]]}'
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+OPERAND_COUNT_CASES = [
+    (["polygon", "dominates", "{2/1}"], "polygon dominates takes 2 operand(s), got 1"),
+    (["series", "resultant", "y^2-x^3"], "series resultant takes 2 operand(s), got 1"),
+    (["series", "intersect", "y"], "series intersect takes 2 operand(s), got 1"),
+    (["curve", "milnor"], "curve milnor takes 1 operand(s), got 0"),
+    (["curve", "merle"], "curve merle takes 1 operand(s), got 0"),
+    (["polyhedron", "covolume", POLYHEDRON, POLYHEDRON],
+     "polyhedron covolume takes 1 operand(s), got 2"),
+    (["polyhedron", "multiplicity", POLYHEDRON, POLYHEDRON],
+     "polyhedron multiplicity takes 1 operand(s), got 2"),
+    (["polygon", "decompose", "{2/1}", "{3/1}"], "polygon decompose takes 1 operand(s), got 2"),
+    (["polygon", "dominates", "{2/1}", "{3/1}", "{1/1}"],
+     "polygon dominates takes 2 operand(s), got 3"),
+    (["curve", "dual-degree"], "curve dual-degree takes 1 to 2 operand(s), got 0"),
+    (["curve", "bs-example", "5", "--beta", "4"],
+     "curve bs-example takes 1 operand(s) counting --beta, got 2"),
+    (["polyhedron", "mixed", POLYHEDRON, POLYHEDRON],
+     "polyhedron mixed requires --alpha, e.g. --alpha 1,1"),
+]
 
 
 class TestCli:
@@ -175,6 +199,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["polygon", "frobnicate", "{1/1}"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", OPERAND_COUNT_CASES, ids=[
+        f"{argv[0]}-{argv[1]}-{len(argv) - 2}args" for argv, _ in OPERAND_COUNT_CASES])
+    def test_operand_count_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_dual_degree(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "dual-degree", "3", "2",
