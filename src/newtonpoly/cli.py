@@ -357,7 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    # argparse binds curve's optional operand list (nargs="*") before it reads
+    # the options, so operands written after an option are left over here
+    if extras and args.command == "curve" and not any(x.startswith("-") for x in extras):
+        args.operands += extras
+    elif extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args) or 0
     except UsageError as exc:

@@ -9,9 +9,13 @@ extent ``h``; one of the two entries may be infinite (a vertical ray when
 
 Polygons form a commutative monoid under the sum (convex hull of pointwise
 sums of the bounded regions), realised here as a merge of edge multisets in
-which edges of equal slope coalesce by componentwise addition.  Slope
-comparisons and areas use exact rational arithmetic; the dominance order is
-decided by integer cross-multiplication in one walk over the corners.
+which edges of equal slope coalesce by componentwise addition.  Slopes are
+compared by integer cross-multiplication, with explicit branches for
+infinite extents.  The constructions of the library (sum, product, scale,
+transpose, support hulls) produce their edges in canonical order and skip
+the sort; only edges from outside (the public constructor, JSON, compact
+text) are sorted.  The dominance order is decided in one integer walk over
+the corners, and areas are integer shoelace sums.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from functools import cmp_to_key
 
 from .errors import BothInfinite, EmptySupport, NotFiniteVolume, ZeroDimension
 
@@ -92,18 +96,38 @@ class ElementaryPolygon:
         return "{%s/%s}" % (fmt(self.ell), fmt(self.h))
 
 
+def _steeper(e: ElementaryPolygon, f: ElementaryPolygon) -> int:
+    """Sign of slope(e) - slope(f), the sign of h·ℓ′ − h′·ℓ for finite edges.
+
+    Infinite extents take their own branches: INF is never multiplied.
+    """
+    if e.h == INF:
+        return 0 if f.h == INF else 1
+    if f.h == INF:
+        return -1
+    if e.ell == INF:
+        return 0 if f.ell == INF else -1
+    if f.ell == INF:
+        return 1
+    d = e.h * f.ell - f.h * e.ell
+    return (d > 0) - (d < 0)
+
+
 def _merge_edges(edges):
-    """Sort steepest first and coalesce equal slopes componentwise."""
-    keyed = sorted(((e.slope, e) for e in edges), key=itemgetter(0), reverse=True)
+    """Sort steepest first and coalesce equal slopes componentwise.
+
+    Edges already in strictly decreasing slope are returned as they are.
+    """
+    edges = tuple(edges)
+    if all(_steeper(e, f) > 0 for e, f in zip(edges, edges[1:])):
+        return edges
     merged: list[ElementaryPolygon] = []
-    last_slope = None
-    for slope, e in keyed:
-        if slope == last_slope:
+    for e in sorted(edges, key=cmp_to_key(_steeper), reverse=True):
+        if merged and _steeper(merged[-1], e) == 0:
             last = merged[-1]
             merged[-1] = ElementaryPolygon(ext_add(last.ell, e.ell), ext_add(last.h, e.h))
         else:
             merged.append(e)
-            last_slope = slope
     return tuple(merged)
 
 
@@ -118,14 +142,8 @@ class NewtonPolygon:
     def __post_init__(self):
         if self.x_offset < 0 or self.y_offset < 0:
             raise ValueError("offsets must be nonnegative")
-        edges = _merge_edges(self.edges)
-        for e in edges[1:]:
-            if is_inf(e.h):
-                raise ValueError("at most one vertical-ray edge, placed first")
-        for e in edges[:-1]:
-            if is_inf(e.ell):
-                raise ValueError("at most one horizontal-floor edge, placed last")
-        object.__setattr__(self, "edges", edges)
+        # vertical rays coalesce into one steepest edge, floors into one last edge
+        object.__setattr__(self, "edges", _merge_edges(self.edges))
 
     # -- structure ---------------------------------------------------------
 
@@ -182,6 +200,16 @@ class NewtonPolygon:
         return total
 
 
+def _canonical(x_offset: int, y_offset: int, edges: tuple) -> NewtonPolygon:
+    """Polygon of nonnegative offsets and an edge tuple already in canonical
+    order (strictly decreasing slope), built without the sort."""
+    p = object.__new__(NewtonPolygon)
+    object.__setattr__(p, "x_offset", x_offset)
+    object.__setattr__(p, "y_offset", y_offset)
+    object.__setattr__(p, "edges", edges)
+    return p
+
+
 EMPTY = NewtonPolygon()
 
 #: Unit elementary polygon {1/1}; neutral for * exactly on special polygons.
@@ -194,12 +222,30 @@ def make_elementary(ell, h) -> NewtonPolygon:
 
 
 def polygon_sum(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
-    """Monoid sum: offsets add, edges merge by slope."""
-    return NewtonPolygon(
-        p.x_offset + q.x_offset,
-        p.y_offset + q.y_offset,
-        p.edges + q.edges,
-    )
+    """Monoid sum: offsets add, edges merge by slope.
+
+    One pass over the two canonical edge lists, steepest first; an edge of
+    p and an edge of q of equal slope coalesce componentwise.
+    """
+    a, b = p.edges, q.edges
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        e, f = a[i], b[j]
+        cmp = _steeper(e, f)
+        if cmp > 0:
+            out.append(e)
+            i += 1
+        elif cmp < 0:
+            out.append(f)
+            j += 1
+        else:
+            out.append(ElementaryPolygon(ext_add(e.ell, f.ell), ext_add(e.h, f.h)))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return _canonical(p.x_offset + q.x_offset, p.y_offset + q.y_offset, tuple(out))
 
 
 def scale(p: NewtonPolygon, k: int) -> NewtonPolygon:
@@ -208,7 +254,7 @@ def scale(p: NewtonPolygon, k: int) -> NewtonPolygon:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return EMPTY
-    return NewtonPolygon(
+    return _canonical(
         k * p.x_offset,
         k * p.y_offset,
         tuple(ElementaryPolygon(ext_mul(k, e.ell), ext_mul(k, e.h)) for e in p.edges),
@@ -252,11 +298,11 @@ def from_support(points) -> NewtonPolygon:
         chain.append(p)
     x_offset = chain[0][0]
     y_offset = chain[-1][1]
-    edges = [
+    edges = tuple(
         ElementaryPolygon(b[0] - a[0], a[1] - b[1])
         for a, b in zip(chain, chain[1:])
-    ]
-    return NewtonPolygon(x_offset, y_offset, tuple(edges))
+    )
+    return _canonical(x_offset, y_offset, edges)
 
 
 def boundary_at(p: NewtonPolygon, x) -> object:
@@ -332,11 +378,12 @@ def dominates(p: NewtonPolygon, q: NewtonPolygon) -> bool:
 
 
 def transpose(p: NewtonPolygon) -> NewtonPolygon:
-    """Mirror across the diagonal: lengths and heights exchange roles."""
-    return NewtonPolygon(
+    """Mirror across the diagonal: lengths and heights exchange roles, and
+    the steepest edge becomes the shallowest."""
+    return _canonical(
         p.y_offset,
         p.x_offset,
-        tuple(ElementaryPolygon(e.h, e.ell) for e in p.edges),
+        tuple(ElementaryPolygon(e.h, e.ell) for e in reversed(p.edges)),
     )
 
 
@@ -344,16 +391,11 @@ def covolume2(p: NewtonPolygon) -> Fraction:
     """Exact area between the axes and the polygon boundary."""
     if not p.is_finite_volume:
         raise NotFiniteVolume("covolume needs a finite-volume polygon")
-    chain = [(Fraction(0), Fraction(0))] + [
-        (Fraction(a), Fraction(b)) for a, b in p.vertices()
-    ]
-    total = Fraction(0)
-    n = len(chain)
-    for i in range(n):
-        x0, y0 = chain[i]
-        x1, y1 = chain[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return abs(total) / 2
+    chain = [(0, 0)] + p.vertices()
+    total = sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(chain, chain[1:] + chain[:1])
+    )
+    return Fraction(abs(total), 2)
 
 
 # -- JSON encoding ----------------------------------------------------------

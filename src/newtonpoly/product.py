@@ -8,7 +8,8 @@ decompositions, and to one infinite elementary factor with the conventions
 The product of two edges has the smaller of their two slopes, so the n·m
 edge products of two finite-volume polygons fall onto the slopes of P ∪ Q,
 and one merge of the two canonical edge lists, steepest first, gives the
-canonical edges of ``P*Q`` directly.
+canonical edges of ``P*Q`` directly.  The result is built through the
+polygon layer's constructor for canonical edges, so it is never sorted.
 
 The height of ``P*Q`` is twice the mixed covolume of the pair, exposed
 independently as :func:`mixed_height` so the identity can be cross-checked;
@@ -19,7 +20,7 @@ shares no code with the merge it checks.
 from __future__ import annotations
 
 from .errors import NotFiniteVolume, UnsupportedInfiniteCombination
-from .polygon import ElementaryPolygon, NewtonPolygon, ext_mul, is_inf
+from .polygon import INF, ElementaryPolygon, NewtonPolygon, _canonical, ext_mul, is_inf
 
 
 def _ext_min(a, b):
@@ -90,8 +91,9 @@ def product(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
     and one infinite elementary polygon ({l/inf} or {inf/h}).  An edge pair's
     product has the smaller of the two slopes, so for two finite-volume
     operands one merge over the slopes of P ∪ Q gives the canonical result in
-    integer arithmetic, without forming the n·m edge products; an infinite
-    operand is multiplied edge by edge.
+    integer arithmetic, without forming the n·m edge products; a vertical-ray
+    operand is multiplied edge by edge, and a floor operand {inf/h} gives the
+    one floor {inf / h·l(P)}.
     """
     p_inf = _admitted_infinite(p)
     q_inf = _admitted_infinite(q)
@@ -104,9 +106,12 @@ def product(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
         raise NotFiniteVolume(f"operand {p!r} is not finite volume")
     if q_inf is None and not q.is_finite_volume:
         raise NotFiniteVolume(f"operand {q!r} is not finite volume")
-    if q_inf is not None:
-        return NewtonPolygon(edges=tuple(product_elementary(pe, q_inf) for pe in p.edges))
-    return NewtonPolygon(edges=_slope_merge(p.edges, q.edges))
+    if q_inf is None:
+        return _canonical(0, 0, _slope_merge(p.edges, q.edges))
+    if is_inf(q_inf.ell):
+        # every edge product is a floor {inf / l(e)·h}; the floors coalesce
+        return _canonical(0, 0, (ElementaryPolygon(INF, p.length() * q_inf.h),))
+    return _canonical(0, 0, tuple(product_elementary(pe, q_inf) for pe in p.edges))
 
 
 def is_special(p: NewtonPolygon) -> bool:

@@ -22,8 +22,9 @@ from newtonpoly.polygon import (
     scale,
     transpose,
 )
+from newtonpoly.product import product, product_elementary
 
-from strategies import finite_polygons, polygons
+from strategies import elementary, finite_polygons, polygons
 
 
 class TestElementary:
@@ -384,3 +385,100 @@ class TestTranspose:
         p = polygon_sum(make_elementary(3, 2), make_elementary(1, 4))
         assert transpose(p).length() == p.height()
         assert transpose(p).height() == p.length()
+
+
+# -- the constructors agree ----------------------------------------------------
+
+HUGE = 10**400  # beyond float range: INF * HUGE or INF + HUGE raises OverflowError
+
+
+def _reference(x_offset, y_offset, edges):
+    """Canonical (x_offset, y_offset, [(l, h), ...]) by a Fraction-keyed sort,
+    steepest first, with equal slopes coalesced componentwise."""
+    def slope(e):
+        if e.h == INF:
+            return INF
+        return Fraction(0) if e.ell == INF else Fraction(e.h, e.ell)
+
+    def add(a, b):
+        return INF if INF in (a, b) else a + b
+
+    merged = {}
+    for e in edges:
+        ell, h = merged.get(slope(e), (0, 0))
+        merged[slope(e)] = (add(ell, e.ell), add(h, e.h))
+    return x_offset, y_offset, [merged[s] for s in sorted(merged, reverse=True)]
+
+
+def _data(p):
+    return p.x_offset, p.y_offset, [(e.ell, e.h) for e in p.edges]
+
+
+def _is_canonical(p):
+    """p is what the public constructor makes of its own edges, and what the
+    reference makes of them."""
+    return p == NewtonPolygon(p.x_offset, p.y_offset, p.edges) and _data(p) == _reference(
+        p.x_offset, p.y_offset, p.edges
+    )
+
+
+# small extents repeat slopes; 7 and 8 stand for INF and HUGE
+edge_extents = st.integers(1, 8).map(lambda v: {7: INF, 8: HUGE}.get(v, v))
+edge_lists = st.lists(
+    st.tuples(edge_extents, edge_extents).filter(lambda lh: lh != (INF, INF)), max_size=8
+).map(lambda pairs: [ElementaryPolygon(ell, h) for ell, h in pairs])
+offsets = st.integers(0, 3)
+
+
+class TestConstructorsAgree:
+    @given(offsets, offsets, edge_lists)
+    @settings(max_examples=300)
+    def test_public_constructor_matches_fraction_sort(self, xo, yo, edges):
+        assert _data(NewtonPolygon(xo, yo, tuple(edges))) == _reference(xo, yo, edges)
+
+    @given(offsets, offsets, edge_lists, offsets, offsets, edge_lists)
+    @settings(max_examples=200)
+    def test_sum(self, xp, yp, ep, xq, yq, eq):
+        p, q = NewtonPolygon(xp, yp, tuple(ep)), NewtonPolygon(xq, yq, tuple(eq))
+        s = polygon_sum(p, q)
+        assert _is_canonical(s)
+        assert s == NewtonPolygon(xp + xq, yp + yq, tuple(ep + eq))
+
+    @given(finite_polygons(max_edges=6), finite_polygons(max_edges=6))
+    def test_product(self, p, q):
+        assert _is_canonical(product(p, q))
+
+    @given(finite_polygons(max_edges=6), elementary, st.booleans())
+    def test_product_with_an_infinite_operand(self, p, e, vertical):
+        inf_edge = ElementaryPolygon(e.ell, INF) if vertical else ElementaryPolygon(INF, e.h)
+        r = product(p, NewtonPolygon(edges=(inf_edge,)))
+        assert _is_canonical(r)
+        assert r == NewtonPolygon(edges=tuple(product_elementary(pe, inf_edge) for pe in p.edges))
+
+    @given(offsets, offsets, edge_lists, st.integers(0, 3))
+    def test_scale_and_transpose(self, xo, yo, edges, k):
+        p = NewtonPolygon(xo, yo, tuple(edges))
+        assert _is_canonical(scale(p, k))
+        t = transpose(p)
+        assert _is_canonical(t)
+        assert t == NewtonPolygon(yo, xo, tuple(ElementaryPolygon(e.h, e.ell) for e in edges))
+
+    @given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=12))
+    def test_from_support(self, pts):
+        assert _is_canonical(from_support(pts))
+
+    def test_huge_extent_beside_infinite_edges(self):
+        edges = (
+            ElementaryPolygon(HUGE, 1),
+            ElementaryPolygon(INF, HUGE),
+            ElementaryPolygon(1, HUGE),
+            ElementaryPolygon(HUGE, INF),
+            ElementaryPolygon(2, INF),
+            ElementaryPolygon(INF, 3),
+        )
+        p = NewtonPolygon(0, 0, edges)
+        assert _data(p) == _reference(0, 0, edges)
+        assert [(e.ell, e.h) for e in p.edges] == [
+            (HUGE + 2, INF), (1, HUGE), (HUGE, 1), (INF, HUGE + 3),
+        ]
+        assert polygon_sum(p, p) == scale(p, 2) == NewtonPolygon(0, 0, edges + edges)

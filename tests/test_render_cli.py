@@ -207,6 +207,27 @@ class TestCli:
         assert code == 2 and out == ""
         assert err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("argv, first_line", [
+        (["curve", "merle", "<4,6,13>", "--report"], "polygon          {5/1}+{11/2}"),
+        (["curve", "merle", "--report", "<4,6,13>"], "polygon          {5/1}+{11/2}"),
+        (["curve", "dual-degree", "3", "--singularities", "2,1", "2"], "3"),
+        (["curve", "dual-degree", "--singularities", "2,1", "3", "2"], "3"),
+    ], ids=["merle-operand-first", "merle-option-first", "dual-degree-split",
+            "dual-degree-option-first"])
+    def test_curve_operands_either_side_of_options(self, capsys, argv, first_line):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "merle", "--report", "<4,6,13>", "--bogus"],
+        ["polygon", "sum", "{1/1}", "--json", "{2/1}"],
+    ])
+    def test_unrecognized_arguments_still_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_dual_degree(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "dual-degree", "3", "2",
                                "--singularities", "2,1")

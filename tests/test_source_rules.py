@@ -6,6 +6,10 @@ check written as one silently disappears.
 The oracles of ``newtonpoly.verify`` stay independent of the code they
 check: no other module imports them.  The command line runs the suites, so
 it may import the names that run them and nothing else.
+
+Polygons are built in integer arithmetic: ``product.py`` imports nothing
+from ``fractions``, and the construction path of ``polygon.py`` names
+neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 """
 
 import ast
@@ -66,3 +70,72 @@ def test_oracles_stay_independent(path):
         f"{path.name} imports {sorted(names - allowed)} from newtonpoly.verify, "
         "whose oracles must stay independent of the code they check"
     )
+
+
+PACKAGE = pathlib.Path(newtonpoly.__file__).parent
+# functions of polygon.py that every construction runs through
+CONSTRUCTION_PATH = ["_steeper", "_merge_edges", "_canonical", "NewtonPolygon.__post_init__",
+                     "polygon_sum"]
+
+
+def _functions(tree, prefix=""):
+    """Function definitions by qualified name, methods as ``Class.method``."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[prefix + node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update(_functions(node, prefix + node.name + "."))
+    return found
+
+
+def _uses_fraction(node):
+    """node names Fraction, or reads a ``.slope``, which is a Fraction."""
+    return any(
+        (isinstance(n, ast.Name) and n.id == "Fraction")
+        or (isinstance(n, ast.Attribute) and n.attr in ("Fraction", "slope"))
+        for n in ast.walk(node)
+    )
+
+
+def _imports_fractions(tree):
+    return any(
+        (isinstance(n, ast.Import) and any(a.name == "fractions" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == "fractions")
+        for n in ast.walk(tree)
+    )
+
+
+def test_fraction_scans_see_every_form():
+    source = (
+        "import fractions\n"
+        "class P:\n"
+        "    def __post_init__(self):\n"
+        "        return fractions.Fraction(1)\n"
+        "def f(x):\n"
+        "    return Fraction(x)\n"
+        "def g(x):\n"
+        "    return x.slope\n"
+        "def h(x):\n"
+        "    return x.h * x.ell\n"
+    )
+    tree = ast.parse(source)
+    funcs = _functions(tree)
+    assert sorted(funcs) == ["P.__post_init__", "f", "g", "h"]
+    assert [_uses_fraction(funcs[name]) for name in sorted(funcs)] == [True, True, True, False]
+    assert _imports_fractions(tree)
+    assert _imports_fractions(ast.parse("from fractions import Fraction as F\n"))
+    assert not _imports_fractions(ast.parse("from .polygon import INF\n"))
+
+
+def test_product_imports_nothing_from_fractions():
+    path = PACKAGE / "product.py"
+    assert not _imports_fractions(ast.parse(path.read_text(), filename=str(path)))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTION_PATH)
+def test_polygon_construction_path_has_no_fraction(name):
+    path = PACKAGE / "polygon.py"
+    funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
+    assert name in funcs, f"polygon.py defines no {name}"
+    assert not _uses_fraction(funcs[name]), f"polygon.py {name} refers to Fraction or .slope"
