@@ -603,10 +603,16 @@ def _trager_factor(field, p):
 
 
 def factor_poly(field, p):
-    """Monic irreducible factors with multiplicity, deterministically ordered."""
+    """Monic irreducible factors with multiplicity, deterministically ordered.
+
+    A polynomial of degree 1 is its own monic factor, returned without the
+    squarefree decomposition, the norms and the Trager shifts.
+    """
     p = poly_monic(field, list(p))
     if poly_degree(p) < 1:
         return []
+    if poly_degree(p) == 1:
+        return [(p, 1)]
     if field.level == 0:
         return _factor_over_qq(field, p)
     out = []

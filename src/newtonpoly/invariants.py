@@ -31,8 +31,9 @@ from .errors import (
     NotSquareFree,
     NotUnitary,
     ParameterOutOfRange,
+    PrecisionInsufficient,
 )
-from .polygon import ElementaryPolygon, NewtonPolygon, from_support
+from .polygon import INF, ElementaryPolygon, NewtonPolygon, from_support
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
 from .series import (
     YPolynomial,
@@ -191,7 +192,7 @@ def _shears(f: YPolynomial):
     a, fewer than the (d + 1)^2 tried (d the total degree of f) when f is
     reduced and its critical points are isolated.
     """
-    d = max(i + j for i, j in f.support())
+    d = max((i + j for i, j in f.support()), default=0)
     for a in range((d + 1) ** 2):
         g = f.substitute_linear(1, -a, 0, 1) if a else f
         if g.is_unitary():
@@ -299,28 +300,36 @@ def jacobian_polygon_direct(f: YPolynomial, seed: int = DEFAULT_SEED) -> Jacobia
     """Jacobian polygon from the polar curve of f, certified by three
     independent computations: the polar pairs, the Cerf polygon and mu.
 
-    The polar curve f_y - a f_x for seeded directions a is expanded into
-    branches; each class contributes m_q = multiplicity and e_q = ord_t f -
-    m_q, weighted by conjugacy.  The first direction whose pairs give the
-    Cerf polygon (cerf_polygon, from resultants) and sum to the Milnor number
-    (milnor_number, from the partials) is returned.  NotSingular is raised
-    when the origin is not a singular point of f = 0, and GenericityFailure
-    when none of the 12 directions is certified.
+    When f is not unitary it is taken in the first unitary coordinates
+    f(x - a*y, y) of _shears, as milnor_number does; the polygon is an
+    invariant of the germ.  The polar curve f_y - a f_x for seeded
+    directions a is expanded into branches; each class contributes
+    m_q = multiplicity and e_q = ord_t f - m_q, weighted by conjugacy.  The
+    expansion starts at the precision that the Cerf polygon bounds (see
+    _polar_start) and doubles only when a contact is not yet decided.  The
+    first direction whose pairs give the Cerf polygon (cerf_polygon, from
+    resultants) and sum to the Milnor number (milnor_number, from the
+    partials) is returned.  NotSingular is raised when the origin is not a
+    singular point of f = 0, and GenericityFailure when none of the 12
+    directions is certified.
     """
     if not f.is_unitary():
-        raise NotUnitary("jacobian polygon needs a unitary polynomial")
+        f = next((g for _, g in _shears(f)), None)
+        if f is None:
+            raise NotUnitary("jacobian polygon needs a unitary polynomial")
     mult = f.multiplicity()
     if mult < 2:
         raise NotSingular(f"the origin is not a singular point (multiplicity {mult})")
     mu = milnor_number(f)
     cerf = cerf_polygon(f)
+    start = _polar_start(cerf)
     rng = random.Random(seed)
     last_error = None
     for _ in range(12):
         a = rng.randint(1, 19)
         polar = f.dy() - f.dx() * a
         try:
-            j = _polar_pairs(f, polar)
+            j = _polar_pairs(f, polar, start)
         except (NotSquareFree, NotIsolated, NotUnitary) as exc:
             last_error = exc
             continue
@@ -330,13 +339,45 @@ def jacobian_polygon_direct(f: YPolynomial, seed: int = DEFAULT_SEED) -> Jacobia
     raise GenericityFailure(f"no polar direction was certified: {last_error}")
 
 
-def _polar_pairs(f: YPolynomial, polar: YPolynomial) -> JacobianPolygon:
-    # the global resultant certifies that no component is shared and bounds
-    # the contact of f with every polar branch
+def _polar_start(cerf: NewtonPolygon) -> int:
+    """t-precision at which to expand the polar curve first: floor(theta) + 2
+    for theta the largest slope l/h of the Cerf polygon.
+
+    A polar class that the Cerf polygon certifies has e_q <= theta * m_q,
+    so a branch x = t, y = y(t) of it has contact ord_t f = (e_q + m_q)/m_q
+    <= 1 + theta, below this precision.  A ramified branch may need more
+    (see _polar_pairs).
+    """
+    return max((e.ell // e.h for e in cerf.edges), default=0) + 2
+
+
+def _polar_pairs(f: YPolynomial, polar: YPolynomial, start=INF) -> JacobianPolygon:
+    """Pairs (e_q, m_q) of the classes of the polar curve through the origin.
+
+    The global resultant Res_y(f, polar) certifies that no component is
+    shared, and its order bounds the contact of f with every polar branch,
+    so the expansion at t-precision order + 8, the cap, decides every
+    contact.  The expansion starts at the t-precision start (by default at
+    the cap) and doubles up to the cap while a multiplicity or a contact is
+    undecided; an order read off a known term is exact at any precision, so
+    the pairs do not depend on where it stops.
+    """
     res = sylvester_resultant(f, polar)
     if res.is_zero():
         raise NotIsolated("f and its polar curve share a component")
-    branches = puiseux_expand(polar, t_precision=res.order() + 8)
+    cap = res.order() + 8
+    precision = min(start, cap)
+    while True:
+        try:
+            return _class_pairs(f, puiseux_expand(polar, t_precision=precision))
+        except PrecisionInsufficient:
+            if precision >= cap:
+                raise
+            precision = min(2 * precision, cap)
+
+
+def _class_pairs(f: YPolynomial, branches) -> JacobianPolygon:
+    """(ord_t f * conjugacy - m, m) of each polar class through the origin."""
     pairs = []
     for b in branches:
         if not b.passes_through_origin():

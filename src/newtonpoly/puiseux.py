@@ -113,30 +113,30 @@ def _adjoin_root(field: GroundField, poly_coeffs, bound: int, prefix: str):
 def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
     """Unique series root with y(0) = 0 when that root is simple, mod x^prec.
 
-    Each Newton step doubles the number of correct terms, so the steps run
-    at a working precision w = 2, 4, 8, ... capped at prec; w doubles once
-    f(s) vanishes to O(x^w).  The root is returned only when f(s) vanishes
-    to the full precision, where it is unique.
+    A Newton step from s with f(s) = O(x^o) gives f(s) = O(x^(2o)), so the
+    lift runs at working precisions w = 2, 4, 8, ... capped at prec with one
+    evaluation of f and one step each: the step at w starts from
+    f(s) = O(x^(w/2)) and ends at O(x^w), which the evaluation at the next w
+    checks.  The correction v / f_y(s) with v = f(s) of order o is needed
+    mod x^w only, so f_y(s) is inverted mod x^(w - o).  The root is returned
+    once f(s) vanishes to the full precision, where it is unique.
     """
     k = f.field
     df = f.dy()
     w = min(2, prec)
+    done = 1  # f(0) = O(x) since y(0) = 0
     s = TruncatedSeries.zero(k, f.xvar, precision=w)
-    last_order = -1
-    for _ in range(80):
+    while True:
         v = f.eval_on_branch(1, s)
-        if v.is_zero_to_precision():
-            if w >= prec:
-                return s.rename(_BRANCH_VAR)
-            w = min(2 * w, prec)
-            s = TruncatedSeries(k, f.xvar, s.coeffs, w)
-            continue
-        o = v.coeffs[0][0]
-        if o <= last_order:
-            raise ArithmeticError("Newton iteration failed to make progress")
-        last_order = o
-        s = (s - v * df.eval_on_branch(1, s).inverse(w)).truncate(w)
-    raise PrecisionInsufficient("Newton iteration did not stabilise")
+        if v.coeffs:
+            o = v.coeffs[0][0]
+            if o < done:
+                raise ArithmeticError("Newton iteration failed to make progress")
+            s = (s - v * df.eval_on_branch(1, s).inverse(w - o)).truncate(w)
+        elif w >= prec:
+            return s.rename(_BRANCH_VAR)
+        done, w = w, min(2 * w, prec)
+        s = TruncatedSeries(k, f.xvar, s.coeffs, w)
 
 
 def _substitute_edge(f: YPolynomial, p: int, q: int, c0: FieldElement, w: int) -> YPolynomial:

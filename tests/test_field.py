@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newtonpoly import field
 from newtonpoly.errors import ReducibleExtension
 from newtonpoly.field import (
     QQ,
@@ -136,6 +137,30 @@ class TestFactorisation:
         s = tower.generator()
         roots = {(-f[0]) for f, _ in factors}
         assert roots == {s, -s}
+
+    def test_linear_is_its_own_factor(self, monkeypatch, qq_sqrt2, tower):
+        r2 = tower.lift(qq_sqrt2.generator())
+        cases = [
+            (QQ, [QQ.from_rational(Fraction(-3, 4)), QQ.from_rational(2)]),
+            (qq_sqrt2, [qq_sqrt2.generator() + 1, qq_sqrt2.from_rational(3)]),
+            (tower, [tower.generator() - r2, r2 + 2]),
+        ]
+        expected = []
+        for k, p in cases:
+            monic = [c / p[-1] for c in p]
+            slow = field._factor_over_qq if k.level == 0 else field._trager_factor
+            expected.append(slow(k, monic))
+            assert expected[-1] == [(monic, 1)]
+
+        def refuse(*args):
+            raise AssertionError("a linear polynomial went to the general factoriser")
+
+        monkeypatch.setattr(field, "_trager_factor", refuse)
+        monkeypatch.setattr(field, "_factor_over_qq", refuse)
+        for (k, p), want in zip(cases, expected):
+            got = factor_poly(k, p)
+            assert got == want
+            assert [[repr(c) for c in f] for f, _ in got] == [[repr(c) for c in f] for f, _ in want]
 
     def test_generator_named_u(self):
         k = QQ.extend([-3, 0, 1], name="u")

@@ -7,6 +7,7 @@ import pytest
 from newtonpoly import invariants
 from newtonpoly.corpus import curve_from_parameterisation, merle_corpus, reducible_corpus
 from newtonpoly.errors import (
+    DomainError,
     GcdChainInvalid,
     GenericityFailure,
     NotIsolated,
@@ -177,6 +178,84 @@ class TestDirect:
             calls.clear()
             jacobian_polygon_direct(f)
             assert len(calls) == 1, f
+
+    @pytest.mark.parametrize("text, pairs", [
+        ("x*y", "{1/1}"),
+        ("x*y*(x+y)", "{4/2}"),
+        ("x^2*y + y^4", "{2/1}+{3/1}"),
+        ("x^3 + x*y^3", "{7/2}"),
+    ])
+    def test_germ_not_unitary_in_y(self, text, pairs):
+        f = P(text)
+        j = jacobian_polygon_direct(f)
+        assert repr(j) == pairs
+        assert j.length() == milnor_number(f)
+
+
+def _mixed_slope_products(count):
+    rng = random.Random(20)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3)]
+    coefficients = ["1", "2", "-1", "1/2", "-2/3", "3"]
+    curves = []
+    while len(curves) < count:
+        factors = {
+            f"(y^{a} - ({rng.choice(coefficients)})*x^{b})"
+            for a, b in (rng.choice(shapes) for _ in range(rng.randint(2, 3)))
+        }
+        f = P("*".join(sorted(factors)))
+        if f.multiplicity() >= 2 and f.is_unitary():
+            curves.append(f)
+    return curves
+
+
+class TestPolarPrecision:
+    """The polar curve is expanded first at the precision that the Cerf
+    polygon bounds and doubled only when a contact is undecided."""
+
+    def test_start_precision(self):
+        assert invariants._polar_start(parse_compact("{2/1}")) == 4
+        assert invariants._polar_start(parse_compact("{5/1}+{11/2}")) == 7
+        assert invariants._polar_start(parse_compact("{7/2}")) == 5
+
+    def test_escalation_from_precision_1(self, monkeypatch):
+        curves = [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]
+        curves.append(P("x^2*y + y^4"))
+        expected = [jacobian_polygon_direct(f) for f in curves]
+        calls = []
+        expand = invariants.puiseux_expand
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["t_precision"])
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "_polar_start", lambda cerf: 1)
+        monkeypatch.setattr(invariants, "puiseux_expand", counting)
+        escalated = 0
+        for f, j in zip(curves, expected):
+            calls.clear()
+            assert jacobian_polygon_direct(f) == j
+            assert calls == [2**i for i in range(len(calls))], f
+            escalated += len(calls) > 1
+        assert escalated >= 8
+        calls.clear()
+        jacobian_polygon_direct(P("y^2 - x^3"))
+        assert calls == [1, 2, 4]  # contact 3 is decided at t-precision 4
+
+    def test_start_gives_the_pairs_of_the_resultant_bound(self):
+        curves = [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]
+        curves += _mixed_slope_products(20)
+        for f in curves:
+            start = invariants._polar_start(cerf_polygon(f))
+            rng = random.Random(invariants.DEFAULT_SEED)
+            for _ in range(3):
+                polar = f.dy() - f.dx() * rng.randint(1, 19)
+                try:
+                    at_bound = invariants._polar_pairs(f, polar)
+                except DomainError as exc:
+                    with pytest.raises(type(exc)):
+                        invariants._polar_pairs(f, polar, start)
+                    continue
+                assert invariants._polar_pairs(f, polar, start) == at_bound, f
 
 
 class TestCerf:

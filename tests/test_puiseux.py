@@ -153,6 +153,20 @@ class TestHenselPrecision:
         assert got == self.PINNED[text]
 
 
+def test_hensel_lift_over_a_cubic_step_at_precision_11():
+    # one class of three conjugate smooth branches over QQ(2^(1/3)), each
+    # lifted by Newton steps at working precisions 2, 4, 8, 11
+    (b,) = puiseux_expand(P("y^3 - 2*x^3 - x^4"), t_precision=11)
+    assert format_branch(b) == (
+        "x = t^1; y = (a1)*t + (1/6*a1)*t^2 + (-1/36*a1)*t^3 + (5/648*a1)*t^4"
+        " + (-5/1944*a1)*t^5 + (11/11664*a1)*t^6 + (-77/209952*a1)*t^7"
+        " + (187/1259712*a1)*t^8 + (-935/15116544*a1)*t^9"
+        " + (21505/816293376*a1)*t^10 + (-55913/4897760256*a1)*t^11 + O(t^12);"
+        " conj = 3; field = QQ[a1: a1^3 - 2]"
+    )
+    assert b.y_series.precision == 12
+
+
 class TestRootValuations:
     def test_cusp(self):
         assert root_valuations(P("y^2 - x^3")) == [(Fraction(3, 2), 2)]

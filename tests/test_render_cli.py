@@ -268,6 +268,17 @@ class TestCli:
         assert code == 1 and out == ""
         assert "NotSingular" in err
 
+    def test_jacobian_of_a_germ_not_unitary_in_y(self, capsys):
+        # x*y has no y^2 term; the polygon is computed in a unitary shear
+        code, out, err = run_cli(capsys, "curve", "jacobian", "x*y")
+        assert (code, out, err) == (0, "{1/1}\n", "")
+
+    def test_zero_polynomial_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "milnor", "0")
+        assert (code, out) == (1, "") and err.startswith("NotIsolated")
+        code, out, err = run_cli(capsys, "curve", "jacobian", "0")
+        assert (code, out) == (1, "") and err.startswith("NotUnitary")
+
     def test_bs_example(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "bs-example", "4", "--json")
         assert code == 0
