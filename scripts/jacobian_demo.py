@@ -19,9 +19,9 @@ from newtonpoly.product import is_special
 from newtonpoly.series import parse_polynomial
 
 
-def inspect(f, expected=None, seed=7):
+def inspect(f, expected=None):
     t0 = time.time()
-    j = jacobian_polygon_direct(f, seed=seed)
+    j = jacobian_polygon_direct(f)
     mu = milnor_number(f)
     rep = invariants_from_polygon(j)
     checks = [
@@ -40,20 +40,19 @@ def inspect(f, expected=None, seed=7):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("equations", nargs="*", help="curve equations f(x, y)")
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
     if args.equations:
         for text in args.equations:
             print(text)
-            inspect(parse_polynomial(text), seed=args.seed)
+            inspect(parse_polynomial(text))
         return
     for s, f in merle_corpus():
         print(f"{s}  :  {f}")
-        inspect(f, expected=merle_polygon(s), seed=args.seed)
+        inspect(f, expected=merle_polygon(s))
     for f, mu in reducible_corpus():
         print(f"(reducible, mu = {mu})  :  {f}")
-        inspect(f, seed=args.seed)
+        inspect(f)
 
 
 if __name__ == "__main__":

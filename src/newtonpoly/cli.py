@@ -240,7 +240,7 @@ def _cmd_curve(args):
     elif args.op == "jacobian":
         (text,) = _operands(args, 1, 1)
         f = parse_polynomial(text)
-        j = jacobian_polygon_direct(f, seed=args.seed)
+        j = jacobian_polygon_direct(f)
         if args.report:
             _print_report(j, args)
         else:
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "dual-degree", "milnor", "bs-example"])
     p_curve.add_argument("operands", nargs="*")
     p_curve.add_argument("--report", action="store_true", help="print the invariant bundle")
-    p_curve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_curve.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                         help="accepted and ignored: no curve computation draws a random number")
     p_curve.add_argument("--json", action="store_true")
     p_curve.add_argument("--degree", type=int, help="projective degree d for dual-degree")
     p_curve.add_argument("--dimension", type=int, default=2, help="ambient n for dual-degree")

@@ -2,19 +2,20 @@
 
 The jacobian polygon of a plane branch comes from its semigroup by Merle's
 packet formula.  From an equation f it comes from three independent
-computations (polar pairs, Cerf polygon, mu): the polar curve is expanded
-into Puiseux branches, and per class its multiplicity m_q and its contact
-e_q with f give the pairs; the Newton polygon of the Cerf diagram, the
+computations (polar pairs, Cerf polygon, mu): the polar curve of a
+transversal direction, taken in the order a = 1, 2, ..., is expanded into
+Puiseux branches, and per branch q its multiplicity m_q and its contact
+e_q + m_q with f give a pair; the Newton polygon of the Cerf diagram, the
 discriminant Res_y(f - v, f_y) of the map (l, f) in an admissible direction
 l, must be their polygon; and the intersection number of the partials at
-the origin, the Milnor number, must be their length.  Derived
-equisingularity data (Lojasiewicz exponents, determinacy, class diminution,
-the double-point bracket) are read off the polygon.
+the origin, the Milnor number, must be their length.  No step draws a
+random number.  Derived equisingularity data (Lojasiewicz exponents,
+determinacy, class diminution, the double-point bracket) are read off the
+polygon.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -41,8 +42,6 @@ from .series import (
     meet_on_x0_only_at_origin,
     sylvester_resultant,
 )
-
-DEFAULT_SEED = 7
 
 
 # -- semigroups of plane branches ---------------------------------------------
@@ -110,7 +109,13 @@ def validate_semigroup(generators) -> SemigroupType:
 
 @dataclass(frozen=True)
 class JacobianPolygon:
-    """Pairs (e_q, m_q) over polar packets, sorted by increasing e/m."""
+    """Pairs (e_q, m_q), sorted by increasing e/m.
+
+    From an equation there is one pair per branch q of the polar curve
+    (certified_polar_polygons); Merle's formula gives one per packet
+    (merle_polygon).  Both give the same polygon, so compare them through
+    .view, where same-ratio pairs merge.
+    """
 
     pairs: tuple
 
@@ -199,14 +204,13 @@ def _shears(f: YPolynomial):
             yield a, g
 
 
-def milnor_number(f: YPolynomial, seed: int = DEFAULT_SEED) -> int:
+def milnor_number(f: YPolynomial) -> int:
     """dim C{x,y}/(f_x, f_y) as the intersection number of the partials at
     the origin, taken in the coordinates g = f(x - a*y, y) of the smallest
     a >= 0 for which g is unitary and the resultant of the partials counts
     no other point (see intersection_number).
 
-    Every direction that passes gives the same local number.  The search
-    draws no random numbers: seed is accepted and ignored.  When f_x(0, 0)
+    Every direction that passes gives the same local number.  When f_x(0, 0)
     or f_y(0, 0) is nonzero the origin is not a critical point and the
     result is 0, before any resultant: the partials may still share a
     component away from it.  Otherwise NotIsolated is raised as soon as the
@@ -226,21 +230,30 @@ def milnor_number(f: YPolynomial, seed: int = DEFAULT_SEED) -> int:
     raise NotIsolated("no coordinates produced a finite milnor number")
 
 
+def _tangent_test(f: YPolynomial):
+    """Predicate on a: whether the direction (-a, 1) is tangent to f = 0 at
+    the origin, that is in_f(-a, 1) = 0 for the lowest-degree form in_f of f.
+
+    It is the direction of the line x = 0 in the coordinates f(x - a*y, y)
+    and the direction along which the polar curve f_y - a*f_x differentiates.
+    """
+    mult = f.multiplicity()
+    initial = [(i, c) for (i, j), c in f.support().items() if i + j == mult]
+    zero = f.field.zero()
+    return lambda a: sum((c * (-a) ** i for i, c in initial), zero).is_zero()
+
+
 def cerf_directions(f: YPolynomial):
     """Admissible directions of the Cerf diagram, by increasing a >= 0.
 
     Yields (a, g) with g = f(x - a*y, y) such that the line x = 0 of g is
-    transversal to f = 0 (in_f(-a, 1) != 0 for the lowest-degree form in_f
-    of f), g is unitary, and g(0, y) and g_y(0, y) share no root but 0, so
-    that the polar branches of g away from the origin add only units to the
-    discriminant (see discriminant_polygon).
+    transversal to f = 0 (see _tangent_test), g is unitary, and g(0, y) and
+    g_y(0, y) share no root but 0, so that the polar branches of g away from
+    the origin add only units to the discriminant (see discriminant_polygon).
     """
-    mult = f.multiplicity()
-    initial = [(i, c) for (i, j), c in f.support().items() if i + j == mult]
+    tangent = _tangent_test(f)
     for a, g in _shears(f):
-        if sum((c * (-a) ** i for i, c in initial), f.field.zero()).is_zero():
-            continue
-        if meet_on_x0_only_at_origin(g, g.dy()):
+        if not tangent(a) and meet_on_x0_only_at_origin(g, g.dy()):
             yield a, g
 
 
@@ -296,22 +309,26 @@ def cerf_polygon(f: YPolynomial) -> NewtonPolygon:
     raise GenericityFailure("no admissible direction for the Cerf diagram")
 
 
-def jacobian_polygon_direct(f: YPolynomial, seed: int = DEFAULT_SEED) -> JacobianPolygon:
-    """Jacobian polygon from the polar curve of f, certified by three
-    independent computations: the polar pairs, the Cerf polygon and mu.
+def certified_polar_polygons(f: YPolynomial):
+    """Jacobian polygons from the polar curves of f, one per certified
+    direction, by increasing a = 1, 2, ..., 19.
 
     When f is not unitary it is taken in the first unitary coordinates
     f(x - a*y, y) of _shears, as milnor_number does; the polygon is an
-    invariant of the germ.  The polar curve f_y - a f_x for seeded
-    directions a is expanded into branches; each class contributes
-    m_q = multiplicity and e_q = ord_t f - m_q, weighted by conjugacy.  The
+    invariant of the germ.  A direction a tangent to f = 0 (see _tangent_test)
+    is skipped before any expansion.  Otherwise the polar curve f_y - a*f_x is
+    expanded into branches, and each branch through the origin gives one pair
+    (e_q, m_q): m_q is its multiplicity and e_q + m_q its contact ord_t f.  The
     expansion starts at the precision that the Cerf polygon bounds (see
-    _polar_start) and doubles only when a contact is not yet decided.  The
-    first direction whose pairs give the Cerf polygon (cerf_polygon, from
-    resultants) and sum to the Milnor number (milnor_number, from the
-    partials) is returned.  NotSingular is raised when the origin is not a
-    singular point of f = 0, and GenericityFailure when none of the 12
-    directions is certified.
+    _polar_start) and doubles only when a contact is not yet decided.  A
+    direction is certified, and its polygon yielded, when its pairs give the
+    Cerf polygon (cerf_polygon, from resultants) and sum to the Milnor number
+    (milnor_number, from the partials).  By Teissier ("The hunting of
+    invariants in the geometry of discriminants", 1977) every transversal
+    direction gives the same pairs.
+
+    NotSingular is raised when the origin is not a singular point of f = 0,
+    and GenericityFailure when no direction is certified.
     """
     if not f.is_unitary():
         f = next((g for _, g in _shears(f)), None)
@@ -323,20 +340,35 @@ def jacobian_polygon_direct(f: YPolynomial, seed: int = DEFAULT_SEED) -> Jacobia
     mu = milnor_number(f)
     cerf = cerf_polygon(f)
     start = _polar_start(cerf)
-    rng = random.Random(seed)
+    tangent = _tangent_test(f)
+    certified = False
     last_error = None
-    for _ in range(12):
-        a = rng.randint(1, 19)
-        polar = f.dy() - f.dx() * a
+    for a in range(1, 20):
+        if tangent(a):
+            continue
         try:
-            j = _polar_pairs(f, polar, start)
+            j = _polar_pairs(f, f.dy() - f.dx() * a, start)
         except (NotSquareFree, NotIsolated, NotUnitary) as exc:
             last_error = exc
             continue
         if j.view == cerf and j.length() == mu:
-            return j
-        last_error = f"pairs {j} against Cerf polygon {cerf} and milnor number {mu}"
-    raise GenericityFailure(f"no polar direction was certified: {last_error}")
+            certified = True
+            yield j
+        else:
+            last_error = f"pairs {j} against Cerf polygon {cerf} and milnor number {mu}"
+    if not certified:
+        raise GenericityFailure(f"no polar direction was certified: {last_error}")
+
+
+def jacobian_polygon_direct(f: YPolynomial, seed=None) -> JacobianPolygon:
+    """Jacobian polygon of f in its first certified polar direction (see
+    certified_polar_polygons), with one pair per polar branch.
+
+    The pairs of a branch and the packets of Merle's formula (merle_polygon)
+    give the same polygon, compared through .view.  The directions are walked
+    in order, so no random number is drawn: seed is accepted and ignored.
+    """
+    return next(certified_polar_polygons(f))
 
 
 def _polar_start(cerf: NewtonPolygon) -> int:
@@ -352,7 +384,7 @@ def _polar_start(cerf: NewtonPolygon) -> int:
 
 
 def _polar_pairs(f: YPolynomial, polar: YPolynomial, start=INF) -> JacobianPolygon:
-    """Pairs (e_q, m_q) of the classes of the polar curve through the origin.
+    """Pairs (e_q, m_q) of the branches of the polar curve through the origin.
 
     The global resultant Res_y(f, polar) certifies that no component is
     shared, and its order bounds the contact of f with every polar branch,
@@ -377,14 +409,14 @@ def _polar_pairs(f: YPolynomial, polar: YPolynomial, start=INF) -> JacobianPolyg
 
 
 def _class_pairs(f: YPolynomial, branches) -> JacobianPolygon:
-    """(ord_t f * conjugacy - m, m) of each polar class through the origin."""
+    """(ord_t f - m, m) of each polar branch through the origin, m its
+    multiplicity: a class of k conjugate branches gives k equal pairs."""
     pairs = []
     for b in branches:
         if not b.passes_through_origin():
             continue
-        m = branch_multiplicity(b)
-        total = b.conjugacy_size * order_along_branch(f, b)
-        pairs.append((total - m, m))
+        m = branch_multiplicity(b) // b.conjugacy_size
+        pairs += [(order_along_branch(f, b) - m, m)] * b.conjugacy_size
     if not pairs:
         raise NotIsolated("polar curve has no branches through the origin")
     return JacobianPolygon(tuple(pairs))

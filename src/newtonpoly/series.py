@@ -36,6 +36,7 @@ from sympy.polys.euclidtools import dmp_resultant
 
 from . import field as fld
 from .errors import (
+    EmptySupport,
     NotAnEdge,
     NotIsolated,
     NotLocal,
@@ -643,7 +644,7 @@ class YPolynomial:
         """Lowest total degree of a known term (order of the curve germ)."""
         supp = self.support()
         if not supp:
-            raise ValueError("zero polynomial")
+            raise EmptySupport("zero polynomial")
         return min(i + j for i, j in supp)
 
     def coefficient(self, xexp: int, ydeg: int) -> FieldElement:
@@ -670,7 +671,7 @@ def newton_polygon_of(f: YPolynomial) -> NewtonPolygon:
     if not points:
         if hidden:
             raise PrecisionInsufficient("all coefficients vanish to their precision")
-        raise ValueError("newton polygon of the zero polynomial")
+        raise EmptySupport("newton polygon of the zero polynomial")
     poly = from_support(points)
     for px, j in hidden:
         if boundary_at(poly, px) > j:
@@ -829,7 +830,7 @@ def _require_exact_unitary(f: YPolynomial, what: str):
     lead = f.coeffs[-1]
     if not lead.coeffs:
         if lead.is_exact:
-            raise ValueError(f"{what}: zero polynomial")
+            raise EmptySupport(f"{what}: zero polynomial")
         raise PrecisionInsufficient(f"{what}: leading coefficient vanishes to precision")
     if lead.coeffs[0][0] != 0:
         raise NotUnitary(f"{what}: leading coefficient has positive order")

@@ -16,6 +16,7 @@ from newtonpoly.errors import (
     NotMinimal,
     NotRealizable,
     NotSingular,
+    NotUnitary,
     ParameterOutOfRange,
 )
 from newtonpoly.invariants import (
@@ -23,6 +24,7 @@ from newtonpoly.invariants import (
     briancon_speder_polygons,
     cerf_directions,
     cerf_polygon,
+    certified_polar_polygons,
     discriminant_polygon,
     dual_degree,
     invariants_from_polygon,
@@ -122,21 +124,40 @@ class TestDirect:
         assert j.height() == f.multiplicity() - 1 == 2
 
     def test_seed_independence(self):
+        # the directions are walked in order, so the seed is ignored; the two
+        # conjugate polar branches y = +-(-5a/3)^(1/2) x^2 give a pair each
         f = P("y^3 - x^5")
-        views = {jacobian_polygon_direct(f, seed=s).view for s in (1, 7, 123)}
-        assert len(views) == 1
+        polygons = {jacobian_polygon_direct(f, seed=s) for s in (1, 7, 123)}
+        assert polygons == {next(certified_polar_polygons(f))}
+        assert repr(polygons.pop()) == "{4/1}+{4/1}"
 
-    def test_non_unitary_polar_direction_retried(self):
-        # seed 189 first draws a direction whose polar curve is not unitary
+    def test_non_unitary_polar_direction_retried(self, monkeypatch):
+        # a = 1 is tangent to y + x and is skipped unexpanded; the polar
+        # f_y - 3*f_x loses its y^2 term at x = 0, and the walk passes over it
         f = P("(y + x)*(y - 1/2*x^2)*(y + 2*x^3)")
-        j = jacobian_polygon_direct(f, seed=189)
-        assert repr(j) == "{2/1}+{4/1}"
-        assert j == jacobian_polygon_direct(f, seed=7)
-        assert j.length() == 6
+        with pytest.raises(NotUnitary):
+            invariants._polar_pairs(f, f.dy() - f.dx() * 3)
+        outcomes = []
+        pairs = invariants._polar_pairs
+
+        def recording(f, polar, start):
+            try:
+                j = pairs(f, polar, start)
+            except DomainError as exc:
+                outcomes.append(type(exc))
+                raise
+            outcomes.append(repr(j))
+            return j
+
+        monkeypatch.setattr(invariants, "_polar_pairs", recording)
+        first = list(itertools.islice(certified_polar_polygons(f), 3))
+        assert outcomes == ["{2/1}+{4/1}", NotUnitary, "{2/1}+{4/1}", "{2/1}+{4/1}"]
+        assert first == [jacobian_polygon_direct(f)] * 3
+        assert first[0].length() == 6
 
     def test_critical_point_off_the_origin(self):
         f = P("y^4 - 1/2*x^3*y^2 - 2*x^5*y + 1/16*x^6 - x^7")
-        assert repr(jacobian_polygon_direct(f, seed=827)) == "{5/1}+{11/2}"
+        assert repr(jacobian_polygon_direct(f)) == "{5/1}+{11/2}"
 
     def test_specialness(self):
         for f in [P("y^2 - x^5"), P("y^3 - x^4"), P("y^2 - x^3") * P("y - x")]:
@@ -146,13 +167,20 @@ class TestDirect:
         with pytest.raises(NotIsolated):
             milnor_number(P("y^2 - 2*x*y + x^2"))  # (y - x)^2, non-reduced
 
-    def test_uncertified_polar_direction_skipped(self):
-        # seed 31 first draws a = 1, and the polar f_y - f_x is tangent to the
-        # branch y = -x of the node: its pairs sum to 2, not to mu = 1
+    def test_uncertified_polar_direction_skipped(self, monkeypatch):
+        # a = 1 is the direction of the branch y = -x of the node: the pairs of
+        # the polar f_y - f_x sum to 2, not to mu = 1, so the walk skips that
+        # tangent direction before any expansion and expands a = 2 only
         f = P("y^2 - x^2 - x^3")
-        assert random.Random(31).randint(1, 19) == 1
+        tangent = invariants._tangent_test(f)
+        assert [a for a in range(1, 20) if tangent(a)] == [1]
         assert repr(invariants._polar_pairs(f, f.dy() - f.dx())) == "{2/1}"
-        assert repr(jacobian_polygon_direct(f, seed=31)) == "{1/1}"
+        polars = []
+        pairs = invariants._polar_pairs
+        monkeypatch.setattr(invariants, "_polar_pairs",
+                            lambda f, polar, start: polars.append(polar) or pairs(f, polar, start))
+        assert repr(jacobian_polygon_direct(f)) == "{1/1}"
+        assert polars == [f.dy() - f.dx() * 2]
 
     def test_pairs_checked_against_the_cerf_polygon(self, monkeypatch):
         monkeypatch.setattr(invariants, "cerf_polygon", lambda f: parse_compact("{3/1}"))
@@ -181,7 +209,7 @@ class TestDirect:
 
     @pytest.mark.parametrize("text, pairs", [
         ("x*y", "{1/1}"),
-        ("x*y*(x+y)", "{4/2}"),
+        ("x*y*(x+y)", "{2/1}+{2/1}"),
         ("x^2*y + y^4", "{2/1}+{3/1}"),
         ("x^3 + x*y^3", "{7/2}"),
     ])
@@ -206,6 +234,27 @@ def _mixed_slope_products(count):
         if f.multiplicity() >= 2 and f.is_unitary():
             curves.append(f)
     return curves
+
+
+class TestDirections:
+    """By Teissier every transversal polar direction gives the same pairs,
+    one per polar branch."""
+
+    def test_first_three_directions_give_equal_pairs(self):
+        curves = [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]
+        curves += _mixed_slope_products(20) + [P("(x + 3*y)*(y + x^2)*(y + 2*x)")]
+        for f in curves:
+            first = list(itertools.islice(certified_polar_polygons(f), 3))
+            assert len(first) == 3 and first == [first[0]] * 3, f
+
+    def test_conjugate_polar_branches_give_a_pair_each(self):
+        # for a = 1, 2 the polar branches of this product are conjugate over a
+        # quadratic field, for a = 11 they are rational
+        f = P("(x + 3*y)*(y + x^2)*(y + 2*x)")
+        start = invariants._polar_start(cerf_polygon(f))
+        for a in (1, 2, 11):
+            assert repr(invariants._polar_pairs(f, f.dy() - f.dx() * a, start)) == "{2/1}+{2/1}"
+        assert repr(jacobian_polygon_direct(f)) == "{2/1}+{2/1}"
 
 
 class TestPolarPrecision:
@@ -246,9 +295,9 @@ class TestPolarPrecision:
         curves += _mixed_slope_products(20)
         for f in curves:
             start = invariants._polar_start(cerf_polygon(f))
-            rng = random.Random(invariants.DEFAULT_SEED)
-            for _ in range(3):
-                polar = f.dy() - f.dx() * rng.randint(1, 19)
+            tangent = invariants._tangent_test(f)
+            for a in itertools.islice((a for a in range(1, 20) if not tangent(a)), 3):
+                polar = f.dy() - f.dx() * a
                 try:
                     at_bound = invariants._polar_pairs(f, polar)
                 except DomainError as exc:
@@ -298,18 +347,16 @@ class TestMilnor:
     def test_critical_point_off_the_origin_not_counted(self):
         # f also has a critical point at (1, 1); mu at the origin is 2
         f = P("y^2 - x^3 + 11/4*x^2*y^2 - 5/2*x*y^3")
-        assert [milnor_number(f, seed=s) for s in range(12)] == [2] * 12
-        # seed 2 first draws coordinates that put (1, 1) on the line x = 0,
-        # where the global resultant of the partials also counts it
-        rng = random.Random(2)
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
-        g = f.substitute_linear(1, a, b, 1)
+        assert milnor_number(f) == 2
+        # these coordinates put (1, 1) on the line x = 0, where the global
+        # resultant of the partials also counts it
+        g = f.substitute_linear(1, 1, 2, 1)
         assert sylvester_resultant(g.dx(), g.dy()).order() == 3
         with pytest.raises(NotLocal):
             intersection_number(g.dx(), g.dy())
 
     def test_product_of_mixed_slopes(self):
-        assert milnor_number(P("(y - x)*(y - 2/3*x)*(y - 1/2*x^2)"), seed=596) == 4
+        assert milnor_number(P("(y - x)*(y - 2/3*x)*(y - 1/2*x^2)")) == 4
 
 
     def test_origin_not_a_critical_point(self):

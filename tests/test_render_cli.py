@@ -279,6 +279,25 @@ class TestCli:
         code, out, err = run_cli(capsys, "curve", "jacobian", "0")
         assert (code, out) == (1, "") and err.startswith("NotUnitary")
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "polygon", "0"],
+        ["series", "resultant", "0", "y"],
+        ["series", "shifted-resultant", "0", "y"],
+        ["series", "intersect", "0", "y"],
+    ])
+    def test_zero_polynomial_series_exit_1(self, capsys, argv):
+        # "0" parses; a zero polynomial has no support, a domain error
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("EmptySupport:")
+
+    @pytest.mark.parametrize("text", [
+        "(y^2 - x^3)*(y - x)", "(x + 3*y)*(y + x^2)*(y + 2*x)", "y^3 - x^5",
+    ])
+    def test_jacobian_ignores_the_seed(self, capsys, text):
+        outputs = {run_cli(capsys, "curve", "jacobian", text, "--seed", s)
+                   for s in ("3", "7", "31", "189", "827")}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
     def test_bs_example(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "bs-example", "4", "--json")
         assert code == 0

@@ -10,6 +10,9 @@ it may import the names that run them and nothing else.
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
 from ``fractions``, and the construction path of ``polygon.py`` names
 neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
+
+No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
+import ``random``.
 """
 
 import ast
@@ -98,10 +101,11 @@ def _uses_fraction(node):
     )
 
 
-def _imports_fractions(tree):
+def _imports(tree, module):
+    """The module, or a name from it, is imported somewhere in tree."""
     return any(
-        (isinstance(n, ast.Import) and any(a.name == "fractions" for a in n.names))
-        or (isinstance(n, ast.ImportFrom) and n.module == "fractions")
+        (isinstance(n, ast.Import) and any(a.name == module for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == module)
         for n in ast.walk(tree)
     )
 
@@ -123,14 +127,21 @@ def test_fraction_scans_see_every_form():
     funcs = _functions(tree)
     assert sorted(funcs) == ["P.__post_init__", "f", "g", "h"]
     assert [_uses_fraction(funcs[name]) for name in sorted(funcs)] == [True, True, True, False]
-    assert _imports_fractions(tree)
-    assert _imports_fractions(ast.parse("from fractions import Fraction as F\n"))
-    assert not _imports_fractions(ast.parse("from .polygon import INF\n"))
+    assert _imports(tree, "fractions")
+    assert _imports(ast.parse("from fractions import Fraction as F\n"), "fractions")
+    assert not _imports(ast.parse("from .polygon import INF\n"), "fractions")
+    assert _imports(ast.parse("import os, random as r\n"), "random")
+    assert not _imports(ast.parse("from .puiseux import random\n"), "random")
 
 
 def test_product_imports_nothing_from_fractions():
     path = PACKAGE / "product.py"
-    assert not _imports_fractions(ast.parse(path.read_text(), filename=str(path)))
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "fractions")
+
+
+def test_invariants_imports_nothing_from_random():
+    path = PACKAGE / "invariants.py"
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "random")
 
 
 @pytest.mark.parametrize("name", CONSTRUCTION_PATH)
