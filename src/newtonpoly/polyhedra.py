@@ -8,12 +8,17 @@ changes no answer: d affinely independent points of a hyperplane span it,
 and dependent points span none.  Covolume (the volume of the complement
 inside the positive orthant) is the cone sum from the origin over those
 facets, ``(1/d!) sum |det(simplex)|`` over a triangulation of each facet, in
-exact integer arithmetic.  The d = 4
-facets are tetrahedralised with the same facet enumerator, applied to their
-3-dimensional projections.
+exact integer arithmetic.  A facet with exactly d points is its own simplex;
+the other d = 4 facets are tetrahedralised with the same facet enumerator,
+applied to their 3-dimensional projections.
 
 Mixed covolumes are extracted from the polynomial ``Vol(sum lambda_i N_i)``
 by exact interpolation on an integer grid, matching their defining identity.
+The normal fan of ``sum lambda_i N_i`` is the common refinement of the fans
+of the N_i with lambda_i > 0, whatever those positive lambda_i are, so the
+nodes that share a support pattern share their compact facet normals: only
+the first node of each pattern runs the enumerator, and a node with one
+positive lambda_i is lambda_i^d times the covolume of N_i.
 """
 
 from __future__ import annotations
@@ -172,9 +177,14 @@ def _project_facet(on, normal):
 
 
 def _facet_triangulation(on, normal):
-    """(d-1)-simplices covering the facet, as tuples of d original points."""
+    """(d-1)-simplices covering the facet, as tuples of d original points.
+
+    The on-points of a facet span its hyperplane, so a facet with exactly d
+    of them is a simplex and is returned as it stands; at d = 4 that skips
+    the hull of its 3-dimensional shadow.
+    """
     d = len(normal)
-    if d == 1:
+    if len(on) == d:
         return [tuple(on)]
     shadow = _project_facet(on, normal)
     flat = sorted(shadow)
@@ -196,6 +206,28 @@ def _facet_triangulation(on, normal):
         for tri in _facet_triangulation(sub_on, sub_normal):
             tets.append((shadow[anchor],) + tuple(shadow[p] for p in tri))
     return tets
+
+
+def _cone_volume(d, facets) -> Fraction:
+    """Volume of the union of the cones from the origin over the facets,
+    given as (normal, on-points) pairs, from their triangulations."""
+    total = 0
+    for normal, on in facets:
+        for simplex in _facet_triangulation(on, normal):
+            total += abs(_det(simplex))
+    return Fraction(total, factorial(d))
+
+
+def _minimal(points):
+    """The componentwise-minimal points of a sorted list, in its order.
+
+    A point h <= g with h != g precedes g lexicographically, so each point
+    is compared only with the points before it.
+    """
+    return tuple(
+        g for k, g in enumerate(points)
+        if not any(all(hc <= gc for hc, gc in zip(h, g)) for h in points[:k])
+    )
 
 
 # -- the polyhedron type -----------------------------------------------------
@@ -220,7 +252,7 @@ class MixedVolumeIndex:
 class NewtonPolyhedron:
     """Upward-closed region conv(generators) + R_{>=0}^d, exact and immutable."""
 
-    __slots__ = ("dim", "generators", "_hull_vertices", "_hull_facets", "_covolume")
+    __slots__ = ("dim", "generators", "_hull_facets", "_covolume")
 
     def __init__(self, dim, generators):
         dim = int(dim)
@@ -236,19 +268,12 @@ class NewtonPolyhedron:
                 raise DimensionMismatch(f"generator {g} does not have dimension {dim}")
             if any(c < 0 for c in g):
                 raise ValueError("generator coordinates must be nonnegative")
-        # drop componentwise-dominated (redundant) generators
-        minimal = tuple(
-            g for g in gens
-            if not any(h != g and all(hc <= gc for hc, gc in zip(h, g)) for h in gens)
-        )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", minimal)
-        object.__setattr__(self, "_hull_vertices", None)
+        # drop componentwise-dominated (redundant) generators
+        object.__setattr__(self, "generators", _minimal(gens))
         object.__setattr__(self, "_hull_facets", None)
         if self.is_finite_volume:
             object.__setattr__(self, "_hull_facets", self._compute_region_facets())
-            verts = sorted({p for n, b, pts in self._hull_facets for p in pts})
-            object.__setattr__(self, "_hull_vertices", tuple(verts))
             object.__setattr__(self, "_covolume", self._compute_covolume())
         else:
             object.__setattr__(self, "_covolume", None)
@@ -290,11 +315,7 @@ class NewtonPolyhedron:
         the part of its boundary off the compact facets lies in coordinate
         hyperplanes, whose cones are flat.
         """
-        total = 0
-        for normal, b, pts in self._hull_facets:
-            for simplex in _facet_triangulation(pts, normal):
-                total += abs(_det(simplex))
-        return Fraction(total, factorial(self.dim))
+        return _cone_volume(self.dim, ((normal, pts) for normal, b, pts in self._hull_facets))
 
     def _compute_region_facets(self):
         """Compact facets of the region as (normal, offset, points-on-facet).
@@ -362,20 +383,65 @@ def covolume(n: NewtonPolyhedron) -> Fraction:
     return n._covolume
 
 
-def _combo(polys, lams) -> NewtonPolyhedron:
-    """Integer combination sum(lam_i * N_i), skipping zero coefficients.
-
-    Its generators are the sums of lam_i * g_i, one g_i from each N_i with
-    lam_i > 0; the constructor keeps the minimal ones.
-    """
+def _combo_points(polys, lams):
+    """Generator sums of sum(lam_i * N_i): lam_i * g_i summed over one g_i
+    from each N_i with lam_i > 0, as a set."""
     d = polys[0].dim
     weights = [lam for lam in lams if lam > 0]
     choices = itertools.product(*(n.generators for n, lam in zip(polys, lams) if lam > 0))
-    gens = {
+    return {
         tuple(sum(lam * g[i] for lam, g in zip(weights, choice)) for i in range(d))
         for choice in choices
     }
-    return NewtonPolyhedron(d, gens)
+
+
+def _combo(polys, lams) -> NewtonPolyhedron:
+    """Integer combination sum(lam_i * N_i), skipping zero coefficients;
+    the constructor keeps the minimal generator sums."""
+    return NewtonPolyhedron(polys[0].dim, _combo_points(polys, lams))
+
+
+def _fan_covolume(generators, normals) -> Fraction:
+    """Covolume of the region of the minimal generators whose compact facet
+    normals are known to be ``normals``.
+
+    The face of each normal w is the set of generators minimising w . p.
+    It is certified to be a facet: d of its points must span the hyperplane
+    of w, else ``ArithmeticError`` is raised.  That the normals are all of
+    the compact ones is the caller's claim, and is not checked here.
+    """
+    d = len(generators[0])
+    faces = []
+    for w in normals:
+        values = [_dot(w, p) for p in generators]
+        low = min(values)
+        on = tuple(p for p, v in zip(generators, values) if v == low)
+        spans = (w, tuple(-c for c in w))
+        if not any(_facet_normal(s) in spans for s in itertools.combinations(on, d)):
+            raise ArithmeticError(f"the face of {w} is not a facet of {list(generators)}")
+        faces.append((w, on))
+    return _cone_volume(d, faces)
+
+
+def _node_covolume(polys, lams, fans) -> Fraction:
+    """Vol(sum lam_i N_i) at one interpolation node.
+
+    ``fans`` maps the support pattern (which lam_i are positive) of each
+    node already built to its compact facet normals.  The fan of the
+    combination is the common refinement of the operands' fans, the same
+    for every positive lam_i, so a later node of a known pattern needs only
+    its minimal generator sums and ``_fan_covolume``.
+    """
+    pattern = tuple(lam > 0 for lam in lams)
+    if sum(pattern) == 1:
+        i = pattern.index(True)
+        return lams[i] ** polys[i].dim * covolume(polys[i])
+    normals = fans.get(pattern)
+    if normals is None:
+        combo = _combo(polys, lams)
+        fans[pattern] = [normal for normal, b, pts in combo._hull_facets]
+        return covolume(combo)
+    return _fan_covolume(_minimal(sorted(_combo_points(polys, lams))), normals)
 
 
 def _solve_exact(matrix, rhs):
@@ -402,6 +468,15 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
     Vol(sum lambda_i N_i) is a homogeneous degree-d polynomial in lambda; its
     coefficients are read off by exact interpolation and the coefficient of
     lambda^alpha equals (d!/alpha!) times the requested mixed covolume.
+
+    The nodes are grouped by which lambda_i are positive.  A node with one
+    positive lambda_i is lambda_i^d Vol(N_i), by homogeneity, and builds
+    nothing.  The first node of every other pattern builds its combination
+    and keeps the normals of its compact facets; the later nodes of that
+    pattern reuse them, because the normal fan of sum lambda_i N_i is the
+    common refinement of the operands' fans for every positive lambda
+    (Ziegler, Lectures on Polytopes, Prop. 7.12).  Each reused face is
+    certified to span its hyperplane (``_fan_covolume``).
     """
     polys = list(polys)
     if not polys:
@@ -428,10 +503,10 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
         raise ArithmeticError(
             f"{len(nodes)} interpolation nodes for {len(exponents)} monomials"
         )
-    matrix, rhs = [], []
+    matrix, rhs, fans = [], [], {}
     for lam in nodes:
         matrix.append([_ipow(lam, e) for e in exponents])
-        rhs.append(covolume(_combo(polys, lam)))
+        rhs.append(_node_covolume(polys, lam, fans))
     coeffs = _solve_exact(matrix, rhs)
     target = coeffs[exponents.index(tuple(alpha))]
     scale_back = Fraction(1)

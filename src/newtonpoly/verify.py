@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import sympy
 
@@ -874,6 +874,34 @@ def _quartic_ideal(rng):
     return ph.NewtonPolyhedron(4, gens)
 
 
+def _interpolation_coefficients(xs, ys):
+    """Coefficients, constant first, of the polynomial of degree len(xs) - 1
+    through the points (xs[k], ys[k]), from Lagrange's basis, exactly."""
+    coeffs = [Fraction(0)] * len(xs)
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        for k, xk in enumerate(xs):
+            if k != j:  # basis *= (x - xk) / (xj - xk)
+                basis = [(a - xk * b) / (xj - xk) for a, b in zip([0] + basis, basis + [0])]
+        coeffs = [c + yj * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _mixed_pair_mismatch(n1, n2):
+    """The first index (i, 3 - i) at which ``mixed_covolume`` differs from
+    the box-hull oracle, or None.
+
+    Vol(l N1 + N2) = sum_i C(3, i) V(N1^[i], N2^[3 - i]) l^i, so the box-hull
+    volumes at l = 0 .. 3 fix every mixed covolume of the pair.
+    """
+    lams = range(4)
+    vols = [_box_hull_covolume(ph.sum_d(ph.scale_d(n1, lam), n2)) for lam in lams]
+    for i, c in enumerate(_interpolation_coefficients(lams, vols)):
+        if ph.mixed_covolume([n1, n2], ph.MixedVolumeIndex((i, 3 - i))) != c / comb(3, i):
+            return (i, 3 - i)
+    return None
+
+
 def suite_monomial_multiplicity(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     results = []
@@ -918,6 +946,28 @@ def suite_monomial_multiplicity(seed=DEFAULT_SEED):
             "covolume = box-hull volume oracle on those polyhedra and 6 at d = 4",
             not bad,
             f"differs on {bad[0]}" if bad else "",
+        )
+    )
+
+    # distinct supports, at least one with a generator off the axes, so that
+    # the sums refine both normal fans
+    mixed_rng = random.Random(seed + 8)
+    pairs = []
+    while len(pairs) < 5:
+        n1, n2 = _random_monomial_ideal(mixed_rng, 3), _random_monomial_ideal(mixed_rng, 3)
+        if n1 != n2 and len(n1.generators) + len(n2.generators) > 6:
+            pairs.append((n1, n2))
+    bad = ""
+    for n1, n2 in pairs:
+        index = _mixed_pair_mismatch(n1, n2)
+        if index is not None:
+            bad = f"index {index} differs on {n1}, {n2}"
+            break
+    results.append(
+        CheckResult(
+            "d = 3 mixed covolumes = box-hull interpolation of Vol(l N1 + N2) on 5 pairs",
+            not bad,
+            bad,
         )
     )
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,12 @@ from newtonpoly.polyhedra import (
     _det,
     _dot,
     _facet_normal,
+    _facet_triangulation,
     _facets,
+    _fan_covolume,
+    _ipow,
+    _node_covolume,
+    _solve_exact,
     colength_growth_oracle,
     covolume,
     face_identity_check,
@@ -81,8 +87,8 @@ class TestConstruction:
 
     def test_hull_cache(self):
         n = from_support_d(2, [(0, 2), (3, 0)])
-        assert n._hull_vertices is not None
-        assert all(len(f) == 3 for f in n._hull_facets)
+        assert n._hull_facets == (((2, 3), 6, ((0, 2), (3, 0))),)
+        assert from_support_d(2, [(1, 0)])._hull_facets is None
 
 
 class TestSum:
@@ -324,17 +330,23 @@ def _random_combo(rng, d):
     return _combo([n, scale_d(n, 2)], lam)
 
 
+def _random_point_sets(d):
+    """Seeded point sets of d + 1 to 9 draws with entries at most 4."""
+    rng = random.Random(41 + d)
+    for _ in range(40 if d < 4 else 15):
+        pts = list({tuple(rng.randint(0, 4) for _ in range(d))
+                    for _ in range(rng.randint(d + 1, 9))})
+        rng.shuffle(pts)
+        yield pts
+
+
 class TestFacetEnumerator:
     """The pruned enumerator returns the reference's lists: normals,
     offsets, on-points and their order."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_point_sets(self, d):
-        rng = random.Random(41 + d)
-        for _ in range(40 if d < 4 else 15):
-            pts = list({tuple(rng.randint(0, 4) for _ in range(d))
-                        for _ in range(rng.randint(d + 1, 9))})
-            rng.shuffle(pts)
+        for pts in _random_point_sets(d):
             assert _facets(pts) == _facets_reference(pts)
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -368,6 +380,99 @@ class TestFacetEnumerator:
         rng = random.Random(len(points))
         rng.shuffle(points)
         assert _facets(points) == _facets_reference(points)
+
+
+def _mixed_covolume_reference(polys, alpha):
+    """The per-node reference for ``mixed_covolume``: every interpolation
+    node builds its combination and takes its covolume."""
+    d, r = polys[0].dim, len(polys)
+    exponents = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
+    nodes = [tuple(beta) + (1,) for beta in itertools.product(range(d + 1), repeat=r - 1)
+             if sum(beta) <= d]
+    matrix = [[_ipow(lam, e) for e in exponents] for lam in nodes]
+    coeffs = _solve_exact(matrix, [covolume(_combo(polys, lam)) for lam in nodes])
+    scale_back = math.prod(math.factorial(a) for a in alpha)
+    return coeffs[exponents.index(tuple(alpha))] * scale_back / math.factorial(d)
+
+
+def _small_polyhedron(rng, d):
+    """Axis powers and at most one more generator, which may be the origin."""
+    gens = {tuple(rng.randint(1, 3) if i == a else 0 for i in range(d)) for a in range(d)}
+    if rng.random() < 0.7:
+        gens.add(tuple(rng.randint(0, 2) for _ in range(d)))
+    return NewtonPolyhedron(d, gens)
+
+
+class TestFanReuse:
+    """``mixed_covolume`` reuses one normal fan per support pattern and
+    builds nothing for single-operand nodes; it must give the per-node
+    reference's values."""
+
+    @pytest.mark.parametrize("d,r,count", [(2, 2, 12), (2, 3, 6), (3, 2, 8), (3, 3, 3),
+                                           (4, 2, 3), (4, 3, 1)])
+    def test_matches_the_per_node_reference(self, d, r, count):
+        rng = random.Random(71 + 10 * d + r)
+        origin = NewtonPolyhedron(d, [(0,) * d])
+        alphas = [a for a in itertools.product(range(d + 1), repeat=r) if sum(a) == d]
+        for k in range(count):
+            make = _small_polyhedron if d == 4 else random_finite_polyhedron
+            polys = [make(rng, d) for _ in range(r)]
+            if k == 0:  # an operand at the origin: the orthant, covolume 0
+                polys[-1] = origin
+            for alpha in alphas:
+                index = MixedVolumeIndex(alpha)
+                assert mixed_covolume(polys, index) == _mixed_covolume_reference(polys, alpha)
+
+    def test_single_operand_node_is_homogeneous(self):
+        # mixed_covolume's only such node is (0, ..., 0, 1)
+        rng = random.Random(79)
+        polys = [random_finite_polyhedron(rng, 3) for _ in range(3)]
+        fans = {}
+        for lams in [(0, 3, 0), (2, 0, 0), (0, 0, 4)]:
+            i = next(k for k, lam in enumerate(lams) if lam)
+            assert _node_covolume(polys, lams, fans) == lams[i] ** 3 * covolume(polys[i])
+            assert _node_covolume(polys, lams, fans) == covolume(_combo(polys, lams))
+        assert fans == {}
+
+    def test_certificate_rejects_normals_of_another_fan(self):
+        n1 = from_support_d(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        n2 = from_support_d(3, [(3, 0, 0), (0, 1, 0), (0, 0, 1)])
+        total = sum_d(n1, n2)
+        sum_normals = [normal for normal, _, _ in total._hull_facets]
+        assert _fan_covolume(total.generators, sum_normals) == covolume(total)
+        # (1, 3, 3), a normal of the sum, meets N_1 in one vertex
+        with pytest.raises(ArithmeticError):
+            _fan_covolume(n1.generators, sum_normals)
+        # every facet normal of N_1 is one of N_1 + N_2, so N_1's normals pass
+        # the certificate on the sum; completeness is the fan's to give
+        n1_normals = [normal for normal, _, _ in n1._hull_facets]
+        assert _fan_covolume(total.generators, n1_normals) < covolume(total)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_d_point_facet_is_its_own_simplex(self, d):
+        on = tuple(tuple(2 if i == a else 0 for i in range(d)) for a in range(d))
+        assert _facet_triangulation(on, (1,) * d) == [on]
+
+    def test_d4_point_sets_match_the_box_hull_oracle(self):
+        axes = [tuple(5 if i == a else 0 for i in range(4)) for a in range(4)]
+        for pts in _random_point_sets(4):
+            n = from_support_d(4, pts + axes)
+            assert covolume(n) == _box_hull_covolume(n)
+        lattice = [(0,) * 4] + [p for p in itertools.product(range(4), repeat=4)
+                                if sum(p) in (1, 3)]
+        n = from_support_d(4, lattice)
+        assert covolume(n) == _box_hull_covolume(n) == 0
+        n = from_support_d(4, [p for p in lattice if sum(p) == 3])
+        assert covolume(n) == _box_hull_covolume(n) == Fraction(27, 8)  # 3^4 / 4!
+
+    def test_pinned_d4_pair(self):
+        # d + 2 generators each, distinct fans; the value is the per-node
+        # reference's
+        n = from_support_d(4, [(4, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 3),
+                               (1, 2, 0, 1), (0, 1, 2, 1)])
+        m = from_support_d(4, [(3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 3, 0), (0, 0, 0, 4),
+                               (2, 0, 1, 1), (1, 1, 1, 0)])
+        assert mixed_covolume([n, m], MixedVolumeIndex((2, 2))) == Fraction(27, 8)
 
 
 class TestDet:

@@ -5,7 +5,10 @@ check written as one silently disappears.
 
 The oracles of ``newtonpoly.verify`` stay independent of the code they
 check: no other module imports them.  The command line runs the suites, so
-it may import the names that run them and nothing else.
+it may import the names that run them and nothing else.  In the other
+direction, ``verify.py`` reads no private name of ``newtonpoly.polyhedra``,
+so that its box-hull oracle shares neither the facet enumerator nor the
+fan reuse of the mixed covolumes it checks.
 
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
 from ``fractions``, and the construction path of ``polygon.py`` names
@@ -72,6 +75,53 @@ def test_oracles_stay_independent(path):
     assert names <= allowed, (
         f"{path.name} imports {sorted(names - allowed)} from newtonpoly.verify, "
         "whose oracles must stay independent of the code they check"
+    )
+
+
+def _polyhedra_private_names(tree):
+    """Private names of newtonpoly.polyhedra that a module reads, imported
+    (``from .polyhedra import _det``) or through the module (``ph._det``)."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "newtonpoly.polyhedra"}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".polyhedra", "newtonpoly.polyhedra"):
+                names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+            elif module in (".", "newtonpoly"):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "polyhedra"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in modules):
+            names.add(node.attr)
+    return names
+
+
+def test_polyhedra_private_name_scan_sees_every_form():
+    source = (
+        "from . import polyhedra as ph\n"
+        "from newtonpoly import polyhedra\n"
+        "import newtonpoly.polyhedra\n"
+        "import newtonpoly.polyhedra as P\n"
+        "from .polyhedra import _combo, covolume\n"
+        "from newtonpoly.polyhedra import _facets as f\n"
+        "from .polygon import _steeper\n"
+        "a = ph._det(ph.covolume(n), n._hull_facets)\n"
+        "b = newtonpoly.polyhedra._minimal + polyhedra._dot + P._cone_volume\n"
+    )
+    assert _polyhedra_private_names(ast.parse(source)) == {
+        "_combo", "_facets", "_det", "_minimal", "_dot", "_cone_volume"}
+
+
+def test_verify_reads_no_private_name_of_polyhedra():
+    path = pathlib.Path(newtonpoly.__file__).parent / "verify.py"
+    names = _polyhedra_private_names(ast.parse(path.read_text(), filename=str(path)))
+    assert not names, (
+        f"verify.py reads {sorted(names)} of newtonpoly.polyhedra; its oracles must "
+        "not share the code they check"
     )
 
 
