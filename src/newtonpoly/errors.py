@@ -96,6 +96,10 @@ class ReducibleExtension(DomainError):
 
 # puiseux
 
+class ConstantInY(DomainError):
+    """Polynomial of y-degree 0: it has no roots in y to expand."""
+
+
 class NotSquareFree(DomainError):
     """Input polynomial has a repeated factor."""
 

@@ -16,6 +16,8 @@ from math import comb
 
 from . import field as fld
 from .errors import (
+    ConstantInY,
+    EmptySupport,
     ExtensionTooDeep,
     IdenticallyZero,
     NotSquareFree,
@@ -222,8 +224,10 @@ def puiseux_expand(
     off as the explicit axis branch y = 0.  Output is ordered by decreasing
     valuation, then lexicographically on the printed series.
     """
+    if f.is_zero():
+        raise EmptySupport("puiseux expansion of the zero polynomial")
     if f.degree() < 1:
-        raise ValueError("need a polynomial of positive y-degree")
+        raise ConstantInY("puiseux expansion needs a polynomial of positive y-degree")
     if not f.is_unitary():
         raise NotUnitary("puiseux expansion requires a unitary polynomial")
     for c in f.coeffs:

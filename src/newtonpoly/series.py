@@ -19,8 +19,11 @@ resultants, the shifted resultant realising the polygon product, and
 intersection numbers at the origin read off the resultant's valuation.
 
 Resultants have two kernels.  Over QQ, the Sylvester resultant clears
-denominators and runs sympy's subresultant PRS on dense integer polynomials
-in ZZ[x][y]; over a proper tower, and for the shifted resultant, Bareiss
+denominators, evaluates every y-coefficient at x = 2^K with the packed
+representation above, runs sympy's univariate subresultant PRS on the two
+integer polynomials in y, and reads the coefficients of R(x) back as the
+balanced base-2^K digits of R(2^K); K is chosen above a bound on those
+coefficients.  Over a proper tower, and for the shifted resultant, Bareiss
 elimination runs on the Sylvester matrix of exact series.  Both give the
 Sylvester determinant with the first operand in the top rows, sign included.
 """
@@ -32,7 +35,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_resultant
+from sympy.polys.euclidtools import dup_resultant
 
 from . import field as fld
 from .errors import (
@@ -384,6 +387,11 @@ def _integer_slots(terms, level, strides):
     return den, slots, [q.numerator * (den // q.denominator) for q in rationals]
 
 
+def _slot_bias(nslots, width):
+    """The top bit of each of nslots slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
+
+
 def _pack(slots, values, width, bias):
     """The integer sum of value * 2^(8 * width * slot): each value goes into
     its slot as width bytes of two's complement, and XOR-ing the bias (the top
@@ -393,6 +401,18 @@ def _pack(slots, values, width, bias):
         i = slot * width
         buf[i:i + width] = value.to_bytes(width, "little", signed=True)
     return (int.from_bytes(buf, "little") ^ bias) - bias
+
+
+def _unpack(value, width, bias, nslots, count):
+    """The first count signed digits of a value packed in nslots slots of
+    width bytes, each digit below 2^(8 * width - 1) in absolute value.
+    Adding the bias makes each slot nonnegative without carries, and XOR-ing
+    it back leaves each slot in two's complement, read by byte slicing."""
+    raw = ((value + bias) ^ bias).to_bytes(nslots * width, "little")
+    return [
+        int.from_bytes(raw[i:i + width], "little", signed=True)
+        for i in range(0, count * width, width)
+    ]
 
 
 _ZERO = Fraction(0)
@@ -418,9 +438,7 @@ def _packed_product(field, terms_a, terms_b, p):
 
     Denominators are cleared first, so every slot of the product holds an
     integer bounded by max|A| * max|B| * min(#A, #B); the slot width leaves
-    room for it and a sign.  Adding the bias (the top bit of every slot)
-    makes each slot of the product nonnegative without carries, and XOR-ing
-    it back leaves each slot in two's complement, read by byte slicing.
+    room for it and a sign, so _unpack reads every slot back.
     """
     strides, level = _slot_strides(field), field.level
     size = strides[-1]
@@ -430,14 +448,10 @@ def _packed_product(field, terms_a, terms_b, p):
     width = (bound.bit_length() + 8) // 8
     v = terms_a[0][0] + terms_b[0][0]
     nslots = (terms_a[-1][0] + terms_b[-1][0] - v + 1) * size
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
+    bias = _slot_bias(nslots, width)
     product = _pack(slots_a, ints_a, width, bias) * _pack(slots_b, ints_b, width, bias)
-    raw = ((product + bias) ^ bias).to_bytes(nslots * width, "little")
     count = nslots if is_inf(p) else min(nslots, (p - v) * size)
-    values = [
-        int.from_bytes(raw[i:i + width], "little", signed=True)
-        for i in range(0, count * width, width)
-    ]
+    values = _unpack(product, width, bias, nslots, count)
     den, out = den_a * den_b, []
     for lo in range(0, count, size):
         if any(values[lo:lo + size]):
@@ -845,9 +859,11 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     """Resultant with respect to y, as an exact series in x.
 
     The value is the determinant of the Sylvester matrix with p1's
-    coefficients in the top deg(p2) rows, sign included.  Over QQ it comes
-    from sympy's subresultant PRS on ZZ[x][y] (see _qq_resultant); over a
-    proper tower, Bareiss elimination on that matrix computes it.
+    coefficients in the top deg(p2) rows, sign included.  Over QQ it is read
+    off one integer resultant in y at x = 2^K, with 2^(K-1) above
+    ||p1||_1^deg(p2) * ||p2||_1^deg(p1) once denominators are cleared (see
+    _qq_resultant); over a proper tower, Bareiss elimination on that matrix
+    computes it.
     """
     k = join_fields(p1.field, p2.field)
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
@@ -862,41 +878,63 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     return bareiss_determinant(rows, TruncatedSeries.constant(k, p1.xvar, 1))
 
 
-def _integer_dmp(f: YPolynomial):
-    """(c, F): F = c*f as a dense bivariate sympy polynomial over ZZ, y outside.
-
-    c is the least common denominator of f's rational coefficients.
-    """
+def _cleared_rows(f: YPolynomial):
+    """(c, rows, norm): c is the least common denominator of f's rational
+    coefficients; rows[j] holds the x-exponents and the integer coefficients
+    of c times the y^j coefficient, and norm is the sum of their absolute
+    values, the l1 norm of c*f."""
     c = lcm(*(v.data.denominator for s in f.coeffs for _, v in s.coeffs))
-    rows = []
-    for s in reversed(f.coeffs):
-        dense = [0] * (s.coeffs[-1][0] + 1) if s.coeffs else []
-        for e, v in s.coeffs:
-            q = v.data
-            dense[-1 - e] = ZZ.dtype(q.numerator * (c // q.denominator))
-        rows.append(dense)
-    return c, rows
+    rows = [
+        (
+            [e for e, _ in s.coeffs],
+            [v.data.numerator * (c // v.data.denominator) for _, v in s.coeffs],
+        )
+        for s in f.coeffs
+    ]
+    return c, rows, sum(abs(a) for _, ints in rows for a in ints)
 
 
 def _qq_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
-    """Sylvester resultant of exact unitary polynomials over QQ.
+    """Sylvester resultant of exact unitary polynomials over QQ, by
+    evaluation at x = 2^K (Kronecker substitution).
 
-    Clearing denominators, c1*p1 and c2*p2, scales the resultant by
-    c1^deg(p2) * c2^deg(p1).  sympy's dmp_resultant puts the operand of
-    higher degree first; with the operands swapped the Sylvester determinant
-    changes by (-1)^(deg p1 * deg p2), e.g. Res(y + 2x, y^3 + x^4) is
-    x^4 - 8x^3, and sympy's value for that order is its negative.
+    Clearing denominators, c1*p1 and c2*p2 with integer l1 norms N1 and N2,
+    scales the resultant by c1^n * c2^m, where m = deg p1 and n = deg p2.
+    The integer resultant R(x) is a sum over permutations of products of n
+    entries of p1's rows and m of p2's, so its l1 norm is at most
+    N1^n * N2^m, the product of the row norms.  K is a multiple of 8 with
+    2^(K-1) above that bound and above N1 and N2, which the product does not
+    cover when an operand has y-degree 0.  Evaluation at 2^K is a ring map
+    ZZ[x] -> ZZ, so it commutes with the Sylvester determinant, provided
+    neither leading y-coefficient vanishes at 2^K: those are unit series, so
+    an integer root divides their nonzero constant term, which is at most N1
+    or N2 in absolute value.  Hence R(2^K) is the resultant of the two
+    evaluated integer polynomials in y, which sympy's univariate subresultant
+    PRS computes, and the coefficients of R, each below 2^(K-1) in absolute
+    value, are the balanced base-2^K digits of R(2^K) (see _unpack).
+
+    sympy's dup_resultant puts the operand of higher degree first; with the
+    operands swapped the Sylvester determinant changes by
+    (-1)^(deg p1 * deg p2), e.g. Res(y + 2x, y^3 + x^4) is x^4 - 8x^3, and
+    sympy's value for that order is its negative.
     """
     m, n = p1.degree(), p2.degree()
-    (c1, f1), (c2, f2) = _integer_dmp(p1), _integer_dmp(p2)
+    (c1, rows1, norm1), (c2, rows2, norm2) = _cleared_rows(p1), _cleared_rows(p2)
+    width = (max(norm1 ** n * norm2 ** m, norm1, norm2).bit_length() + 8) // 8
+    dx1 = max(exps[-1] for exps, _ in rows1 if exps)
+    dx2 = max(exps[-1] for exps, _ in rows2 if exps)
+    nslots = max(n * dx1 + m * dx2, dx1, dx2) + 1
+    bias = _slot_bias(nslots, width)
+    f1 = [_pack(exps, ints, width, bias) if ints else 0 for exps, ints in reversed(rows1)]
+    f2 = [_pack(exps, ints, width, bias) if ints else 0 for exps, ints in reversed(rows2)]
     if m >= n:
-        res, sign = dmp_resultant(f1, f2, 1, ZZ), 1
+        res, sign = dup_resultant(f1, f2, ZZ), 1
     else:
-        res, sign = dmp_resultant(f2, f1, 1, ZZ), (-1) ** (m * n)
+        res, sign = dup_resultant(f2, f1, ZZ), (-1) ** (m * n)
     scale = sign * c1 ** n * c2 ** m
-    top = len(res) - 1
+    digits = _unpack(int(res), width, bias, nslots, nslots)
     return TruncatedSeries.make(
-        QQ, p1.xvar, {top - i: Fraction(int(v), scale) for i, v in enumerate(res) if v}
+        QQ, p1.xvar, {i: Fraction(d, scale) for i, d in enumerate(digits) if d}
     )
 
 

@@ -147,6 +147,14 @@ class TestCli:
         code, out, _ = run_cli(capsys, "puiseux", "expand", "y^2 - x^3")
         assert code == 0 and "O(t^" in out
 
+    @pytest.mark.parametrize("text, error", [
+        ("x^2 + x^3", "ConstantInY:"), ("0", "EmptySupport:"),
+    ])
+    def test_puiseux_expand_without_y_exit_1(self, capsys, text, error):
+        # the input parses; a polynomial of y-degree 0 has no branches
+        code, out, err = run_cli(capsys, "puiseux", "expand", text)
+        assert (code, out) == (1, "") and err.startswith(error)
+
     @pytest.mark.parametrize("precision", ["0", "-3"])
     def test_non_positive_precision_exit_2(self, capsys, monkeypatch, precision):
         code, out, err = run_cli(capsys, "puiseux", "expand", "y^2 - x^3", "--precision", precision)

@@ -371,8 +371,23 @@ def random_unitary(rng, deg):
     return YPolynomial.from_terms(terms)
 
 
+def large_unitary(rng, deg):
+    """Unitary polynomial of y-degree deg and x-degree up to 12, with
+    numerators up to 10^30 and denominators up to 10^6."""
+    def coefficient():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+
+    terms = {(0, deg): coefficient() or Fraction(1)}
+    if rng.random() < 0.5:
+        terms[(rng.randint(1, 12), deg)] = coefficient()
+    for j in range(deg):
+        for _ in range(rng.randint(0, 3)):
+            terms[(rng.randint(0, 12), j)] = coefficient()
+    return YPolynomial.from_terms(terms)
+
+
 class TestQQResultantKernel:
-    """The integer subresultant path over QQ against Bareiss on the same matrix."""
+    """The evaluated integer path over QQ against Bareiss on the same matrix."""
 
     @pytest.fixture(autouse=True)
     def no_bareiss(self, monkeypatch):
@@ -380,6 +395,17 @@ class TestQQResultantKernel:
             raise AssertionError("QQ resultants must not run Bareiss")
 
         monkeypatch.setattr(series, "bareiss_determinant", refuse)
+
+    @pytest.fixture(autouse=True)
+    def no_bivariate_resultant(self, monkeypatch):
+        from sympy.polys import euclidtools
+
+        def refuse(*args):
+            raise AssertionError("QQ resultants must not run the bivariate dmp_resultant")
+
+        monkeypatch.setattr(euclidtools, "dmp_resultant", refuse)
+        # and in series, should it ever import the name at module level again
+        monkeypatch.setattr(series, "dmp_resultant", refuse, raising=False)
 
     def test_matches_bareiss_on_seeded_pairs(self):
         rng = random.Random(11)
@@ -416,6 +442,62 @@ class TestQQResultantKernel:
         assert sylvester_resultant(p1, p2) == parse_series("1/4*x^2 - 2/3*x^3")
         p1, p2 = P("1/3*y^2 - 5/7*x*y + 1/2*x^3"), P("2/5*y + 3/4*x^2")
         assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+
+
+    def test_matches_bareiss_on_large_seeded_pairs(self):
+        # y-degrees up to 6, at most 8 together to keep Bareiss affordable
+        rng = random.Random(33)
+        degrees = set()
+        for _ in range(16):
+            m = rng.randint(0, 6)
+            n = min(rng.randint(0, 8 - m), 6)
+            p1, p2 = large_unitary(rng, m), large_unitary(rng, n)
+            degrees.add((m, n))
+            assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+        assert {(1, 3), (4, 3), (2, 6), (6, 1), (3, 0)} <= degrees
+
+    def test_large_pairs_with_a_shared_factor_are_exact_zeros(self):
+        rng = random.Random(31)
+        degrees = set()
+        for _ in range(5):
+            c = rng.randint(1, 2)
+            a, b = rng.randint(0, 6 - c), rng.randint(0, 6 - c)
+            common = large_unitary(rng, c)
+            p1, p2 = common * large_unitary(rng, a), common * large_unitary(rng, b)
+            r = sylvester_resultant(p1, p2)
+            assert r.is_zero() and r.is_exact
+            degrees.add((p1.degree(), p2.degree()))
+        assert {(4, 6), (3, 5), (4, 1)} <= degrees
+
+    def test_leading_coefficient_with_a_power_of_two_root(self):
+        # 256 - x vanishes at 2^8, the evaluation point the bound alone
+        # would pick against a constant operand; the resultant is 3^2
+        p1, unit = P("(256 - x)*y^2 + x*y + 1"), P("3")
+        assert sylvester_resultant(p1, unit) == parse_series("9")
+        assert sylvester_resultant(unit, p1) == parse_series("9")
+
+    def test_large_negative_coefficients_are_pinned(self):
+        # Res(y + A, g) = g(-A) for monic g of y-degree 3: every coefficient
+        # but x's is negative and above 2^64, and deg p1 * deg p2 = 3 is odd
+        p1 = P(f"y + {2**40}*x")
+        p2 = P(f"y^3 + {7**30}*x^3*y + x - {3**45}*x^2 - {5**40}*x^5")
+        expected = TruncatedSeries.make(QQ, "x", {
+            1: 1, 2: -3**45, 3: -2**120, 4: -7**30 * 2**40, 5: -5**40,
+        })
+        assert sylvester_resultant(p1, p2) == expected
+        assert sylvester_resultant(p2, p1) == -expected
+
+    def test_product_formula_with_large_roots(self):
+        # p1 = (y + a)(y + b)(y + c) against g of y-degree 5, so that
+        # deg p1 * deg p2 = 15: the resultant is g(-a) g(-b) g(-c)
+        roots = [f"{2**70}*x - 3*x^2", f"1/7*x - {5**33}*x^2", f"{3**50}*x^3"]
+        p1 = P("*".join(f"(y + {a})" for a in roots))
+        g = P(f"y^5 - {11**25}*x*y^2 + 1/3*x^4*y - {13**20}*x^7 + 2*x^2")
+        expected = TruncatedSeries.constant(QQ, "x", 1)
+        for a in roots:
+            expected = expected * g.eval_on_branch(1, -parse_series(a))
+        assert sylvester_resultant(p1, g) == expected
+        assert sylvester_resultant(g, p1) == -expected
 
 
 class TestTowerResultant:
