@@ -206,25 +206,29 @@ def _shears(f: YPolynomial):
 
 def milnor_number(f: YPolynomial) -> int:
     """dim C{x,y}/(f_x, f_y) as the intersection number of the partials at
-    the origin, taken in the coordinates g = f(x - a*y, y) of the smallest
-    a >= 0 for which g is unitary and the resultant of the partials counts
+    the origin, ord_x Res_y(g_y, g_x), in the coordinates g = f(x - a*y, y)
+    of the smallest a >= 0 for which g is unitary and that resultant counts
     no other point (see intersection_number).
 
-    Every direction that passes gives the same local number.  When f_x(0, 0)
-    or f_y(0, 0) is nonzero the origin is not a critical point and the
-    result is 0, before any resultant: the partials may still share a
-    component away from it.  Otherwise NotIsolated is raised as soon as the
-    partials share a component of positive degree in y, which a further
-    shear would not remove.
+    Only the first operand of the resultant must be unitary, and g_y is when
+    g is, so a unitary f is taken as it is unless its partials also meet on
+    x = 0 away from the origin, e.g. y^3 - x^5 + y^9, whose f_x(0, y)
+    vanishes; the next shear then takes over.  Every direction that passes
+    gives the same local number.  When f_x(0, 0) or f_y(0, 0) is nonzero
+    the origin is not a critical point and the result is 0, before any
+    resultant: the partials may still share a component away from it.
+    Otherwise NotIsolated is raised as soon as the partials share a
+    component, which a further shear would not remove, and when f depends
+    on one linear form only, so that a partial vanishes.
     """
     if not (f.coefficient(1, 0).is_zero() and f.coefficient(0, 1).is_zero()):
         return 0
     for _, g in _shears(f):
-        g_x, g_y = g.dx(), g.dy()
-        if not (g_x.is_unitary() and g_y.is_unitary()):
-            continue  # the resultant of the partials needs them unitary
+        g_y, g_x = g.dy(), g.dx()
+        if g_y.is_zero() or g_x.is_zero():
+            break
         try:
-            return intersection_number(g_x, g_y)
+            return intersection_number(g_y, g_x)
         except NotLocal:
             continue  # a critical point on x = 0 away from the origin
     raise NotIsolated("no coordinates produced a finite milnor number")
@@ -392,8 +396,11 @@ def _polar_pairs(f: YPolynomial, polar: YPolynomial, start=INF) -> JacobianPolyg
     contact.  The expansion starts at the t-precision start (by default at
     the cap) and doubles up to the cap while a multiplicity or a contact is
     undecided; an order read off a known term is exact at any precision, so
-    the pairs do not depend on where it stops.
+    the pairs do not depend on where it stops.  A polar curve that is not
+    unitary raises NotUnitary before any resultant, as its expansion would.
     """
+    if not polar.is_unitary():
+        raise NotUnitary("polar curve: leading coefficient has positive order")
     res = sylvester_resultant(f, polar)
     if res.is_zero():
         raise NotIsolated("f and its polar curve share a component")

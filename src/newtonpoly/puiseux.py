@@ -220,9 +220,11 @@ def puiseux_expand(
 ) -> list:
     """All root classes of a unitary square-free polynomial.
 
-    Branches satisfy sum(e * conjugacy) = deg_y f; factors of y are split
-    off as the explicit axis branch y = 0.  Output is ordered by decreasing
-    valuation, then lexicographically on the printed series.
+    Square-freeness is certified by the discriminant Res_y(f, f_y);
+    NotSquareFree is raised when that vanishes.  Branches satisfy
+    sum(e * conjugacy) = deg_y f; factors of y are split off as the explicit
+    axis branch y = 0.  Output is ordered by decreasing valuation, then
+    lexicographically on the printed series.
     """
     if f.is_zero():
         raise EmptySupport("puiseux expansion of the zero polynomial")

@@ -26,6 +26,9 @@ balanced base-2^K digits of R(2^K); K is chosen above a bound on those
 coefficients.  Over a proper tower, and for the shifted resultant, Bareiss
 elimination runs on the Sylvester matrix of exact series.  Both give the
 Sylvester determinant with the first operand in the top rows, sign included.
+Only the first operand must be unitary: by Halphen's formula the order of
+the resultant then counts intersections on x = 0 whatever the second
+operand's leading coefficient.
 """
 
 from __future__ import annotations
@@ -840,13 +843,15 @@ def _sylvester_rows(p1_coeffs, p2_coeffs, zero):
     return rows
 
 
-def _require_exact_unitary(f: YPolynomial, what: str):
+def _require_exact(f: YPolynomial, what: str, unitary=True):
+    """f is exact with a nonzero leading y-coefficient, a unit series when
+    unitary is set."""
     lead = f.coeffs[-1]
     if not lead.coeffs:
         if lead.is_exact:
             raise EmptySupport(f"{what}: zero polynomial")
         raise PrecisionInsufficient(f"{what}: leading coefficient vanishes to precision")
-    if lead.coeffs[0][0] != 0:
+    if unitary and lead.coeffs[0][0] != 0:
         raise NotUnitary(f"{what}: leading coefficient has positive order")
     for c in f.coeffs:
         if not c.is_exact:
@@ -858,6 +863,12 @@ def _require_exact_unitary(f: YPolynomial, what: str):
 def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     """Resultant with respect to y, as an exact series in x.
 
+    Both operands must be exact.  p1 must be unitary; p2 needs only a
+    nonzero leading coefficient.  By Halphen's formula the resultant is then
+    lc(p1)^deg(p2) * prod p2(x, alpha_i) over the deg(p1) roots alpha_i of
+    p1, all bounded at x = 0, so that its order counts the intersections of
+    p1 = 0 and p2 = 0 on the line x = 0 (see intersection_number).
+
     The value is the determinant of the Sylvester matrix with p1's
     coefficients in the top deg(p2) rows, sign included.  Over QQ it is read
     off one integer resultant in y at x = 2^K, with 2^(K-1) above
@@ -867,8 +878,8 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     """
     k = join_fields(p1.field, p2.field)
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
-    _require_exact_unitary(p1, "sylvester_resultant")
-    _require_exact_unitary(p2, "sylvester_resultant")
+    _require_exact(p1, "sylvester_resultant")
+    _require_exact(p2, "sylvester_resultant", unitary=False)
     m, n = p1.degree(), p2.degree()
     if m == 0 and n == 0:
         return TruncatedSeries.constant(k, p1.xvar, 1)
@@ -895,8 +906,8 @@ def _cleared_rows(f: YPolynomial):
 
 
 def _qq_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
-    """Sylvester resultant of exact unitary polynomials over QQ, by
-    evaluation at x = 2^K (Kronecker substitution).
+    """Sylvester resultant of exact polynomials over QQ with nonzero leading
+    y-coefficients, by evaluation at x = 2^K (Kronecker substitution).
 
     Clearing denominators, c1*p1 and c2*p2 with integer l1 norms N1 and N2,
     scales the resultant by c1^n * c2^m, where m = deg p1 and n = deg p2.
@@ -906,9 +917,10 @@ def _qq_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     2^(K-1) above that bound and above N1 and N2, which the product does not
     cover when an operand has y-degree 0.  Evaluation at 2^K is a ring map
     ZZ[x] -> ZZ, so it commutes with the Sylvester determinant, provided
-    neither leading y-coefficient vanishes at 2^K: those are unit series, so
-    an integer root divides their nonzero constant term, which is at most N1
-    or N2 in absolute value.  Hence R(2^K) is the resultant of the two
+    neither leading y-coefficient vanishes at 2^K.  Such a coefficient is
+    x^k * u(x) with u(0) != 0, and 2^K is not a root of x^k; an integer
+    root of u divides u(0), which is at most N1 or N2 in absolute value,
+    below 2^(K-1).  Hence R(2^K) is the resultant of the two
     evaluated integer polynomials in y, which sympy's univariate subresultant
     PRS computes, and the coefficients of R, each below 2^(K-1) in absolute
     value, are the balanced base-2^K digits of R(2^K) (see _unpack).
@@ -949,8 +961,8 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     """
     k = join_fields(p1.field, p2.field)
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
-    _require_exact_unitary(p1, "shifted_resultant")
-    _require_exact_unitary(p2, "shifted_resultant")
+    _require_exact(p1, "shifted_resultant")
+    _require_exact(p2, "shifted_resultant")
     if p1.is_y_divisible() or p2.is_y_divisible():
         raise YDivisible("shifted resultant requires polynomials not divisible by y")
     m, n = p1.degree(), p2.degree()
@@ -999,9 +1011,12 @@ def realization_polygon(f: YPolynomial) -> NewtonPolygon:
 def intersection_number(f1: YPolynomial, f2: YPolynomial) -> int:
     """Intersection multiplicity of f1 = 0 and f2 = 0 at the origin.
 
+    f1 must be unitary, so that its roots are bounded at x = 0; f2 needs
+    only a nonzero leading coefficient (see sylvester_resultant).  Then
     ord_x Res_y(f1, f2) sums the multiplicities at every point (0, y0) where
     the curves meet, so it is returned only when f1(0, y) and f2(0, y) share
-    no root other than y = 0; otherwise NotLocal is raised.
+    no root other than y = 0; otherwise NotLocal is raised.  NotIsolated is
+    raised when the curves share a component.
     """
     res = sylvester_resultant(f1, f2)
     order = res.order()
@@ -1157,6 +1172,8 @@ class _Parser:
                 den = self.parse_power()
                 if set(den.terms) - {(0, 0)}:
                     raise ValueError("division only by constants")
+                if (0, 0) not in den.terms:
+                    raise ValueError("division by zero")
                 inv = den.terms[(0, 0)].inverse()
                 acc = _pv_mul(self.field, acc, _PolyValue({(0, 0): inv}))
             else:

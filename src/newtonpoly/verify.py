@@ -479,16 +479,38 @@ def suite_merle_corpus(seed=DEFAULT_SEED):
 # -- criterion 7: invariant identities --------------------------------------------
 
 
+def _gap_count(generators) -> int:
+    """Number of positive integers outside the numerical semigroup spanned by
+    generators: walk n = 0, 1, ... until min(generators) consecutive members
+    appear, after which every integer is a member."""
+    step = min(generators)
+    members, run, gaps, n = set(), 0, 0, 0
+    while run < step:
+        if n == 0 or any(n - b in members for b in generators):
+            members.add(n)
+            run += 1
+        else:
+            gaps += 1
+            run = 0
+        n += 1
+    return gaps
+
+
 def suite_invariant_identities(seed=DEFAULT_SEED):
     results = []
     curves = [(s, f, None) for s, f in merle_corpus()]
     curves += [(None, f, mu) for f, mu in reducible_corpus()]
-    ok_len = ok_height = ok_special = ok_ak = True
+    ok_len = ok_conductor = ok_height = ok_special = ok_ak = True
     for s, f, known_mu in curves:
         j = jacobian_polygon_direct(f)
         mu = milnor_number(f)
         if known_mu is not None and mu != known_mu:
             ok_len = False
+        # mu of a branch is the conductor of its semigroup, twice its gap
+        # count, which no resultant computes; j.length() = mu is certified
+        # inside jacobian_polygon_direct, so it alone would check nothing
+        if s is not None and mu != 2 * _gap_count(s.generators):
+            ok_conductor = False
         if j.length() != mu:
             ok_len = False
         if j.height() != f.multiplicity() - 1:
@@ -499,6 +521,8 @@ def suite_invariant_identities(seed=DEFAULT_SEED):
         if rep.is_Ak != (rep.theta2 == mu) or rep.theta2 > mu:
             ok_ak = False
     results.append(CheckResult("length(nu_j) = milnor number on the corpus", ok_len))
+    results.append(CheckResult("milnor number = conductor = 2 * #gaps on the branches",
+                               ok_conductor))
     results.append(CheckResult("height(nu_j) = multiplicity - 1 on the corpus", ok_height))
     results.append(CheckResult("nu_j is special on the corpus", ok_special))
     results.append(CheckResult("theta2 = mu iff A_k, and theta2 <= mu", ok_ak))

@@ -36,7 +36,12 @@ from newtonpoly.invariants import (
 )
 from newtonpoly.polygon import dominates, make_elementary, parse_compact
 from newtonpoly.product import is_special
-from newtonpoly.series import intersection_number, parse_polynomial, sylvester_resultant
+from newtonpoly.series import (
+    YPolynomial,
+    intersection_number,
+    parse_polynomial,
+    sylvester_resultant,
+)
 
 
 def P(text):
@@ -358,6 +363,32 @@ class TestMilnor:
     def test_product_of_mixed_slopes(self):
         assert milnor_number(P("(y - x)*(y - 2/3*x)*(y - 1/2*x^2)")) == 4
 
+
+    def test_unitary_germ_taken_as_it_is(self, monkeypatch):
+        shears = []
+        substitute = YPolynomial.substitute_linear
+
+        def counting(self, *args):
+            shears.append(args)
+            return substitute(self, *args)
+
+        monkeypatch.setattr(YPolynomial, "substitute_linear", counting)
+        f = P("(y^3 - x^5)*(y^3 - 2*x^5)*(y^2 - 3*x^7)")
+        assert milnor_number(f) == 90  # Kouchnirenko: 2V - a - b + 1 = 114 - 17 - 8 + 1
+        assert shears == []
+        # f_x(0, y) = 0 while f_y(0, y) has roots other than 0: a = 1 counts it
+        assert milnor_number(P("y^3 - x^5 + y^9")) == 8
+        assert shears == [(1, -1, 0, 1)]
+
+    def test_tower_germ(self):
+        f = P("adjoin u: u^2 - 3; (y^3 - u*x^5)*(y^3 - x^5)*(y - x^2)")
+        assert milnor_number(f) == 64
+
+    def test_germ_of_one_linear_form_not_isolated(self):
+        # a partial vanishes identically in every unitary shear
+        for text in ("y^2", "1 + x^2", "1"):
+            with pytest.raises(NotIsolated):
+                milnor_number(P(text))
 
     def test_origin_not_a_critical_point(self):
         # f = u*(u + 8) with u = y^2 - x/2 + 2: the partials share the factor

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from newtonpoly import puiseux
 from newtonpoly.errors import IdenticallyZero, NotSquareFree, NotUnitary
 from newtonpoly.field import QQ
 from newtonpoly.puiseux import (
@@ -14,7 +15,7 @@ from newtonpoly.puiseux import (
     puiseux_expand,
     root_valuations,
 )
-from newtonpoly.series import parse_polynomial
+from newtonpoly.series import parse_polynomial, sylvester_resultant
 
 
 def P(text):
@@ -80,6 +81,10 @@ class TestExpand:
         with pytest.raises(NotSquareFree):
             puiseux_expand(P("y^2 - 2*x*y + x^2"))
 
+    def test_tower_square_rejected(self):
+        with pytest.raises(NotSquareFree):
+            puiseux_expand(P("adjoin u: u^2 - 3; (y - u*x)^2*(y^2 - x^3)"))
+
     def test_unitary_required(self):
         with pytest.raises(NotUnitary):
             puiseux_expand(P("x*y^2 - x^3"))
@@ -121,6 +126,23 @@ class TestExpand:
 
         with pytest.raises(ExtensionTooDeep):
             puiseux_expand(P("y^2 - 2*x^3"), t_precision=8, max_tower_degree=1)
+
+
+class TestSquareFree:
+    """Square-freeness is certified by the discriminant Res_y(f, f_y)."""
+
+    def test_not_square_free_rejected(self, monkeypatch):
+        calls = []
+
+        def spy(p1, p2):
+            calls.append((p1, p2))
+            return sylvester_resultant(p1, p2)
+
+        monkeypatch.setattr(puiseux, "sylvester_resultant", spy)
+        f = P("(y^2 - x^3)^2*(y - x)")
+        with pytest.raises(NotSquareFree):
+            puiseux_expand(f)
+        assert calls == [(f, f.dy())]
 
 
 class TestHenselPrecision:

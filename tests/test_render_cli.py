@@ -251,6 +251,18 @@ class TestCli:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text", ["1/0", "x/(2 - 2)"])
+    def test_division_by_zero_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "series", "polygon", text)
+        assert (code, out, err) == (2, "", "parse error: division by zero\n")
+
+    def test_intersect_with_a_second_operand_not_unitary(self, capsys):
+        # only the first operand of the resultant needs a unit leading coefficient
+        code, out, err = run_cli(capsys, "series", "intersect", "y^2 - x^3", "x*y + x^2")
+        assert (code, out, err) == (0, "4\n", "")
+        code, out, err = run_cli(capsys, "series", "resultant", "y^2 - x^3", "x*y + x^2")
+        assert (code, out, err) == (0, "x^4 - x^5\n", "")
+
     def test_intersect_away_from_the_origin_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "series", "intersect", "y^2 - y + x", "y^2 - y - x")
         assert code == 1

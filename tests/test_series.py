@@ -352,6 +352,17 @@ class TestResultants:
         with pytest.raises(PrecisionInsufficient):
             sylvester_resultant(P("y - x + O(x^9)"), P("y - x^2"))
 
+    def test_only_the_first_operand_must_be_unitary(self):
+        # Halphen: Res(f1, f2) = prod f2(x, alpha) over the roots of a monic f1
+        assert sylvester_resultant(P("y^2 - x^3"), P("x*y + x^2")) == parse_series("x^4 - x^5")
+        assert sylvester_resultant(P("y"), P("x*y - x^2")) == parse_series("-x^2")
+        with pytest.raises(NotUnitary):
+            sylvester_resultant(P("x*y + x^2"), P("y^2 - x^3"))
+        with pytest.raises(NotUnitary):
+            intersection_number(P("x*y + x^2"), P("y^2 - x^3"))
+        with pytest.raises(PrecisionInsufficient):
+            sylvester_resultant(P("y^2 - x^3"), P("x*y + O(x^5)"))
+
 
 def sylvester_by_bareiss(p1, p2):
     """Bareiss determinant of the Sylvester matrix, p1's rows on top."""
@@ -386,6 +397,19 @@ def large_unitary(rng, deg):
     return YPolynomial.from_terms(terms)
 
 
+# leading y-coefficients x^k * u(x): k > 0, or u with an integer root
+LEADS = [{1: 1}, {3: -2}, {1: 2, 2: -3}, {0: -2, 1: 1}, {0: -256, 1: 1}, {1: -4, 2: 1}]
+
+
+def random_lead(rng, deg):
+    """random_unitary with its leading coefficient drawn from LEADS."""
+    terms = {(i, deg): Fraction(c) for i, c in rng.choice(LEADS).items()}
+    for j in range(deg):
+        for _ in range(rng.randint(0, 2)):
+            terms[(rng.randint(0, 4), j)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+    return YPolynomial.from_terms(terms)
+
+
 class TestQQResultantKernel:
     """The evaluated integer path over QQ against Bareiss on the same matrix."""
 
@@ -416,6 +440,20 @@ class TestQQResultantKernel:
             degrees.add((m, n))
             assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
         assert {(1, 2), (2, 1), (1, 3), (3, 1), (0, 2), (2, 0)} <= degrees
+
+    def test_second_operand_not_unitary_matches_bareiss(self):
+        rng = random.Random(13)
+        degrees = set()
+        for _ in range(40):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            p1, p2 = random_unitary(rng, m), random_lead(rng, n)
+            degrees.add((m, n))
+            assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
+        assert {(1, 2), (2, 1), (3, 3), (0, 2), (2, 0)} <= degrees
+        # leading coefficients that vanish at x = 2 and x = 2^8
+        for p2 in (P("(x - 2)*y^2 + y + x"), P("(x - 256)*y + 1"), P("x*(x - 256)*y^2 + y - x")):
+            for p1 in (P("y^2 - x^3"), P("y + 3"), P("2 + x")):
+                assert sylvester_resultant(p1, p2) == sylvester_by_bareiss(p1, p2)
 
     def test_lower_degree_first_keeps_the_sylvester_sign(self):
         # deg p1 < deg p2 with deg p1 * deg p2 odd
@@ -512,6 +550,13 @@ class TestTowerResultant:
         r = sylvester_resultant(P("adjoin a: a^2 - 2; y - a*x"), P("adjoin a: a^2 - 2; y + a*x"))
         assert r == parse_series("adjoin a: a^2 - 2; 2*a*x")
         assert calls == [2]
+
+    def test_tower_second_operand_not_unitary(self):
+        # the roots of y^2 - 2x^3 are +-a x^(3/2), and a^2 = 2
+        p1 = P("adjoin a: a^2 - 2; y^2 - 2*x^3")
+        p2 = P("adjoin a: a^2 - 2; a*x*y + x^2")
+        assert sylvester_resultant(p1, p2) == parse_series("adjoin a: a^2 - 2; x^4 - 4*x^5")
+        assert intersection_number(p1, p2) == 4
 
 
 class TestShiftedResultant:
