@@ -234,8 +234,8 @@ def _dmul(field, level, a, b):
 
 def _dreduce(field, level, prod):
     """Reduce a polynomial in the level's generator modulo the level's monic
-    minimal polynomial; prod lists its 2*deg - 1 coefficients, ascending,
-    each reduced one level down.  Reuses prod as scratch."""
+    minimal polynomial; prod lists at least deg of its coefficients,
+    ascending, each reduced one level down.  Reuses prod as scratch."""
     deg = field.steps[level - 1].degree
     mp = field.steps[level - 1].minpoly
     lower = level - 1

@@ -302,7 +302,7 @@ def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:
                 )
             bound = res.order()
             if val.precision > bound:
-                raise AssertionError(
+                raise ArithmeticError(
                     "substitution vanished beyond the resultant bound; internal error"
                 )
             raise PrecisionInsufficient(

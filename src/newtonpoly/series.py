@@ -18,17 +18,17 @@ and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
 resultants, the shifted resultant realising the polygon product, and
 intersection numbers at the origin read off the resultant's valuation.
 
-Resultants have two kernels.  Over QQ, the Sylvester resultant clears
-denominators, evaluates every y-coefficient at x = 2^K with the packed
-representation above, runs sympy's univariate subresultant PRS on the two
-integer polynomials in y, and reads the coefficients of R(x) back as the
-balanced base-2^K digits of R(2^K); K is chosen above a bound on those
-coefficients.  Over a proper tower, and for the shifted resultant, Bareiss
-elimination runs on the Sylvester matrix of exact series.  Both give the
-Sylvester determinant with the first operand in the top rows, sign included.
-Only the first operand must be unitary: by Halphen's formula the order of
-the resultant then counts intersections on x = 0 whatever the second
-operand's leading coefficient.
+Resultants share one kernel too (_packed_resultant).  The Sylvester
+resultant and the shifted resultant Res_U(P1(T+U), P2(U)) both read their
+operands as polynomials in y over k[T, x], clear denominators, and pack
+every generator of the tower, x and T into slots of one integer, each
+variable with room for its degree in the result; sympy's univariate
+subresultant PRS then takes one integer resultant in y, whose balanced
+base-2^K digits are the coefficients of the resultant, reduced modulo the
+minimal polynomials.  It is the Sylvester determinant with the first
+operand in the top rows, sign included.  Only the first operand must be
+unitary: by Halphen's formula the order of the resultant then counts
+intersections on x = 0 whatever the second operand's leading coefficient.
 """
 
 from __future__ import annotations
@@ -113,9 +113,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         """Identically zero, certified (needs exact precision)."""
         return not self.coeffs and self.is_exact
-
-    def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
 
     def order(self):
         """Valuation; INF for the exact zero series.
@@ -338,15 +335,17 @@ class TruncatedSeries:
         return format_series(self)
 
 
-# -- the packed product kernel ------------------------------------------------
+# -- the packed kernels ---------------------------------------------------------
 # A series over a tower with step degrees d_1..d_k is read as a polynomial in
 # (t, a_1, ..., a_k) with rational coefficients.  Its terms go to slots of
-# one integer: the term t^e a_1^i_1 ... a_k^i_k (e counted from the valuation)
-# takes slot e*S + i_1 + (2d_1 - 1)*(i_2 + (2d_2 - 1)*(...)), where
-# S = prod(2d_i - 1), so that the exponents of a product never overflow into
-# the next slot.  Each slot is w bytes wide, enough for any product
-# coefficient with its sign, so one big-integer multiplication computes every
-# coefficient of the product at once.
+# one integer: each packed variable gets a span of slots, and the term
+# t^e a_1^i_1 ... a_k^i_k (e counted from the valuation) takes slot
+# i_1 + s_1*(i_2 + s_2*(... + s_k*e)), where s_i is the span of a_i.  The
+# product kernel gives a_i the span 2d_i - 1, so that the exponents of a
+# product never overflow into the next slot; the resultant kernel reads its
+# spans off its operands.  Each slot is w bytes wide, enough for any
+# coefficient of the result with its sign, so one big-integer multiplication
+# (or one integer resultant) computes every coefficient at once.
 
 
 def _runs(terms):
@@ -360,10 +359,13 @@ def _runs(terms):
     return [terms[i:j] for i, j in zip([0] + cuts, cuts + [n])]
 
 
-def _slot_strides(field):
+def _slot_strides(spans):
+    """Strides of packed variables with the given spans, innermost first:
+    the first stride is 1, and each further one is the product of the
+    spans below it; the last is the number of slots."""
     strides = [1]
-    for step in field.steps:
-        strides.append(strides[-1] * (2 * step.degree - 1))
+    for span in spans:
+        strides.append(strides[-1] * span)
     return strides
 
 
@@ -423,15 +425,17 @@ _ZERO = Fraction(0)
 
 def _unflatten(field, level, values, slot, strides, den):
     """Field datum of the slots from slot on, divided by den and reduced
-    modulo the minimal polynomials, innermost level first."""
+    modulo the minimal polynomials, innermost level first.  The span of
+    each generator is read off the strides; one below the generator's
+    degree is padded with zeros."""
     if level == 0:
         return Fraction(values[slot], den) if values[slot] else _ZERO
     stride = strides[level - 1]
-    span = 2 * field.steps[level - 1].degree - 1
     prod = [
         _unflatten(field, level - 1, values, slot + i * stride, strides, den)
-        for i in range(span)
+        for i in range(strides[level] // stride)
     ]
+    prod += [fld._const(_ZERO, level - 1, field)] * (field.steps[level - 1].degree - len(prod))
     return fld._dreduce(field, level, prod)
 
 
@@ -443,7 +447,7 @@ def _packed_product(field, terms_a, terms_b, p):
     integer bounded by max|A| * max|B| * min(#A, #B); the slot width leaves
     room for it and a sign, so _unpack reads every slot back.
     """
-    strides, level = _slot_strides(field), field.level
+    strides, level = _slot_strides([2 * step.degree - 1 for step in field.steps]), field.level
     size = strides[-1]
     den_a, slots_a, ints_a = _integer_slots(terms_a, level, strides)
     den_b, slots_b, ints_b = _integer_slots(terms_b, level, strides)
@@ -570,29 +574,6 @@ class YPolynomial:
         return YPolynomial.make(out, a.xvar, a.yvar)
 
     __rmul__ = __mul__
-
-    def exact_div(self, den: "YPolynomial") -> "YPolynomial":
-        """Exact division in (K[x])[y], long division with exact series division."""
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        z = TruncatedSeries.zero(self.field, self.xvar)
-        ncoeffs = list(self.coeffs)
-        dd = den.degree()
-        dlc = den.coeffs[-1]
-        out = [z] * max(len(ncoeffs) - dd, 1)
-        while True:
-            while len(ncoeffs) > 1 and ncoeffs[-1].is_zero():
-                ncoeffs.pop()
-            if len(ncoeffs) == 1 and ncoeffs[0].is_zero():
-                break
-            nd = len(ncoeffs) - 1
-            if nd < dd:
-                raise ArithmeticError("exact polynomial division has a remainder")
-            q = ncoeffs[-1].exact_div(dlc)
-            out[nd - dd] = out[nd - dd] + q
-            for i, c in enumerate(den.coeffs):
-                ncoeffs[nd - dd + i] = ncoeffs[nd - dd + i] - q * c
-        return YPolynomial.make(out, self.xvar, self.yvar)
 
     def dy(self) -> "YPolynomial":
         if self.degree() == 0:
@@ -803,44 +784,7 @@ def is_nondegenerate_pair(f1: YPolynomial, f2: YPolynomial) -> bool:
     return True
 
 
-# -- determinants and resultants ---------------------------------------------
-
-
-def bareiss_determinant(rows, one):
-    """Fraction-free determinant over an integral domain.
-
-    The entries need ``*``, ``-``, ``exact_div`` and ``is_zero()``; ``one``
-    is the unit of their ring, the first pivot divisor.
-    """
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return m[k][k]  # zero, as is the rest of column k
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def _sylvester_rows(p1_coeffs, p2_coeffs, zero):
-    """Sylvester matrix of two coefficient lists in ascending degree, with
-    p1's coefficients in the top deg(p2) rows."""
-    m, n = len(p1_coeffs) - 1, len(p2_coeffs) - 1
-    desc1, desc2 = list(reversed(p1_coeffs)), list(reversed(p2_coeffs))
-    rows = [[zero] * i + desc1 + [zero] * (n - 1 - i) for i in range(n)]
-    rows += [[zero] * i + desc2 + [zero] * (m - 1 - i) for i in range(m)]
-    return rows
+# -- resultants ------------------------------------------------------------------
 
 
 def _require_exact(f: YPolynomial, what: str, unitary=True):
@@ -870,84 +814,116 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     p1 = 0 and p2 = 0 on the line x = 0 (see intersection_number).
 
     The value is the determinant of the Sylvester matrix with p1's
-    coefficients in the top deg(p2) rows, sign included.  Over QQ it is read
-    off one integer resultant in y at x = 2^K, with 2^(K-1) above
-    ||p1||_1^deg(p2) * ||p2||_1^deg(p1) once denominators are cleared (see
-    _qq_resultant); over a proper tower, Bareiss elimination on that matrix
-    computes it.
+    coefficients in the top deg(p2) rows, sign included, computed by the
+    packed kernel (see _packed_resultant).
     """
     k = join_fields(p1.field, p2.field)
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
     _require_exact(p1, "sylvester_resultant")
     _require_exact(p2, "sylvester_resultant", unitary=False)
-    m, n = p1.degree(), p2.degree()
-    if m == 0 and n == 0:
+    if p1.degree() == 0 and p2.degree() == 0:
         return TruncatedSeries.constant(k, p1.xvar, 1)
-    if k.level == 0:
-        return _qq_resultant(p1, p2)
-    rows = _sylvester_rows(p1.coeffs, p2.coeffs, TruncatedSeries.zero(k, p1.xvar))
-    return bareiss_determinant(rows, TruncatedSeries.constant(k, p1.xvar, 1))
+    (terms,) = _packed_resultant(k, [[(0, c)] for c in p1.coeffs], [[(0, c)] for c in p2.coeffs])
+    return TruncatedSeries(k, p1.xvar, terms, INF)
 
 
-def _cleared_rows(f: YPolynomial):
-    """(c, rows, norm): c is the least common denominator of f's rational
-    coefficients; rows[j] holds the x-exponents and the integer coefficients
-    of c times the y^j coefficient, and norm is the sum of their absolute
-    values, the l1 norm of c*f."""
-    c = lcm(*(v.data.denominator for s in f.coeffs for _, v in s.coeffs))
-    rows = [
-        (
-            [e for e, _ in s.coeffs],
-            [v.data.numerator * (c // v.data.denominator) for _, v in s.coeffs],
-        )
-        for s in f.coeffs
-    ]
-    return c, rows, sum(abs(a) for _, ints in rows for a in ints)
+def _generator_degrees(data, level, degrees):
+    """Raise degrees[i] to the degree of a field datum in the generator of
+    level i + 1, for each level up to level."""
+    if level:
+        for i, c in enumerate(data):
+            if not fld._data_is_zero(c):
+                degrees[level - 1] = max(degrees[level - 1], i)
+                _generator_degrees(c, level - 1, degrees)
 
 
-def _qq_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
-    """Sylvester resultant of exact polynomials over QQ with nonzero leading
-    y-coefficients, by evaluation at x = 2^K (Kronecker substitution).
+def _packed_resultant(k, p1, p2):
+    """Sylvester determinant of two polynomials in y over k[T, x], with p1's
+    coefficients in the top rows, by one integer resultant (Kronecker
+    substitution).  Returns the coefficient of each power of T, ascending,
+    as the terms (exp, FieldElement) of an exact series in x.
 
-    Clearing denominators, c1*p1 and c2*p2 with integer l1 norms N1 and N2,
-    scales the resultant by c1^n * c2^m, where m = deg p1 and n = deg p2.
-    The integer resultant R(x) is a sum over permutations of products of n
-    entries of p1's rows and m of p2's, so its l1 norm is at most
-    N1^n * N2^m, the product of the row norms.  K is a multiple of 8 with
-    2^(K-1) above that bound and above N1 and N2, which the product does not
-    cover when an operand has y-degree 0.  Evaluation at 2^K is a ring map
-    ZZ[x] -> ZZ, so it commutes with the Sylvester determinant, provided
-    neither leading y-coefficient vanishes at 2^K.  Such a coefficient is
-    x^k * u(x) with u(0) != 0, and 2^K is not a root of x^k; an integer
-    root of u divides u(0), which is at most N1 or N2 in absolute value,
-    below 2^(K-1).  Hence R(2^K) is the resultant of the two
-    evaluated integer polynomials in y, which sympy's univariate subresultant
-    PRS computes, and the coefficients of R, each below 2^(K-1) in absolute
-    value, are the balanced base-2^K digits of R(2^K) (see _unpack).
-
-    sympy's dup_resultant puts the operand of higher degree first; with the
-    operands swapped the Sylvester determinant changes by
-    (-1)^(deg p1 * deg p2), e.g. Res(y + 2x, y^3 + x^4) is x^4 - 8x^3, and
-    sympy's value for that order is its negative.
+    Each operand lists its y-coefficients in ascending degree, the leading
+    one nonzero; a y-coefficient lists (t, s) pairs, ascending in t, for
+    its terms T^t * s with s an exact series in x.  Read every tower datum
+    as a polynomial in the generators a_1, ..., a_l with rational
+    coefficients (see _flatten).  Clearing denominators, c1*p1 and c2*p2
+    are polynomials in y over ZZ[a, x, T] with integer l1 norms N1 and N2.
+    With m = deg p1 and n = deg p2, their resultant R is a sum over
+    permutations of products of n entries of p1's rows and m of p2's, so
+    its degree in each packed variable v (a generator, x or T) is at most
+    n*deg_v p1 + m*deg_v p2, and its l1 norm at most N1^n * N2^m, the
+    product of the row norms.  Each v gets that many slots plus one, and at
+    least deg_v of either operand plus one; K is a multiple of 8 with
+    2^(K-1) above N1^n * N2^m, N1 and N2.  Sending the packed variables to
+    the powers 2^(K * stride) of their slots is a ring map ZZ[a, x, T] ->
+    ZZ, injective on the polynomials that fit the slots with coefficients
+    below 2^(K-1) in absolute value, so neither leading y-coefficient
+    vanishes and the map commutes with the Sylvester determinant.  Hence
+    sympy's univariate subresultant PRS on the two packed integer
+    polynomials in y gives R at the packed point, and the coefficients of
+    R are its balanced base-2^K digits (see _unpack).  Reducing them modulo
+    the minimal polynomials (_unflatten) is the ring map onto k, which
+    keeps the leading coefficients nonzero, so it gives the resultant over
+    k.
     """
-    m, n = p1.degree(), p2.degree()
-    (c1, rows1, norm1), (c2, rows2, norm2) = _cleared_rows(p1), _cleared_rows(p2)
+    level, m, n = k.level, len(p1) - 1, len(p2) - 1
+    # degrees of each operand in the generators, innermost first, x and T
+    degrees = [[0] * (level + 2), [0] * (level + 2)]
+    for p, deg in zip((p1, p2), degrees):
+        for row in p:
+            for t, s in row:
+                if s.coeffs:
+                    if t > deg[-1]:
+                        deg[-1] = t
+                    if s.coeffs[-1][0] > deg[-2]:
+                        deg[-2] = s.coeffs[-1][0]
+                    if level:
+                        for _, c in s.coeffs:
+                            _generator_degrees(c.data, level, deg)
+    spans = [max(n * d1 + m * d2, d1, d2) + 1 for d1, d2 in zip(*degrees)]
+    strides = _slot_strides(spans)
+    x_stride, t_stride, nslots = strides[-3:]
+    packed = []
+    for p in (p1, p2):
+        rows = []
+        for row in p:
+            slots, rationals = [], []
+            for t, s in row:
+                base = t * t_stride
+                for e, c in s.coeffs:
+                    if level:
+                        _flatten(c.data, level, strides, base + e * x_stride, slots, rationals)
+                    else:
+                        slots.append(base + e)
+                        rationals.append(c.data)
+            rows.append((slots, rationals))
+        den = lcm(*[q.denominator for _, rationals in rows for q in rationals])
+        rows = [(slots, [q.numerator * (den // q.denominator) for q in rationals])
+                for slots, rationals in rows]
+        packed.append((den, rows, sum(sum(map(abs, ints)) for _, ints in rows)))
+    (c1, rows1, norm1), (c2, rows2, norm2) = packed
     width = (max(norm1 ** n * norm2 ** m, norm1, norm2).bit_length() + 8) // 8
-    dx1 = max(exps[-1] for exps, _ in rows1 if exps)
-    dx2 = max(exps[-1] for exps, _ in rows2 if exps)
-    nslots = max(n * dx1 + m * dx2, dx1, dx2) + 1
     bias = _slot_bias(nslots, width)
-    f1 = [_pack(exps, ints, width, bias) if ints else 0 for exps, ints in reversed(rows1)]
-    f2 = [_pack(exps, ints, width, bias) if ints else 0 for exps, ints in reversed(rows2)]
-    if m >= n:
-        res, sign = dup_resultant(f1, f2, ZZ), 1
-    else:
-        res, sign = dup_resultant(f2, f1, ZZ), (-1) ** (m * n)
-    scale = sign * c1 ** n * c2 ** m
-    digits = _unpack(int(res), width, bias, nslots, nslots)
-    return TruncatedSeries.make(
-        QQ, p1.xvar, {i: Fraction(d, scale) for i, d in enumerate(digits) if d}
-    )
+    f1 = [_pack(slots, ints, width, bias) if ints else 0 for slots, ints in reversed(rows1)]
+    f2 = [_pack(slots, ints, width, bias) if ints else 0 for slots, ints in reversed(rows2)]
+    scale = c1 ** n * c2 ** m
+    # dup_resultant puts the operand of higher degree first, and swapping the
+    # operands changes the Sylvester determinant by (-1)^(m*n): e.g.
+    # Res(y + 2x, y^3 + x^4) is x^4 - 8x^3, and sympy's value for that order
+    # is its negative
+    if m < n:
+        f1, f2, scale = f2, f1, (-1) ** (m * n) * scale
+    digits = _unpack(int(dup_resultant(f1, f2, ZZ)), width, bias, nslots, nslots)
+    out = [[] for _ in range(spans[-1])]
+    # each block of x_stride slots holds one field datum
+    for block in dict.fromkeys(i // x_stride for i, d in enumerate(digits) if d):
+        data = _unflatten(k, level, digits, block * x_stride, strides, scale)
+        # over a tower, a nonzero block can reduce to zero
+        if not (level and fld._data_is_zero(data)):
+            t, e = divmod(block, spans[-2])
+            out[t].append((e, FieldElement(k, data)))
+    return [tuple(terms) for terms in out]
 
 
 def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
@@ -966,22 +942,16 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     if p1.is_y_divisible() or p2.is_y_divisible():
         raise YDivisible("shifted resultant requires polynomials not divisible by y")
     m, n = p1.degree(), p2.degree()
-    # P1(T+U) as a polynomial in U: coefficient of U^k is sum_j C(j,k) a_j T^(j-k)
-    p1_in_u = []
-    for kk in range(m + 1):
-        terms = {}
-        for j in range(kk, m + 1):
-            series = p1.coeffs[j]
-            for e, v in series.coeffs:
-                key = (e, j - kk)
-                add = v * comb(j, kk)
-                terms[key] = terms[key] + add if key in terms else add
-        p1_in_u.append(YPolynomial.from_terms(terms, k, p1.xvar, "T"))
-    p2_in_u = [
-        YPolynomial.make([c], p1.xvar, "T") for c in p2.coeffs
+    # P1(T+U) as a polynomial in U: the coefficient of U^i is
+    # sum_j C(j, i) a_j T^(j-i)
+    p1_in_u = [
+        [(j - i, p1.coeffs[j].scale(comb(j, i))) for j in range(i, m + 1)]
+        for i in range(m + 1)
     ]
-    rows = _sylvester_rows(p1_in_u, p2_in_u, YPolynomial.from_terms({}, k, p1.xvar, "T"))
-    res = bareiss_determinant(rows, YPolynomial.from_terms({(0, 0): k.one()}, k, p1.xvar, "T"))
+    coeffs = _packed_resultant(k, p1_in_u, [[(0, c)] for c in p2.coeffs])
+    res = YPolynomial.make(
+        [TruncatedSeries(k, p1.xvar, terms, INF) for terms in coeffs], p1.xvar, "T"
+    )
     if res.degree() != m * n:
         raise ArithmeticError("shifted resultant degree must be deg P1 * deg P2")
     lead = res.coeffs[-1]

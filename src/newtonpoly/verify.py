@@ -297,6 +297,28 @@ def _nondegenerate_pair(rng):
     raise RuntimeError("failed to sample a nondegenerate pair")
 
 
+def _value_at(s, x0):
+    """An exact series over QQ at x = x0."""
+    return sum((c.rational_value() * x0 ** e for e, c in s.coeffs), Fraction(0))
+
+
+def _pinned_by_rational_sylvester(res, p1, p2):
+    """res, as a polynomial in x, is the Sylvester resultant of p1 and p2
+    over QQ[x]: of degree at most D = deg p2 * deg_x p1 + deg p1 * deg_x p2,
+    like that resultant, and equal at x0 = 0, ..., D to the determinant
+    (_det) of the rational Sylvester matrix of p1(x0, y) and p2(x0, y)."""
+    m, n = p1.degree(), p2.degree()
+    dx1, dx2 = (max(e for c in p.coeffs for e, _ in c.coeffs) for p in (p1, p2))
+    bound = n * dx1 + m * dx2
+    for x0 in range(bound + 1):
+        a, b = ([_value_at(c, x0) for c in reversed(p.coeffs)] for p in (p1, p2))
+        rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+        if _value_at(res, x0) != _det(rows):
+            return False
+    return not res.coeffs or res.coeffs[-1][0] <= bound
+
+
 def suite_product_realization(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     ok_poly = True
@@ -310,10 +332,11 @@ def suite_product_realization(seed=DEFAULT_SEED):
         if lhs != rhs:
             ok_poly = False
             break
-        if rhs.height() != sylvester_resultant(p1, p2).order():
+        plain = sylvester_resultant(p1, p2)
+        if rhs.height() != plain.order():
             ok_height = False
             break
-        if res.coeffs[0] != sylvester_resultant(p1, p2):
+        if res.coeffs[0] != plain or not _pinned_by_rational_sylvester(plain, p1, p2):
             ok_const = False
             break
     worked = shifted_resultant(parse_polynomial("y - x"), parse_polynomial("y - 2*x"))

@@ -43,3 +43,19 @@ def test_acceptance(label, suite, budget):
 
 def test_registry_covers_all_criteria():
     assert set(SUITES) == {c[1] for c in CRITERIA}
+
+
+def test_product_realization_checks_the_kernel_on_its_own(monkeypatch):
+    # a kernel that doubles every resultant keeps each polygon, height and
+    # constant term consistent; the rational Sylvester determinants of the
+    # constant-term clause (and the pinned value) still catch it
+    from newtonpoly import series
+
+    packed = series._packed_resultant
+
+    def doubled(k, p1, p2):
+        return [tuple((e, c * 2) for e, c in terms) for terms in packed(k, p1, p2)]
+
+    monkeypatch.setattr(series, "_packed_resultant", doubled)
+    results = run_suite("product-realization", seed=SEED)
+    assert [r.passed for r in results] == [True, True, False, False]

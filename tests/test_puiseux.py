@@ -15,7 +15,7 @@ from newtonpoly.puiseux import (
     puiseux_expand,
     root_valuations,
 )
-from newtonpoly.series import parse_polynomial, sylvester_resultant
+from newtonpoly.series import parse_polynomial, parse_series, sylvester_resultant
 
 
 def P(text):
@@ -73,9 +73,9 @@ class TestExpand:
         f = P("y^3 - x^4") * P("y - x^2")
         for b in puiseux_expand(f, t_precision=16):
             val = f.lift_field(b.field).eval_on_branch(b.ramification, b.y_series)
-            assert val.is_zero_to_precision()
+            assert not val.coeffs
             d = f.dy().lift_field(b.field).eval_on_branch(b.ramification, b.y_series)
-            assert not d.is_zero_to_precision()  # square-free: derivative finite order
+            assert d.coeffs  # square-free: derivative finite order
 
     def test_square_free_rejected(self):
         with pytest.raises(NotSquareFree):
@@ -230,6 +230,15 @@ class TestOrderAlongBranch:
         f = P("y^2 - x^3")
         (b,) = puiseux_expand(f, t_precision=10)
         with pytest.raises(IdenticallyZero):
+            order_along_branch(f, b)
+
+    def test_vanishing_beyond_the_resultant_bound_is_an_internal_error(self, monkeypatch):
+        # f vanishes along its own branch to O(t^16); a resultant of order 1
+        # would bound that order by 1, so the check must fire
+        f = P("y^2 - x^3 - x^4")
+        (b,) = puiseux_expand(f, t_precision=10)
+        monkeypatch.setattr(puiseux, "sylvester_resultant", lambda p1, p2: parse_series("x"))
+        with pytest.raises(ArithmeticError, match="beyond the resultant bound"):
             order_along_branch(f, b)
 
     def test_polar_on_axis_branch(self):

@@ -19,7 +19,6 @@ from newtonpoly.product import product
 from newtonpoly.series import (
     TruncatedSeries,
     YPolynomial,
-    bareiss_determinant,
     edge_polynomial,
     format_polynomial,
     format_series,
@@ -364,6 +363,34 @@ class TestResultants:
             sylvester_resultant(P("y^2 - x^3"), P("x*y + O(x^5)"))
 
 
+def bareiss_determinant(rows, one):
+    """Fraction-free determinant over an integral domain: the reference for
+    the packed resultant kernel.
+
+    The entries need ``*``, ``-``, ``exact_div`` and ``is_zero()``; ``one``
+    is the unit of their ring, the first pivot divisor.
+    """
+    n = len(rows)
+    if n == 0:
+        return one
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot is None:
+                return m[k][k]  # zero, as is the rest of column k
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else -det
+
+
 def sylvester_by_bareiss(p1, p2):
     """Bareiss determinant of the Sylvester matrix, p1's rows on top."""
     zero = TruncatedSeries.zero(p1.field, p1.xvar)
@@ -412,13 +439,6 @@ def random_lead(rng, deg):
 
 class TestQQResultantKernel:
     """The evaluated integer path over QQ against Bareiss on the same matrix."""
-
-    @pytest.fixture(autouse=True)
-    def no_bareiss(self, monkeypatch):
-        def refuse(rows, one):
-            raise AssertionError("QQ resultants must not run Bareiss")
-
-        monkeypatch.setattr(series, "bareiss_determinant", refuse)
 
     @pytest.fixture(autouse=True)
     def no_bivariate_resultant(self, monkeypatch):
@@ -538,18 +558,96 @@ class TestQQResultantKernel:
         assert sylvester_resultant(g, p1) == -expected
 
 
+# adjoin clauses of the seeded tower set, with the generator monomials of
+# their data
+TOWER_CLAUSES = [
+    ("adjoin a: a^2 - 2", ["a"]),
+    ("adjoin a: a^2 - 3", ["a"]),
+    ("adjoin a: a^2 - 2; adjoin b: b^3 - a - 1", ["a", "b", "a*b", "b^2"]),
+]
+# leading y-coefficients of second operands: of positive order, or a unit
+# that vanishes at x = 2
+TOWER_LEADS = ["x", "a*x^2", "(x - 2)", "(1 + a*x)*x"]
+TOWER_KINDS = ("unitary", "lead", "shared", "qq")
+
+
+def tower_coefficient(rng, monomials):
+    """Text of a nonzero element: one or two rational multiples of 1 and
+    the monomials."""
+    chosen = rng.sample(["1"] + monomials, min(rng.randint(1, 2), len(monomials) + 1))
+    terms = [f"{Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3]))}*{mono}"
+             for mono in chosen]
+    return "(" + " + ".join(terms) + ")"
+
+
+def tower_body(rng, monomials, deg, lead="1"):
+    """Text of a polynomial of y-degree deg with leading coefficient lead
+    times an element, and up to two terms of x-degree at most 4 at each
+    lower power of y, at least one at y^0."""
+    terms = [f"{tower_coefficient(rng, monomials)}*{lead}*y^{deg}"]
+    for j in range(deg):
+        for _ in range(rng.randint(0 if j else 1, 2)):
+            terms.append(f"{tower_coefficient(rng, monomials)}*x^{rng.randint(0, 4)}*y^{j}")
+    return " + ".join(terms)
+
+
+def tower_pairs(seed=17, count=2):
+    """(kind, text1, text2), count pairs of each kind over each tower of
+    TOWER_CLAUSES: both unitary ("unitary"), a second operand whose leading
+    coefficient comes from TOWER_LEADS ("lead"), both multiplied by one
+    factor ("shared"), and QQ data read in the tower ("qq").  y-degrees are
+    1 to 3, with the shared factor of degree 1 included."""
+    rng = random.Random(seed)
+    out = []
+    for tower, monomials in TOWER_CLAUSES:
+        for kind in TOWER_KINDS:
+            mons = [] if kind == "qq" else monomials
+            top = 2 if kind == "shared" else 3
+            for _ in range(count):
+                lead = rng.choice(TOWER_LEADS) if kind == "lead" else "1"
+                b1 = tower_body(rng, mons, rng.randint(1, top))
+                b2 = tower_body(rng, mons, rng.randint(1, top), lead)
+                if kind == "shared":
+                    common = tower_body(rng, mons, 1)
+                    b1, b2 = f"({common})*({b1})", f"({common})*({b2})"
+                out.append((kind, f"{tower}; {b1}", f"{tower}; {b2}"))
+    return out
+
+
+def shifted_by_bareiss(p1, p2, t0):
+    """Reference for shifted_resultant at T = t0: the Bareiss determinant
+    of the Sylvester matrix of P1(t0 + U) and P2(U), P1's rows on top."""
+    k, x = p1.field, p1.xvar
+    u = YPolynomial.make([TruncatedSeries.constant(k, x, t0), TruncatedSeries.constant(k, x, 1)])
+    shifted = YPolynomial.make([TruncatedSeries.zero(k, x)])
+    for c in reversed(p1.coeffs):
+        shifted = shifted * u + c
+    return sylvester_by_bareiss(shifted, p2)
+
+
+def value_at(res, t0):
+    """A polynomial in T with series coefficients, at T = t0."""
+    total = TruncatedSeries.zero(res.field, res.xvar)
+    for j, c in enumerate(res.coeffs):
+        total = total + c.scale(t0 ** j)
+    return total
+
+
 class TestTowerResultant:
-    def test_tower_pair_takes_bareiss(self, monkeypatch):
-        calls = []
+    """The packed kernel over towers against Bareiss on the same matrix."""
 
-        def spy(rows, one):
-            calls.append(len(rows))
-            return bareiss_determinant(rows, one)
-
-        monkeypatch.setattr(series, "bareiss_determinant", spy)
-        r = sylvester_resultant(P("adjoin a: a^2 - 2; y - a*x"), P("adjoin a: a^2 - 2; y + a*x"))
-        assert r == parse_series("adjoin a: a^2 - 2; 2*a*x")
-        assert calls == [2]
+    def test_seeded_tower_set_matches_bareiss(self):
+        seen, fields = set(), set()
+        for kind, t1, t2 in tower_pairs():
+            p1, p2 = P(t1), P(t2)
+            r = sylvester_resultant(p1, p2)
+            assert r == sylvester_by_bareiss(p1, p2), (t1, t2)
+            assert r.is_zero() == (kind == "shared")
+            seen.add((kind, p1.field.level, p2.is_unitary()))
+            fields.add(p1.field)
+        assert len(fields) == 3
+        assert {("lead", 1, False), ("lead", 2, False), ("shared", 2, True),
+                ("qq", 1, True), ("qq", 2, True)} <= seen
 
     def test_tower_second_operand_not_unitary(self):
         # the roots of y^2 - 2x^3 are +-a x^(3/2), and a^2 = 2
@@ -596,6 +694,27 @@ class TestShiftedResultant:
         rhs = product(realization_polygon(p1), realization_polygon(p2))
         assert lhs == rhs == make_elementary(2, 1)
         assert newton_polygon_of(res) != product(newton_polygon_of(p1), newton_polygon_of(p2))
+
+
+class TestTowerShiftedResultant:
+    def test_pinned_pair(self):
+        r = shifted_resultant(P("adjoin u: u^2 - 2; y - u*x"), P("adjoin u: u^2 - 2; y + u*x"))
+        assert format_polynomial(r) == "-T + (2*u)*x"
+
+    def test_seeded_tower_set_matches_bareiss_at_each_t(self):
+        # deg T = m*n, so the values at T = 0, ..., m*n pin the polynomial
+        checked = set()
+        for kind, t1, t2 in tower_pairs():
+            p1, p2 = P(t1), P(t2)
+            m, n = p1.degree(), p2.degree()
+            if kind not in ("unitary", "qq") or m * n > 6:
+                continue
+            r = shifted_resultant(p1, p2)
+            assert r.degree() == m * n
+            for t0 in range(m * n + 1):
+                assert value_at(r, t0) == shifted_by_bareiss(p1, p2, t0), (t1, t2, t0)
+            checked.add((kind, p1.field.level))
+        assert {("unitary", 1), ("unitary", 2), ("qq", 1)} <= checked
 
 
 class TestIntersection:

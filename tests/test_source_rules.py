@@ -8,7 +8,12 @@ check: no other module imports them.  The command line runs the suites, so
 it may import the names that run them and nothing else.  In the other
 direction, ``verify.py`` reads no private name of ``newtonpoly.polyhedra``,
 so that its box-hull oracle shares neither the facet enumerator nor the
-fan reuse of the mixed covolumes it checks.
+fan reuse of the mixed covolumes it checks, and none of
+``newtonpoly.series``, whose packed resultant kernel its rational Sylvester
+determinants check.
+
+``series.py`` has one resultant kernel: it calls sympy's ``dup_resultant``
+exactly once.
 
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
 from ``fractions``, and the construction path of ``polygon.py`` names
@@ -25,7 +30,8 @@ import pytest
 
 import newtonpoly
 
-MODULES = sorted(pathlib.Path(newtonpoly.__file__).parent.glob("*.py"))
+PACKAGE = pathlib.Path(newtonpoly.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -78,21 +84,21 @@ def test_oracles_stay_independent(path):
     )
 
 
-def _polyhedra_private_names(tree):
-    """Private names of newtonpoly.polyhedra that a module reads, imported
+def _private_names(tree, name):
+    """Private names of newtonpoly.<name> that a module reads, imported
     (``from .polyhedra import _det``) or through the module (``ph._det``)."""
     modules, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {alias.asname or alias.name for alias in node.names
-                        if alias.name == "newtonpoly.polyhedra"}
+                        if alias.name == f"newtonpoly.{name}"}
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if module in (".polyhedra", "newtonpoly.polyhedra"):
+            if module in (f".{name}", f"newtonpoly.{name}"):
                 names |= {alias.name for alias in node.names if alias.name.startswith("_")}
             elif module in (".", "newtonpoly"):
                 modules |= {alias.asname or alias.name for alias in node.names
-                            if alias.name == "polyhedra"}
+                            if alias.name == name}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and ast.unparse(node.value) in modules):
@@ -109,23 +115,58 @@ def test_polyhedra_private_name_scan_sees_every_form():
         "from .polyhedra import _combo, covolume\n"
         "from newtonpoly.polyhedra import _facets as f\n"
         "from .polygon import _steeper\n"
+        "from .series import _packed_resultant\n"
         "a = ph._det(ph.covolume(n), n._hull_facets)\n"
         "b = newtonpoly.polyhedra._minimal + polyhedra._dot + P._cone_volume\n"
     )
-    assert _polyhedra_private_names(ast.parse(source)) == {
+    tree = ast.parse(source)
+    assert _private_names(tree, "polyhedra") == {
         "_combo", "_facets", "_det", "_minimal", "_dot", "_cone_volume"}
+    assert _private_names(tree, "series") == {"_packed_resultant"}
 
 
-def test_verify_reads_no_private_name_of_polyhedra():
-    path = pathlib.Path(newtonpoly.__file__).parent / "verify.py"
-    names = _polyhedra_private_names(ast.parse(path.read_text(), filename=str(path)))
+def _verify_private_names(module):
+    path = PACKAGE / "verify.py"
+    names = _private_names(ast.parse(path.read_text(), filename=str(path)), module)
     assert not names, (
-        f"verify.py reads {sorted(names)} of newtonpoly.polyhedra; its oracles must "
+        f"verify.py reads {sorted(names)} of newtonpoly.{module}; its oracles must "
         "not share the code they check"
     )
 
 
-PACKAGE = pathlib.Path(newtonpoly.__file__).parent
+def test_verify_reads_no_private_name_of_polyhedra():
+    _verify_private_names("polyhedra")
+
+
+def test_verify_reads_no_private_name_of_series():
+    _verify_private_names("series")
+
+
+def _calls(tree, name):
+    """Calls of a function by its name or as an attribute."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Name) and node.func.id == name)
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == name))
+    ]
+
+
+def test_call_scan_sees_every_form():
+    tree = ast.parse("a = dup_resultant(f, g, ZZ)\nb = euclidtools.dup_resultant(g, f, ZZ)\n"
+                     "c = dup_resultant\nd = dmp_resultant(f, g, 1, ZZ)\n")
+    assert len(_calls(tree, "dup_resultant")) == 2
+
+
+def test_series_has_one_resultant_kernel():
+    path = PACKAGE / "series.py"
+    calls = _calls(ast.parse(path.read_text(), filename=str(path)), "dup_resultant")
+    assert len(calls) == 1, (
+        f"series.py calls dup_resultant on lines {[c.lineno for c in calls]}; every "
+        "resultant goes through the one packed kernel"
+    )
+
+
 # functions of polygon.py that every construction runs through
 CONSTRUCTION_PATH = ["_steeper", "_merge_edges", "_canonical", "NewtonPolygon.__post_init__",
                      "polygon_sum"]
