@@ -8,10 +8,13 @@ Puiseux branches, and per branch q its multiplicity m_q and its contact
 e_q + m_q with f give a pair; the Newton polygon of the Cerf diagram, the
 discriminant Res_y(f - v, f_y) of the map (l, f) in an admissible direction
 l, must be their polygon; and the intersection number of the partials at
-the origin, the Milnor number, must be their length.  No step draws a
-random number.  Derived equisingularity data (Lojasiewicz exponents,
-determinacy, class diminution, the double-point bracket) are read off the
-polygon.
+the origin, the Milnor number, must be their length.  By Teissier's lemma
+("Cycles evanescents, sections planes et conditions de Whitney", 1973) a
+transversal polar curve meets f at the origin with multiplicity mu + m - 1
+(m the multiplicity of f), which caps the precision of its expansion.  No
+step draws a random number.  Derived equisingularity data (Lojasiewicz
+exponents, determinacy, class diminution, the double-point bracket) are read
+off the polygon.
 """
 
 from __future__ import annotations
@@ -324,7 +327,8 @@ def certified_polar_polygons(f: YPolynomial):
     expanded into branches, and each branch through the origin gives one pair
     (e_q, m_q): m_q is its multiplicity and e_q + m_q its contact ord_t f.  The
     expansion starts at the precision that the Cerf polygon bounds (see
-    _polar_start) and doubles only when a contact is not yet decided.  A
+    _polar_start) and doubles only when a contact is not yet decided, up to
+    the cap that mu, computed first, gives (see _polar_pairs).  A
     direction is certified, and its polygon yielded, when its pairs give the
     Cerf polygon (cerf_polygon, from resultants) and sum to the Milnor number
     (milnor_number, from the partials).  By Teissier ("The hunting of
@@ -351,7 +355,7 @@ def certified_polar_polygons(f: YPolynomial):
         if tangent(a):
             continue
         try:
-            j = _polar_pairs(f, f.dy() - f.dx() * a, start)
+            j = _polar_pairs(f, f.dy() - f.dx() * a, mu, start)
         except (NotSquareFree, NotIsolated, NotUnitary) as exc:
             last_error = exc
             continue
@@ -387,24 +391,25 @@ def _polar_start(cerf: NewtonPolygon) -> int:
     return max((e.ell // e.h for e in cerf.edges), default=0) + 2
 
 
-def _polar_pairs(f: YPolynomial, polar: YPolynomial, start=INF) -> JacobianPolygon:
+def _polar_pairs(f: YPolynomial, polar: YPolynomial, mu: int, start=INF) -> JacobianPolygon:
     """Pairs (e_q, m_q) of the branches of the polar curve through the origin.
 
-    The global resultant Res_y(f, polar) certifies that no component is
-    shared, and its order bounds the contact of f with every polar branch,
-    so the expansion at t-precision order + 8, the cap, decides every
-    contact.  The expansion starts at the t-precision start (by default at
-    the cap) and doubles up to the cap while a multiplicity or a contact is
+    mu is the Milnor number of f.  By Teissier's lemma a polar curve
+    P = f_y - a*f_x of a direction a not tangent to f = 0 meets f at the
+    origin with multiplicity mu + m - 1 (m the multiplicity of f), so that
+    count plus a margin of 8, the cap, bounds the t-precision that decides
+    every contact.  The expansion starts at the t-precision start (by default
+    at the cap) and doubles up to the cap while a multiplicity or a contact is
     undecided; an order read off a known term is exact at any precision, so
-    the pairs do not depend on where it stops.  A polar curve that is not
-    unitary raises NotUnitary before any resultant, as its expansion would.
+    the pairs do not depend on where it stops.  No component through the
+    origin is shared: on one, f_x*(x' + a*y') = 0, so both partials vanish
+    there (milnor_number raises NotIsolated) or it is the tangent line
+    x + a*y = 0.  A polar curve that is not unitary raises NotUnitary, as its
+    expansion would.
     """
     if not polar.is_unitary():
         raise NotUnitary("polar curve: leading coefficient has positive order")
-    res = sylvester_resultant(f, polar)
-    if res.is_zero():
-        raise NotIsolated("f and its polar curve share a component")
-    cap = res.order() + 8
+    cap = mu + f.multiplicity() + 7
     precision = min(start, cap)
     while True:
         try:

@@ -43,12 +43,12 @@ _BRANCH_VAR = "t"
 
 @dataclass(frozen=True)
 class PuiseuxBranch:
-    """One conjugacy class of roots: x = t^e, y = y_series(t)."""
+    """One conjugacy class of roots: x = t^e, y = y_series(t).  The three
+    fields are the whole branch, so parse_branch(format_branch(b)) == b."""
 
     ramification: int
     y_series: TruncatedSeries
     conjugacy_size: int
-    source: YPolynomial | None = None
 
     @property
     def field(self) -> GroundField:
@@ -237,20 +237,17 @@ def puiseux_expand(
             raise PrecisionInsufficient("puiseux expansion requires exact coefficients")
     if sylvester_resultant(f, f.dy()).is_zero():
         raise NotSquareFree("polynomial has a repeated factor")
-    source = f
     branches = []
     work = f
     if work.is_y_divisible():
-        branches.append(
-            PuiseuxBranch(1, TruncatedSeries.zero(f.field, _BRANCH_VAR), 1, source)
-        )
+        branches.append(PuiseuxBranch(1, TruncatedSeries.zero(f.field, _BRANCH_VAR), 1))
         work = YPolynomial.make(list(work.coeffs[1:]), work.xvar, work.yvar)
     if t_precision is None:
         length = newton_polygon_of(work).length()
         t_precision = max(4 * work.degree() * max(int(length), 1), 8)
     # classes with positive valuation
     for e, s, conj in _expand_positive(work, t_precision, max_tower_degree):
-        branches.append(PuiseuxBranch(e, s, conj, source))
+        branches.append(PuiseuxBranch(e, s, conj))
     # classes with valuation zero: nonzero roots of f(0, y)
     k = work.field
     g0 = fld._poly_strip([c.coefficient(0) for c in work.coeffs])
@@ -267,7 +264,7 @@ def puiseux_expand(
                 raise ArithmeticError("valuation-zero class count mismatch")
             for e, s, conj in sub:
                 const = TruncatedSeries.constant(s.field, _BRANCH_VAR, s.field.lift(y0))
-                branches.append(PuiseuxBranch(e, const + s, dphi * conj, source))
+                branches.append(PuiseuxBranch(e, const + s, dphi * conj))
     covered = sum(b.ramification * b.conjugacy_size for b in branches)
     if covered != f.degree():
         raise ArithmeticError(f"branches cover {covered} of {f.degree()} roots")
@@ -282,32 +279,18 @@ def _branch_sort_key(b: PuiseuxBranch):
 
 
 def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:
-    """ord_t of g(t^e, y(t)) along the branch."""
+    """ord_t of g(t^e, y(t)) along the branch.
+
+    IdenticallyZero is raised only when the value is exactly zero, as for y
+    along the axis branch; a value that vanishes to the precision of y(t)
+    raises PrecisionInsufficient with required=None.
+    """
     k = join_fields(g.field, b.field)
     val = g.lift_field(k).eval_on_branch(b.ramification, b.y_series.lift_field(k))
     if val.coeffs:
         return val.coeffs[0][0]
     if val.is_exact:
         raise IdenticallyZero("function vanishes exactly along the branch")
-    if b.source is not None:
-        try:
-            res = sylvester_resultant(g, b.source)
-        except (NotUnitary, PrecisionInsufficient):
-            res = None
-        if res is not None:
-            if res.is_zero():
-                # g shares a component with the branch's source curve
-                raise IdenticallyZero(
-                    "function vanishes along a component of the source curve"
-                )
-            bound = res.order()
-            if val.precision > bound:
-                raise ArithmeticError(
-                    "substitution vanished beyond the resultant bound; internal error"
-                )
-            raise PrecisionInsufficient(
-                f"need branch precision above {bound}", required=bound + 1
-            )
     raise PrecisionInsufficient(
         f"vanishes to O(t^{val.precision}); raise t_precision", required=None
     )
@@ -323,7 +306,7 @@ def format_branch(b: PuiseuxBranch) -> str:
 
 
 def parse_branch(text: str) -> PuiseuxBranch:
-    """Inverse of format_branch (source is not serialised)."""
+    """Inverse of format_branch."""
     from .series import parse_series
 
     segments = [s.strip() for s in text.split(";")]

@@ -141,13 +141,13 @@ class TestDirect:
         # f_y - 3*f_x loses its y^2 term at x = 0, and the walk passes over it
         f = P("(y + x)*(y - 1/2*x^2)*(y + 2*x^3)")
         with pytest.raises(NotUnitary):
-            invariants._polar_pairs(f, f.dy() - f.dx() * 3)
+            invariants._polar_pairs(f, f.dy() - f.dx() * 3, milnor_number(f))
         outcomes = []
         pairs = invariants._polar_pairs
 
-        def recording(f, polar, start):
+        def recording(f, polar, mu, start):
             try:
-                j = pairs(f, polar, start)
+                j = pairs(f, polar, mu, start)
             except DomainError as exc:
                 outcomes.append(type(exc))
                 raise
@@ -159,6 +159,15 @@ class TestDirect:
         assert outcomes == ["{2/1}+{4/1}", NotUnitary, "{2/1}+{4/1}", "{2/1}+{4/1}"]
         assert first == [jacobian_polygon_direct(f)] * 3
         assert first[0].length() == 6
+
+    def test_polar_of_y_degree_0_skipped(self):
+        # a = 1 is not tangent, but the polar f_y - f_x = -2*x has no y-term:
+        # NotUnitary skips it before puiseux_expand would raise ConstantInY
+        f = P("y^2 + 2*x*y + 2*x^2")
+        assert f.dy() - f.dx() == P("-2*x")
+        with pytest.raises(NotUnitary):
+            invariants._polar_pairs(f, f.dy() - f.dx(), milnor_number(f))
+        assert repr(jacobian_polygon_direct(f)) == "{1/1}"
 
     def test_critical_point_off_the_origin(self):
         f = P("y^4 - 1/2*x^3*y^2 - 2*x^5*y + 1/16*x^6 - x^7")
@@ -179,11 +188,11 @@ class TestDirect:
         f = P("y^2 - x^2 - x^3")
         tangent = invariants._tangent_test(f)
         assert [a for a in range(1, 20) if tangent(a)] == [1]
-        assert repr(invariants._polar_pairs(f, f.dy() - f.dx())) == "{2/1}"
+        assert repr(invariants._polar_pairs(f, f.dy() - f.dx(), milnor_number(f))) == "{2/1}"
         polars = []
         pairs = invariants._polar_pairs
-        monkeypatch.setattr(invariants, "_polar_pairs",
-                            lambda f, polar, start: polars.append(polar) or pairs(f, polar, start))
+        monkeypatch.setattr(invariants, "_polar_pairs", lambda f, polar, mu, start:
+                            polars.append(polar) or pairs(f, polar, mu, start))
         assert repr(jacobian_polygon_direct(f)) == "{1/1}"
         assert polars == [f.dy() - f.dx() * 2]
 
@@ -256,9 +265,9 @@ class TestDirections:
         # for a = 1, 2 the polar branches of this product are conjugate over a
         # quadratic field, for a = 11 they are rational
         f = P("(x + 3*y)*(y + x^2)*(y + 2*x)")
-        start = invariants._polar_start(cerf_polygon(f))
+        mu, start = milnor_number(f), invariants._polar_start(cerf_polygon(f))
         for a in (1, 2, 11):
-            assert repr(invariants._polar_pairs(f, f.dy() - f.dx() * a, start)) == "{2/1}+{2/1}"
+            assert repr(invariants._polar_pairs(f, f.dy() - f.dx() * a, mu, start)) == "{2/1}+{2/1}"
         assert repr(jacobian_polygon_direct(f)) == "{2/1}+{2/1}"
 
 
@@ -295,21 +304,20 @@ class TestPolarPrecision:
         jacobian_polygon_direct(P("y^2 - x^3"))
         assert calls == [1, 2, 4]  # contact 3 is decided at t-precision 4
 
-    def test_start_gives_the_pairs_of_the_resultant_bound(self):
+    def test_start_gives_the_pairs_of_the_milnor_cap(self):
         curves = [f for _, f in merle_corpus()] + [f for f, _ in reducible_corpus()]
         curves += _mixed_slope_products(20)
         for f in curves:
+            mu, m = milnor_number(f), f.multiplicity()
             start = invariants._polar_start(cerf_polygon(f))
             tangent = invariants._tangent_test(f)
             for a in itertools.islice((a for a in range(1, 20) if not tangent(a)), 3):
                 polar = f.dy() - f.dx() * a
-                try:
-                    at_bound = invariants._polar_pairs(f, polar)
-                except DomainError as exc:
-                    with pytest.raises(type(exc)):
-                        invariants._polar_pairs(f, polar, start)
-                    continue
-                assert invariants._polar_pairs(f, polar, start) == at_bound, f
+                at_cap = invariants._polar_pairs(f, polar, mu)
+                # Teissier's lemma, which the cap mu + m + 7 relies on: a
+                # transversal polar meets f at the origin mu + m - 1 times
+                assert at_cap.length() + at_cap.height() == mu + m - 1, (f, a)
+                assert invariants._polar_pairs(f, polar, mu, start) == at_cap, (f, a)
 
 
 class TestCerf:

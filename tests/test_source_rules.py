@@ -13,7 +13,12 @@ fan reuse of the mixed covolumes it checks, and none of
 determinants check.
 
 ``series.py`` has one resultant kernel: it calls sympy's ``dup_resultant``
-exactly once.
+exactly once.  Elsewhere ``sylvester_resultant`` is called in one function
+per module, where nothing local does its job: in ``invariants.py`` inside
+``discriminant_polygon`` (the Cerf diagram), in ``puiseux.py`` inside
+``puiseux_expand`` (the square-free certificate).  So a resultant that only
+bounds or certifies what mu or a local count already decides cannot come
+back unnoticed.
 
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
 from ``fractions``, and the construction path of ``polygon.py`` names
@@ -164,6 +169,23 @@ def test_series_has_one_resultant_kernel():
     assert len(calls) == 1, (
         f"series.py calls dup_resultant on lines {[c.lineno for c in calls]}; every "
         "resultant goes through the one packed kernel"
+    )
+
+
+# the one function of each module that may call sylvester_resultant
+RESULTANT_CALLERS = {"invariants.py": "discriminant_polygon", "puiseux.py": "puiseux_expand"}
+
+
+@pytest.mark.parametrize("name, caller", sorted(RESULTANT_CALLERS.items()))
+def test_resultants_only_where_they_are_needed(name, caller):
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = _calls(_functions(tree)[caller], "sylvester_resultant")
+    stray = [c.lineno for c in _calls(tree, "sylvester_resultant") if c not in inside]
+    assert inside, f"{name} {caller} calls no sylvester_resultant"
+    assert not stray, (
+        f"{name} calls sylvester_resultant on lines {stray}, outside {caller}; "
+        "bound or certify from local data instead"
     )
 
 
