@@ -12,13 +12,15 @@ exact integer arithmetic.  A facet with exactly d points is its own simplex;
 the other d = 4 facets are tetrahedralised with the same facet enumerator,
 applied to their 3-dimensional projections.
 
-Mixed covolumes are extracted from the polynomial ``Vol(sum lambda_i N_i)``
-by exact interpolation on an integer grid, matching their defining identity.
-The normal fan of ``sum lambda_i N_i`` is the common refinement of the fans
-of the N_i with lambda_i > 0, whatever those positive lambda_i are, so the
-nodes that share a support pattern share their compact facet normals: only
-the first node of each pattern runs the enumerator, and a node with one
-positive lambda_i is lambda_i^d times the covolume of N_i.
+Mixed covolumes are coefficients of the polynomial ``Vol(sum lambda_i N_i)``,
+their defining identity; the one of lambda^alpha is read off by the
+alpha-th mixed forward difference of that polynomial on the integer nodes
+0 <= j <= alpha, with no linear solve.  The normal fan of
+``sum lambda_i N_i`` is the common refinement of the fans of the N_i with
+lambda_i > 0, whatever those positive lambda_i are, so the nodes that share
+a support pattern share their compact facet normals: only the first node of
+each pattern runs the enumerator, and a node with one positive lambda_i is
+lambda_i^d times the covolume of N_i.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 from .errors import (
@@ -424,7 +426,7 @@ def _fan_covolume(generators, normals) -> Fraction:
 
 
 def _node_covolume(polys, lams, fans) -> Fraction:
-    """Vol(sum lam_i N_i) at one interpolation node.
+    """Vol(sum lam_i N_i) at one node of the difference sum.
 
     ``fans`` maps the support pattern (which lam_i are positive) of each
     node already built to its compact facet normals.  The fan of the
@@ -444,39 +446,26 @@ def _node_covolume(polys, lams, fans) -> Fraction:
     return _fan_covolume(_minimal(sorted(_combo_points(polys, lams))), normals)
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; matrix must be square invertible."""
-    n = len(matrix)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("interpolation system is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
     """Mixed covolume Vol(N_1^[a_1], ..., N_r^[a_r]) by polarization.
 
-    Vol(sum lambda_i N_i) is a homogeneous degree-d polynomial in lambda; its
-    coefficients are read off by exact interpolation and the coefficient of
-    lambda^alpha equals (d!/alpha!) times the requested mixed covolume.
+    P(lambda) = Vol(sum lambda_i N_i) is a homogeneous degree-d polynomial,
+    and the coefficient of lambda^alpha is (d!/alpha!) times the requested
+    mixed covolume.  The alpha-th mixed forward difference at 0,
+    sum over 0 <= j <= alpha of (-1)^(d - |j|) prod C(alpha_i, j_i) P(j),
+    sends lambda^alpha to alpha! and every other degree-d monomial
+    lambda^gamma to 0 (some gamma_i < alpha_i, and the alpha_i-th difference
+    of lambda_i^gamma_i vanishes), so it is d! times the mixed covolume; the
+    node j = 0 has P = 0 and is skipped.
 
-    The nodes are grouped by which lambda_i are positive.  A node with one
-    positive lambda_i is lambda_i^d Vol(N_i), by homogeneity, and builds
-    nothing.  The first node of every other pattern builds its combination
-    and keeps the normals of its compact facets; the later nodes of that
-    pattern reuse them, because the normal fan of sum lambda_i N_i is the
-    common refinement of the operands' fans for every positive lambda
-    (Ziegler, Lectures on Polytopes, Prop. 7.12).  Each reused face is
-    certified to span its hyperplane (``_fan_covolume``).
+    The nodes lie in alpha's support and are grouped by which j_i are
+    positive.  A node with one positive j_i is j_i^d Vol(N_i), by
+    homogeneity, and builds nothing.  The first node of every other pattern
+    builds its combination and keeps the normals of its compact facets; the
+    later nodes of that pattern reuse them, because the normal fan of
+    sum lambda_i N_i is the common refinement of the operands' fans for
+    every positive lambda (Ziegler, Lectures on Polytopes, Prop. 7.12).
+    Each reused face is certified to span its hyperplane (``_fan_covolume``).
     """
     polys = list(polys)
     if not polys:
@@ -490,36 +479,12 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
     alpha = index.alpha
     if len(alpha) != len(polys) or index.total != d:
         raise IndexMismatch(f"index {alpha} does not fit {len(polys)} polyhedra in dimension {d}")
-    r = len(polys)
-    exponents = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
-    # principal-lattice nodes lambda = (beta, 1), |beta| <= d: unisolvent and
-    # in bijection with the homogeneous degree-d monomials
-    nodes = [
-        tuple(beta) + (1,)
-        for beta in itertools.product(range(d + 1), repeat=r - 1)
-        if sum(beta) <= d
-    ] if r > 1 else [(1,)]
-    if len(nodes) != len(exponents):
-        raise ArithmeticError(
-            f"{len(nodes)} interpolation nodes for {len(exponents)} monomials"
-        )
-    matrix, rhs, fans = [], [], {}
-    for lam in nodes:
-        matrix.append([_ipow(lam, e) for e in exponents])
-        rhs.append(_node_covolume(polys, lam, fans))
-    coeffs = _solve_exact(matrix, rhs)
-    target = coeffs[exponents.index(tuple(alpha))]
-    scale_back = Fraction(1)
-    for a in alpha:
-        scale_back *= factorial(a)
-    return target * scale_back / factorial(d)
-
-
-def _ipow(lam, exp) -> int:
-    v = 1
-    for base, e in zip(lam, exp):
-        v *= base ** e
-    return v
+    total, fans = Fraction(0), {}
+    for j in itertools.product(*(range(a + 1) for a in alpha)):
+        if any(j):
+            weight = (-1) ** (d - sum(j)) * prod(map(comb, alpha, j))
+            total += weight * _node_covolume(polys, j, fans)
+    return total / factorial(d)
 
 
 def face_identity_check(n: NewtonPolyhedron):

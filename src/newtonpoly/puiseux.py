@@ -4,15 +4,16 @@ Roots of a unitary square-free f in C{x}[y] are computed as branch classes
 x = t^e, y = y(t), one representative per conjugacy class over the ground
 field.  Each Newton step factors the dehomogenised edge polynomial over the
 current tower, adjoins one root, rescales, and recurses; simple roots finish
-by quadratic Newton iteration.  Field extensions are genuine tower steps
-with irreducible defining polynomials, so every coefficient is exact.
+by quadratic Newton iteration.  The roots of valuation zero take the same
+step, from the nonzero roots of f(0, y) read as a horizontal edge.  Field
+extensions are genuine tower steps with irreducible defining polynomials,
+so every coefficient is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import field as fld
 from .errors import (
@@ -25,19 +26,23 @@ from .errors import (
     PrecisionInsufficient,
     YDivisible,
 )
-from .field import FieldElement, GroundField
+from .field import QQ, FieldElement, GroundField
 from .polygon import INF, is_inf
 from .series import (
     TruncatedSeries,
     YPolynomial,
+    _parse_adjoin,
     edge_lattice_coefficients,
+    format_series,
     join_fields,
     newton_polygon_of,
+    parse_series,
     polygon_edges,
     sylvester_resultant,
 )
 
-DEFAULT_MAX_TOWER_DEGREE = 16
+# bound on the degree of a branch's field over QQ, read at every adjunction
+MAX_TOWER_DEGREE = 16
 _BRANCH_VAR = "t"
 
 
@@ -95,20 +100,16 @@ def _positive_root_count(f: YPolynomial) -> int:
     raise YDivisible("polynomial vanishes identically at x = 0")
 
 
-def _check_tower(field: GroundField, bound: int):
-    if field.degree() > bound:
-        raise ExtensionTooDeep(
-            f"tower degree {field.degree()} exceeds the bound {bound}"
-        )
-
-
-def _adjoin_root(field: GroundField, poly_coeffs, bound: int, prefix: str):
-    """Root of an irreducible monic polynomial; extends the tower if needed."""
+def _adjoin_root(field: GroundField, poly_coeffs, prefix: str):
+    """Root of an irreducible monic polynomial; extends the tower if needed,
+    up to degree MAX_TOWER_DEGREE."""
     if fld.poly_degree(poly_coeffs) == 1:
         return field, -poly_coeffs[0]
-    name = f"{prefix}{field.level + 1}"
-    bigger = field.extend(poly_coeffs, name=name)
-    _check_tower(bigger, bound)
+    bigger = field.extend(poly_coeffs, name=f"{prefix}{field.level + 1}")
+    if bigger.degree() > MAX_TOWER_DEGREE:
+        raise ExtensionTooDeep(
+            f"tower degree {bigger.degree()} exceeds the bound {MAX_TOWER_DEGREE}"
+        )
     return bigger, bigger.generator()
 
 
@@ -143,36 +144,44 @@ def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
 
 def _substitute_edge(f: YPolynomial, p: int, q: int, c0: FieldElement, w: int) -> YPolynomial:
     """f(x^p, x^q (c0 + y)) / x^w over the field of c0."""
-    k = c0.field
-    f = f.lift_field(k)
-    n = f.degree()
-    cols = [dict() for _ in range(n + 1)]
-    for kk in range(n + 1):
-        ck = f.coeffs[kk]
-        if ck.is_zero():
-            continue
-        base = ck.substitute_pow(p).shift(q * kk)
-        pw = k.one()
-        binoms = []
-        for j in range(kk, -1, -1):
-            binoms.append((j, k.coerce(comb(kk, j)) * pw))
-            pw = pw * c0
-        for j, factor in binoms:
-            for e, v in base.coeffs:
-                key = e
-                add = v * factor
-                col = cols[j]
-                col[key] = col[key] + add if key in col else add
     out = []
-    for col in cols:
-        ser = TruncatedSeries.make(k, f.xvar, col, INF)
+    for ser in f.substitute({(p, 0): 1}, {(q, 0): c0, (q, 1): 1}).coeffs:
         if ser.coeffs and ser.coeffs[0][0] < w:
             raise ArithmeticError("edge substitution order below predicted weight")
         out.append(ser.shift(-w) if ser.coeffs else ser)
     return YPolynomial.make(out, f.xvar, f.yvar)
 
 
-def _expand_positive(f: YPolynomial, prec: int, bound: int, depth: int = 0):
+def _newton_step(f: YPolynomial, chi, p: int, q: int, w: int, prec: int, prefix: str,
+                 depth: int):
+    """Branch classes (e, series in t, conj) of the roots y = c x^(q/p) + ...
+    of f with chi(c^p) = 0, where chi is read off an edge of weight
+    w = p*A + q*B at its top vertex (A, B).
+
+    Each irreducible factor of chi gives one root c, adjoined with the given
+    generator prefix; f(x^p, x^q (c + y)) / x^w is then expanded, by Hensel
+    lifting when the factor is simple.
+    """
+    out = []
+    for phi, mult in fld.factor_poly(f.field, chi):
+        dphi = fld.poly_degree(phi)
+        k1, w0 = _adjoin_root(f.field, phi, prefix)
+        # a p-th root of w0 parameterises the class; any irreducible
+        # factor of u^p - w0 works, the choices differ by conjugation
+        upoly = [-w0] + [k1.zero()] * (p - 1) + [k1.one()]
+        _, c0 = _adjoin_root(k1, fld.factor_poly(k1, upoly)[0][0], prefix)
+        f1 = _substitute_edge(f, p, q, c0, w)
+        if mult == 1:
+            sub = [(1, _hensel_root(f1, prec), 1)]
+        else:
+            sub = _expand_positive(f1, prec * p, depth + 1)
+        for e1, s1, conj1 in sub:
+            const = TruncatedSeries.constant(s1.field, _BRANCH_VAR, s1.field.lift(c0))
+            out.append((p * e1, (const + s1).shift(q * e1), dphi * conj1))
+    return out
+
+
+def _expand_positive(f: YPolynomial, prec: int, depth: int = 0):
     """Branch classes (e, series in t, conj) covering the roots with v > 0."""
     if depth >= 64:
         raise ArithmeticError("Puiseux recursion failed to terminate")
@@ -182,42 +191,20 @@ def _expand_positive(f: YPolynomial, prec: int, bound: int, depth: int = 0):
     if m0 == 1:
         return [(1, _hensel_root(f, prec), 1)]
     out = []
-    covered = 0
     for edge in polygon_edges(f):
         cs, q, p, g = edge_lattice_coefficients(f, edge)
-        k = f.field
         chi = fld._poly_strip([cs[g - i] for i in range(g + 1)])
         if fld.poly_degree(chi) != g:
             raise ArithmeticError("edge polynomial degree differs from the edge's lattice length")
-        for phi, mult in fld.factor_poly(k, chi):
-            dphi = fld.poly_degree(phi)
-            k1, w0 = _adjoin_root(k, phi, bound, "a")
-            # a p-th root of w0 parameterises the class; any irreducible
-            # factor of u^p - w0 works, the choices differ by conjugation
-            upoly = [-w0] + [k1.zero()] * (p - 1) + [k1.one()]
-            psi = fld.factor_poly(k1, upoly)[0][0]
-            k2, c0 = _adjoin_root(k1, psi, bound, "a")
-            w = p * edge.top[0] + q * edge.top[1]
-            f1 = _substitute_edge(f, p, q, c0, w)
-            if mult == 1:
-                sub = [(1, _hensel_root(f1, prec), 1)]
-            else:
-                sub = _expand_positive(f1, prec * p, bound, depth + 1)
-            for e1, s1, conj1 in sub:
-                const = TruncatedSeries.constant(s1.field, _BRANCH_VAR, s1.field.lift(c0))
-                yser = (const + s1).shift(q * e1)
-                out.append((p * e1, yser, dphi * conj1))
-                covered += p * e1 * dphi * conj1
+        w = p * edge.top[0] + q * edge.top[1]
+        out += _newton_step(f, chi, p, q, w, prec, "a", depth)
+    covered = sum(e * conj for e, _, conj in out)
     if covered != m0:
         raise ArithmeticError(f"edge expansion covered {covered} of {m0} roots")
     return out
 
 
-def puiseux_expand(
-    f: YPolynomial,
-    t_precision=None,
-    max_tower_degree: int = DEFAULT_MAX_TOWER_DEGREE,
-) -> list:
+def puiseux_expand(f: YPolynomial, t_precision=None) -> list:
     """All root classes of a unitary square-free polynomial.
 
     Square-freeness is certified by the discriminant Res_y(f, f_y);
@@ -245,26 +232,13 @@ def puiseux_expand(
     if t_precision is None:
         length = newton_polygon_of(work).length()
         t_precision = max(4 * work.degree() * max(int(length), 1), 8)
-    # classes with positive valuation
-    for e, s, conj in _expand_positive(work, t_precision, max_tower_degree):
-        branches.append(PuiseuxBranch(e, s, conj))
-    # classes with valuation zero: nonzero roots of f(0, y)
-    k = work.field
+    # classes with positive valuation, then those with valuation zero: the
+    # nonzero roots of f(0, y), a horizontal edge with p = 1, q = 0, w = 0
     g0 = fld._poly_strip([c.coefficient(0) for c in work.coeffs])
     j0 = next(i for i, c in enumerate(g0) if not c.is_zero())
-    tail = g0[j0:]
-    if fld.poly_degree(tail) > 0:
-        for phi, mult in fld.factor_poly(k, tail):
-            dphi = fld.poly_degree(phi)
-            k1, y0 = _adjoin_root(k, phi, max_tower_degree, "b")
-            shifted = _substitute_edge(work, 1, 0, y0, 0)  # f(x, y0 + y)
-            sub = _expand_positive(shifted, t_precision, max_tower_degree)
-            total = sum(e * c for e, _, c in sub)
-            if total != mult:
-                raise ArithmeticError("valuation-zero class count mismatch")
-            for e, s, conj in sub:
-                const = TruncatedSeries.constant(s.field, _BRANCH_VAR, s.field.lift(y0))
-                branches.append(PuiseuxBranch(e, const + s, dphi * conj))
+    classes = (_expand_positive(work, t_precision)
+               + _newton_step(work, g0[j0:], 1, 0, 0, t_precision, "b", 0))
+    branches += [PuiseuxBranch(*c) for c in classes]
     covered = sum(b.ramification * b.conjugacy_size for b in branches)
     if covered != f.degree():
         raise ArithmeticError(f"branches cover {covered} of {f.degree()} roots")
@@ -297,8 +271,6 @@ def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:
 
 
 def format_branch(b: PuiseuxBranch) -> str:
-    from .series import format_series
-
     return (
         f"x = t^{b.ramification}; y = {format_series(b.y_series)}; "
         f"conj = {b.conjugacy_size}; field = {b.field!r}"
@@ -307,8 +279,6 @@ def format_branch(b: PuiseuxBranch) -> str:
 
 def parse_branch(text: str) -> PuiseuxBranch:
     """Inverse of format_branch."""
-    from .series import parse_series
-
     segments = [s.strip() for s in text.split(";")]
     if len(segments) < 4:
         raise ValueError("branch format needs four ';'-separated sections")
@@ -327,9 +297,6 @@ def parse_branch(text: str) -> PuiseuxBranch:
 
 
 def _parse_field_description(text: str) -> GroundField:
-    from .field import QQ
-    from .series import _parse_adjoin
-
     text = text.strip()
     if not text.replace(" ", "").startswith("field="):
         raise ValueError("missing field section")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_resultant
@@ -58,6 +58,7 @@ from .polygon import (
     boundary_at,
     from_support,
     is_inf,
+    transpose,
 )
 
 
@@ -608,27 +609,36 @@ class YPolynomial:
             acc = acc * ys + cs
         return acc
 
-    def substitute_linear(self, a, b, c, d) -> "YPolynomial":
-        """Exact coordinate change (x, y) -> (a x + b y, c x + d y).
+    def substitute(self, xs, ys) -> "YPolynomial":
+        """Exact substitution f(X, Y) of polynomials X and Y in (x, y), each
+        given as {(xexp, ydeg): value} with values in f's field or a tower
+        over it (ints and Fractions are coerced).
 
         Expanded by Horner's rule in y on term dictionaries (see _pv_mul),
         whose products are of field elements, not of series.
         """
-        k = self.field
         if not all(coeff.is_exact for coeff in self.coeffs):
             raise PrecisionInsufficient("coordinate change needs exact coefficients")
-        xs, ys = (
-            _PolyValue({(1, 0): k.coerce(p), (0, 1): k.coerce(q)}) for p, q in ((a, b), (c, d))
-        )
+        k = self.field
+        for v in (*xs.values(), *ys.values()):
+            if isinstance(v, FieldElement):
+                k = join_fields(k, v.field)
+        xs, ys = (_PolyValue({key: k.coerce(v) for key, v in m.items()}) for m in (xs, ys))
         x_powers = [_PolyValue({(0, 0): k.one()})]
         acc = _PolyValue({})
-        for coeff in reversed(self.coeffs):
+        for coeff in reversed(self.lift_field(k).coeffs):
             acc = _pv_mul(k, acc, ys)
+            terms = acc.terms
             for e, v in coeff.coeffs:
                 while len(x_powers) <= e:
                     x_powers.append(_pv_mul(k, x_powers[-1], xs))
-                acc = _pv_add(k, acc, _pv_mul(k, x_powers[e], _PolyValue({(0, 0): v})))
+                for key, c in x_powers[e].terms.items():
+                    terms[key] = terms[key] + v * c if key in terms else v * c
         return YPolynomial.from_terms(acc.terms, k, self.xvar, self.yvar)
+
+    def substitute_linear(self, a, b, c, d) -> "YPolynomial":
+        """Exact coordinate change (x, y) -> (a x + b y, c x + d y)."""
+        return self.substitute({(1, 0): a, (0, 1): b}, {(1, 0): c, (0, 1): d})
 
     def support(self) -> dict:
         """Known support {(xexp, ydeg): coefficient}."""
@@ -746,8 +756,6 @@ def edge_lattice_coefficients(f: YPolynomial, edge: PolygonEdge):
     The edge {l/h} with g = gcd(l, h), l = g*q, h = g*p carries lattice
     points (A + j*q, B + h - j*p); c_j is f's coefficient there.
     """
-    from math import gcd
-
     ell, h = edge.elem.ell, edge.elem.h
     g = gcd(ell, h)
     q, p = ell // g, h // g
@@ -973,8 +981,6 @@ def realization_polygon(f: YPolynomial) -> NewtonPolygon:
     asymmetric pairs, e.g. P1 = y - x, P2 = y^2 - 2x.  The height of the
     product is then the valuation of the plain resultant.
     """
-    from .polygon import transpose
-
     return transpose(newton_polygon_of(f))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from newtonpoly import polyhedra
 from newtonpoly.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -26,9 +27,7 @@ from newtonpoly.polyhedra import (
     _facet_triangulation,
     _facets,
     _fan_covolume,
-    _ipow,
     _node_covolume,
-    _solve_exact,
     colength_growth_oracle,
     covolume,
     face_identity_check,
@@ -382,13 +381,36 @@ class TestFacetEnumerator:
         assert _facets(points) == _facets_reference(points)
 
 
+def _ipow(lam, exp) -> int:
+    return math.prod(base ** e for base, e in zip(lam, exp))
+
+
+def _solve_exact(matrix, rhs):
+    """Gauss-Jordan elimination over Fractions; the matrix is square and
+    invertible."""
+    n = len(matrix)
+    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
+    return [row[n] for row in a]
+
+
 def _mixed_covolume_reference(polys, alpha):
-    """The per-node reference for ``mixed_covolume``: every interpolation
-    node builds its combination and takes its covolume."""
+    """The interpolation reference for ``mixed_covolume``: every node
+    (beta, 1), |beta| <= d, of the principal lattice builds its combination
+    and takes its covolume, and the Vandermonde-type system for all the
+    degree-d coefficients of Vol(sum lambda_i N_i) is solved in Fractions."""
     d, r = polys[0].dim, len(polys)
     exponents = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
     nodes = [tuple(beta) + (1,) for beta in itertools.product(range(d + 1), repeat=r - 1)
              if sum(beta) <= d]
+    assert len(nodes) == len(exponents)
     matrix = [[_ipow(lam, e) for e in exponents] for lam in nodes]
     coeffs = _solve_exact(matrix, [covolume(_combo(polys, lam)) for lam in nodes])
     scale_back = math.prod(math.factorial(a) for a in alpha)
@@ -405,11 +427,12 @@ def _small_polyhedron(rng, d):
 
 class TestFanReuse:
     """``mixed_covolume`` reuses one normal fan per support pattern and
-    builds nothing for single-operand nodes; it must give the per-node
+    builds nothing for single-operand nodes; it must give the interpolation
     reference's values."""
 
-    @pytest.mark.parametrize("d,r,count", [(2, 2, 12), (2, 3, 6), (3, 2, 8), (3, 3, 3),
-                                           (4, 2, 3), (4, 3, 1)])
+    @pytest.mark.parametrize("d,r,count", [(2, 1, 4), (2, 2, 12), (2, 3, 6), (3, 1, 3),
+                                           (3, 2, 8), (3, 3, 3), (4, 1, 2), (4, 2, 3),
+                                           (4, 3, 1)])
     def test_matches_the_per_node_reference(self, d, r, count):
         rng = random.Random(71 + 10 * d + r)
         origin = NewtonPolyhedron(d, [(0,) * d])
@@ -424,7 +447,7 @@ class TestFanReuse:
                 assert mixed_covolume(polys, index) == _mixed_covolume_reference(polys, alpha)
 
     def test_single_operand_node_is_homogeneous(self):
-        # mixed_covolume's only such node is (0, ..., 0, 1)
+        # mixed_covolume's such nodes are j_i e_i with 1 <= j_i <= alpha_i
         rng = random.Random(79)
         polys = [random_finite_polyhedron(rng, 3) for _ in range(3)]
         fans = {}
@@ -433,6 +456,22 @@ class TestFanReuse:
             assert _node_covolume(polys, lams, fans) == lams[i] ** 3 * covolume(polys[i])
             assert _node_covolume(polys, lams, fans) == covolume(_combo(polys, lams))
         assert fans == {}
+
+    def test_builds_only_inside_the_support_of_the_index(self, monkeypatch):
+        rng = random.Random(83)
+        polys = [random_finite_polyhedron(rng, 3) for _ in range(3)]
+        builds = []
+
+        def counting(operands, lams):
+            builds.append(tuple(lams))
+            return _combo(operands, lams)
+
+        monkeypatch.setattr(polyhedra, "_combo", counting)
+        assert mixed_covolume(polys, MixedVolumeIndex((3, 0, 0))) == covolume(polys[0])
+        assert builds == []
+        value = mixed_covolume(polys, MixedVolumeIndex((1, 2, 0)))
+        assert builds == [(1, 1, 0)]
+        assert value == _mixed_covolume_reference(polys, (1, 2, 0))
 
     def test_certificate_rejects_normals_of_another_fan(self):
         n1 = from_support_d(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
@@ -466,7 +505,7 @@ class TestFanReuse:
         assert covolume(n) == _box_hull_covolume(n) == Fraction(27, 8)  # 3^4 / 4!
 
     def test_pinned_d4_pair(self):
-        # d + 2 generators each, distinct fans; the value is the per-node
+        # d + 2 generators each, distinct fans; the value is the interpolation
         # reference's
         n = from_support_d(4, [(4, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 3),
                                (1, 2, 0, 1), (0, 1, 2, 1)])

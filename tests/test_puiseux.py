@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from newtonpoly import puiseux
-from newtonpoly.errors import IdenticallyZero, NotSquareFree, NotUnitary, PrecisionInsufficient
+from newtonpoly.errors import (
+    ExtensionTooDeep,
+    IdenticallyZero,
+    NotSquareFree,
+    NotUnitary,
+    PrecisionInsufficient,
+)
 from newtonpoly.field import QQ
 from newtonpoly.puiseux import (
     PuiseuxBranch,
@@ -121,11 +127,10 @@ class TestExpand:
         two = [format_branch(b) for b in puiseux_expand(f, t_precision=12)]
         assert one == two
 
-    def test_tower_bound(self):
-        from newtonpoly.errors import ExtensionTooDeep
-
+    def test_tower_bound(self, monkeypatch):
+        monkeypatch.setattr(puiseux, "MAX_TOWER_DEGREE", 1)
         with pytest.raises(ExtensionTooDeep):
-            puiseux_expand(P("y^2 - 2*x^3"), t_precision=8, max_tower_degree=1)
+            puiseux_expand(P("y^2 - 2*x^3"), t_precision=8)
 
 
 class TestSquareFree:
@@ -172,6 +177,31 @@ class TestHenselPrecision:
     def test_pinned_at_precision_13(self, text):
         branches = puiseux_expand(P(text), t_precision=13)
         got = [(format_branch(b), b.y_series.precision) for b in branches]
+        assert got == self.PINNED[text]
+
+
+class TestValuationZero:
+    """Printed branches through points (0, y0) with y0 != 0: a repeated
+    root of f(0, y), a root adjoined as b1, and a root in a given tower."""
+
+    PINNED = {
+        "(y - 1)^2 - x": ["x = t^2; y = 1 + t + O(t^13); conj = 1; field = QQ"],
+        "(y^3 - 2)*(y^2 - x^3)": [
+            "x = t^2; y = t^3 + O(t^15); conj = 1; field = QQ",
+            "x = t^1; y = (b1) + O(t^12); conj = 3; field = QQ[b1: b1^3 - 2]",
+        ],
+        "adjoin u: u^2 - 3; (y - u)^2 - x*y - x^3": [
+            "x = t^2; y = (u) + (a2)*t + 1/2*t^2 + (1/24*u*a2)*t^3"
+            " + ((-1/384 + 1/6*u)*a2)*t^5 + ((-1/48 + 1/9216*u)*a2)*t^7"
+            " + ((-12293/294912 + 1/768*u)*a2)*t^9"
+            " + ((-5/18432 + 36871/7077888*u)*a2)*t^11 + O(t^13); conj = 1;"
+            " field = QQ[u: u^2 - 3, a2: a2^2 - u]",
+        ],
+    }
+
+    @pytest.mark.parametrize("text", sorted(PINNED))
+    def test_pinned_at_precision_12(self, text):
+        got = [format_branch(b) for b in puiseux_expand(P(text), t_precision=12)]
         assert got == self.PINNED[text]
 
 

@@ -321,6 +321,20 @@ class TestEdges:
         assert edges[0].top == (0, 3)
 
 
+class TestSubstitute:
+    def test_edge_substitution_into_a_tower(self):
+        # y^2 - 2*x^3 at x -> x^2, y -> x^3*(a + y) with a^2 = 2 is x^6*(2*a*y + y^2)
+        k = QQ.extend([-2, 0, 1], name="a")
+        a = k.generator()
+        g = P("y^2 - 2*x^3").substitute({(2, 0): 1}, {(3, 0): a, (3, 1): 1})
+        assert g.field == k
+        assert g.support() == {(6, 1): a + a, (6, 2): k.one()}
+
+    def test_inexact_coefficients_rejected(self):
+        with pytest.raises(PrecisionInsufficient):
+            P("y^2 - x^3 + O(x^5)").substitute_linear(1, 1, 0, 1)
+
+
 class TestNondegeneracy:
     def test_spec_trio(self):
         assert is_nondegenerate_pair(P("y - x^2"), P("y^2 + x^3"))
