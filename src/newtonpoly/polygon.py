@@ -71,6 +71,9 @@ class ElementaryPolygon:
     h: object
 
     def __post_init__(self):
+        # the common case first: two positive plain ints need nothing more
+        if type(self.ell) is int and type(self.h) is int and self.ell > 0 and self.h > 0:
+            return
         ell = _check_extent(self.ell, "ell")
         h = _check_extent(self.h, "h")
         if is_inf(ell) and is_inf(h):

@@ -7,10 +7,12 @@ d-subset lying on a hyperplane already found is skipped unexamined, which
 changes no answer: d affinely independent points of a hyperplane span it,
 and dependent points span none.  Covolume (the volume of the complement
 inside the positive orthant) is the cone sum from the origin over those
-facets, ``(1/d!) sum |det(simplex)|`` over a triangulation of each facet, in
-exact integer arithmetic.  A facet with exactly d points is its own simplex;
-the other d = 4 facets are tetrahedralised with the same facet enumerator,
-applied to their 3-dimensional projections.
+facets, ``(1/d!) sum |N . p_0|`` over the simplices (p_0, ...) triangulating
+each facet, in exact integers.  N, the closed-form cofactor vector of
+``_cofactors``, is also the normal of the facet hyperplanes.  A facet with
+exactly d points is its own simplex; the other d = 4 facets are
+tetrahedralised with the same facet enumerator, applied to their
+3-dimensional projections.
 
 Mixed covolumes are coefficients of the polynomial ``Vol(sum lambda_i N_i)``,
 their defining identity; the one of lambda^alpha is read off by the
@@ -47,52 +49,46 @@ MAX_DIM = 4
 # -- exact facet helpers ------------------------------------------------------
 
 
-def _det(rows) -> int:
-    """Determinant of an integer matrix.
+def _cofactors(points):
+    """First-row cofactors N of (p_0; p_1 - p_0; ...) for d points in Z^d.
 
-    Sizes up to 2 are closed forms; they are every cofactor of
-    ``_facet_normal`` at d <= 3 and every simplex of a d = 2 covolume.
-    Larger ones run fraction-free Gaussian elimination: Bareiss' division
-    by the previous pivot is always exact, so it stays in Python ints.
+    Closed forms: a cross product at d = 3, six shared 2 x 2 minors at d = 4.
+    N . (p_i - p_0) = 0, so N is normal to the points' hyperplane and is 0
+    exactly when they are affinely dependent; N . p_0 = det(p_0; ...) by
+    Laplace expansion along the first row.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    p = points[0]
+    d = len(p)
+    if d == 1:
+        return (1,)
+    if d == 2:
+        q = points[1]
+        return (q[1] - p[1], p[0] - q[0])
+    if d == 3:
+        (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = points
+        u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
+        v0, v1, v2 = r0 - p0, r1 - p1, r2 - p2
+        return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = points
+    u0, u1, u2, u3 = q0 - p0, q1 - p1, q2 - p2, q3 - p3
+    v0, v1, v2, v3 = r0 - p0, r1 - p1, r2 - p2, r3 - p3
+    w0, w1, w2, w3 = s0 - p0, s1 - p1, s2 - p2, s3 - p3
+    m01, m02, m03 = v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0
+    m12, m13, m23 = v1 * w2 - v2 * w1, v1 * w3 - v3 * w1, v2 * w3 - v3 * w2
+    return (
+        u1 * m23 - u2 * m13 + u3 * m12,
+        u2 * m03 - u0 * m23 - u3 * m02,
+        u0 * m13 - u1 * m03 + u3 * m01,
+        u1 * m02 - u0 * m12 - u2 * m01,
+    )
 
 
 def _facet_normal(points):
     """Primitive integer normal of the hyperplane through d points, or None
     when they are affinely dependent."""
-    d = len(points[0])
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(d)] for p in points[1:]]
-    normal = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows]) for i in range(d)]
+    normal = _cofactors(points)
     g = gcd(*normal)
-    if g == 0:
-        return None
-    return tuple(c // g for c in normal)
+    return tuple(c // g for c in normal) if g else None
 
 
 def _dot(n, p):
@@ -216,7 +212,7 @@ def _cone_volume(d, facets) -> Fraction:
     total = 0
     for normal, on in facets:
         for simplex in _facet_triangulation(on, normal):
-            total += abs(_det(simplex))
+            total += abs(_dot(_cofactors(simplex), simplex[0]))
     return Fraction(total, factorial(d))
 
 
@@ -242,7 +238,7 @@ class MixedVolumeIndex:
     alpha: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        object.__setattr__(self, "alpha", tuple(map(_integral, self.alpha)))
         if any(a < 0 for a in self.alpha):
             raise IndexMismatch("index entries must be nonnegative")
 
@@ -257,12 +253,12 @@ class NewtonPolyhedron:
     __slots__ = ("dim", "generators", "_hull_facets", "_covolume")
 
     def __init__(self, dim, generators):
-        dim = int(dim)
+        dim = _integral(dim)
         if dim < 1:
             raise ValueError("dimension must be positive")
         if dim > MAX_DIM:
             raise DimensionTooLarge(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
-        gens = sorted({tuple(int(c) for c in g) for g in generators})
+        gens = sorted({tuple(map(_integral, g)) for g in generators})
         if not gens:
             raise EmptySupport("no generators")
         for g in gens:
@@ -273,12 +269,10 @@ class NewtonPolyhedron:
         object.__setattr__(self, "dim", dim)
         # drop componentwise-dominated (redundant) generators
         object.__setattr__(self, "generators", _minimal(gens))
-        object.__setattr__(self, "_hull_facets", None)
-        if self.is_finite_volume:
-            object.__setattr__(self, "_hull_facets", self._compute_region_facets())
-            object.__setattr__(self, "_covolume", self._compute_covolume())
-        else:
-            object.__setattr__(self, "_covolume", None)
+        # finite iff every axis meets the region; only then are facets and covolume computed
+        finite = all(any(not any(g[:i] + g[i + 1:]) for g in self.generators) for i in range(dim))
+        object.__setattr__(self, "_hull_facets", self._compute_region_facets() if finite else None)
+        object.__setattr__(self, "_covolume", self._compute_covolume() if finite else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("NewtonPolyhedron is immutable")
@@ -298,13 +292,8 @@ class NewtonPolyhedron:
 
     @property
     def is_finite_volume(self) -> bool:
-        """True iff every coordinate axis meets the region."""
-        for i in range(self.dim):
-            if not any(
-                all(c == 0 for j, c in enumerate(g) if j != i) for g in self.generators
-            ):
-                return False
-        return True
+        """True iff every coordinate axis meets the region (decided at construction)."""
+        return self._covolume is not None
 
     @property
     def max_coordinate(self) -> int:
@@ -346,6 +335,14 @@ class NewtonPolyhedron:
         )):
             raise ValueError('"generators" must be a list of lists of integers')
         return cls(dim, gens)
+
+
+def _integral(value) -> int:
+    """value as an int; ValueError when int() would truncate it."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
 
 
 def _is_int(value) -> bool:
@@ -492,11 +489,11 @@ def face_identity_check(n: NewtonPolyhedron):
 
     Each product h_i * Vol_{d-1}(sigma_i) equals d times the volume of the
     cone over sigma_i from the origin, so the right-hand side is the exact
-    rational sum of |det| / (d-1)! over a triangulation of each facet; no
-    square roots ever appear.  The covolume is that same cone sum, so both
-    sides share the facet enumeration and triangulation; the identity is
-    checked independently against the box-hull volume oracle in
-    ``newtonpoly.verify`` (criterion 8).
+    rational sum of |N . p_0| / (d-1)! over the simplices (p_0, ...) of a
+    triangulation of each facet, N their ``_cofactors``; no square roots
+    appear.  The covolume is that same cone sum, so both sides share the
+    facets, triangulation and kernel; the identity is checked independently
+    against the box-hull volume oracle in ``newtonpoly.verify`` (criterion 8).
     """
     if not n.is_finite_volume:
         raise InfiniteVolume("face identity needs a finite-volume polyhedron")
@@ -505,7 +502,7 @@ def face_identity_check(n: NewtonPolyhedron):
     rhs = Fraction(0)
     for normal, b, pts in n._hull_facets:
         for simplex in _facet_triangulation(pts, normal):
-            rhs += Fraction(abs(_det(simplex)), factorial(d - 1))
+            rhs += Fraction(abs(_dot(_cofactors(simplex), simplex[0])), factorial(d - 1))
     return lhs, rhs
 
 

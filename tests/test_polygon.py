@@ -50,6 +50,19 @@ class TestElementary:
         with pytest.raises(BothInfinite):
             ElementaryPolygon(INF, INF)
 
+    def test_extents_off_the_plain_int_path(self):
+        # values that are not two positive plain ints keep the checked path
+        assert ElementaryPolygon(True, 2).ell is True
+        assert ElementaryPolygon(INF, 2).ell == INF
+        with pytest.raises(ZeroDimension):
+            ElementaryPolygon(2, False)
+        with pytest.raises(ZeroDimension):
+            ElementaryPolygon(-1, 2)
+        with pytest.raises(TypeError):
+            ElementaryPolygon(2, 1.5)
+        with pytest.raises(TypeError):
+            ElementaryPolygon("2", 1)
+
     def test_slopes(self):
         assert ElementaryPolygon(2, 1).slope == Fraction(1, 2)
         assert ElementaryPolygon(1, INF).slope == INF

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from newtonpoly import polyhedra
 from newtonpoly.errors import (
@@ -20,8 +21,8 @@ from newtonpoly.polygon import make_elementary, polygon_sum, covolume2, from_sup
 from newtonpoly.polyhedra import (
     MixedVolumeIndex,
     NewtonPolyhedron,
+    _cofactors,
     _combo,
-    _det,
     _dot,
     _facet_normal,
     _facet_triangulation,
@@ -83,6 +84,14 @@ class TestConstruction:
     def test_redundant_generators_dropped(self):
         n = from_support_d(2, [(1, 0), (0, 1), (2, 2), (1, 1)])
         assert n.generators == ((0, 1), (1, 0))
+
+    def test_non_integral_coordinates_are_refused(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            NewtonPolyhedron(2, [(2.9, 0), (0, 2)])
+        with pytest.raises(ValueError):
+            NewtonPolyhedron(2.5, [(2, 0), (0, 2)])
+        n = NewtonPolyhedron(2, [(Fraction(4, 2), 0), (0, 2.0)])
+        assert n.generators == ((0, 2), (2, 0))
 
     def test_hull_cache(self):
         n = from_support_d(2, [(0, 2), (3, 0)])
@@ -178,6 +187,11 @@ class TestMixedCovolume:
         n1 = from_support_d(2, [(0, 1), (2, 0)])
         n2 = from_support_d(2, [(0, 2), (1, 0)])
         assert mixed_covolume([n1, n2], MixedVolumeIndex((1, 1))) == Fraction(1, 2)
+
+    def test_non_integral_index_is_refused(self):
+        with pytest.raises(ValueError):
+            MixedVolumeIndex((1.5, 1.5))
+        assert MixedVolumeIndex((Fraction(2, 2), 1.0)).alpha == (1, 1)
 
     def test_pure_index_is_covolume(self):
         n1 = from_support_d(2, [(0, 1), (2, 0)])
@@ -514,9 +528,32 @@ class TestFanReuse:
         assert mixed_covolume([n, m], MixedVolumeIndex((2, 2))) == Fraction(27, 8)
 
 
-class TestDet:
-    def test_empty_matrix(self):
-        assert _det([]) == 1
+def _oracle_cofactors(points):
+    """Signed first-row cofactors of (p_0; p_1 - p_0; ...), minor by minor
+    through the oracle's Bareiss determinant."""
+    d = len(points[0])
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return tuple(
+        (-1) ** j * (_oracle_det([r[:j] + r[j + 1:] for r in rows]) if rows else 1)
+        for j in range(d)
+    )
+
+
+class TestCofactors:
+    """The closed-form kernel against minors taken by ``verify._det``."""
+
+    def _check(self, points):
+        n = _cofactors(points)
+        assert n == _oracle_cofactors(points)
+        assert abs(_dot(n, points[0])) == abs(_oracle_det(points))
+        # affinely dependent iff the differences p_i - p_0 have rank < d - 1
+        diffs = sympy.Matrix([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+        assert (n == (0,) * len(n)) == (diffs.rank() < len(points) - 1)
+
+    def test_one_point_has_the_empty_minor(self):
+        for p in [(0,), (3,), (-2,)]:
+            assert _cofactors([p]) == (1,)
+            self._check([p])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_oracle(self, n):
@@ -524,11 +561,11 @@ class TestDet:
         for _ in range(60):
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             kind = rng.randrange(3)
-            if kind == 1 and n > 1:  # singular: a repeated row
+            if kind == 1 and n > 1:  # affinely dependent: a repeated point
                 rows[rng.randrange(1, n)] = list(rows[0])
             elif kind == 2 and n > 1:  # the first pivot is zero
                 rows[0][0] = 0
-            assert _det(rows) == _oracle_det(rows)
+            self._check([tuple(r) for r in rows])
 
     def test_pivot_swap_and_singular_cases(self):
         cases = [
@@ -538,6 +575,8 @@ class TestDet:
             [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
             [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
             [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [3, 1, 4, 1]],
+            [[1, 2, 3], [2, 3, 4], [3, 4, 5]],  # collinear, det 0
+            [[1, 0, 0, 0], [2, 1, 0, 0], [3, 2, 0, 0], [0, 0, 1, 1]],  # rank 2
         ]
         for rows in cases:
-            assert _det(rows) == _oracle_det(rows)
+            self._check([tuple(r) for r in rows])

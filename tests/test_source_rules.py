@@ -20,6 +20,10 @@ per module, where nothing local does its job: in ``invariants.py`` inside
 bounds or certifies what mu or a local count already decides cannot come
 back unnoticed.
 
+``polyhedra.py`` has one determinant kernel: it defines no ``_det`` and calls
+none, and its facet normals and simplex volumes all come from the
+closed-form cofactor vector of ``_cofactors``.
+
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
 from ``fractions``, and the construction path of ``polygon.py`` names
 neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
@@ -170,6 +174,27 @@ def test_series_has_one_resultant_kernel():
         f"series.py calls dup_resultant on lines {[c.lineno for c in calls]}; every "
         "resultant goes through the one packed kernel"
     )
+
+
+# the functions of polyhedra.py that take a hyperplane normal or a simplex
+# determinant, each from the one cofactor kernel
+COFACTOR_CALLERS = ["_facet_normal", "_cone_volume", "face_identity_check"]
+
+
+def test_polyhedra_has_one_determinant_kernel():
+    path = PACKAGE / "polyhedra.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = _functions(tree)
+    assert "_det" not in functions, (
+        "polyhedra.py defines _det; a simplex determinant is N . p_0 of _cofactors"
+    )
+    stray = sorted(c.lineno for name in ("_det", "det") for c in _calls(tree, name))
+    assert not stray, (
+        f"polyhedra.py calls a determinant on lines {stray}; every determinant goes "
+        "through _cofactors"
+    )
+    missing = [name for name in COFACTOR_CALLERS if not _calls(functions[name], "_cofactors")]
+    assert not missing, f"{missing} do not take their normals or volumes from _cofactors"
 
 
 # the one function of each module that may call sylvester_resultant
