@@ -492,8 +492,8 @@ def face_identity_check(n: NewtonPolyhedron):
     rational sum of |N . p_0| / (d-1)! over the simplices (p_0, ...) of a
     triangulation of each facet, N their ``_cofactors``; no square roots
     appear.  The covolume is that same cone sum, so both sides share the
-    facets, triangulation and kernel; the identity is checked independently
-    against the box-hull volume oracle in ``newtonpoly.verify`` (criterion 8).
+    facets, triangulation and kernel; the covolume is checked independently
+    against the slicing oracle in ``newtonpoly.verify`` (criterion 8).
     """
     if not n.is_finite_volume:
         raise InfiniteVolume("face identity needs a finite-volume polyhedron")

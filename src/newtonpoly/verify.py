@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, gcd, isqrt, lcm
 
 import sympy
 
@@ -33,7 +33,7 @@ from .invariants import (
     semigroup_from_polygon,
     validate_semigroup,
 )
-from .errors import GcdChainInvalid, NotMinimal, NotRealizable
+from .errors import GcdChainInvalid, InfiniteVolume, NotMinimal, NotRealizable
 from .polygon import ElementaryPolygon, NewtonPolygon, make_elementary
 from .puiseux import puiseux_expand, root_valuations
 from .series import (
@@ -300,6 +300,28 @@ def _nondegenerate_pair(rng):
 def _value_at(s, x0):
     """An exact series over QQ at x = x0."""
     return sum((c.rational_value() * x0 ** e for e, c in s.coeffs), Fraction(0))
+
+
+def _det(rows):
+    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def _pinned_by_rational_sylvester(res, p1, p2):
@@ -590,293 +612,106 @@ def suite_invariant_identities(seed=DEFAULT_SEED):
     return results
 
 
-# -- box-hull covolume oracle ---------------------------------------------------
+# -- covolume oracle: Cavalieri slicing -------------------------------------------
 #
-# An exact hull pipeline of its own (qhull hyperplane hints, exact
-# re-verification, a ridge-closure certificate), kept apart from the cone
-# sum in polyhedra so that criterion 8 checks covolume against code it does
-# not share.
+# Cavalieri's principle, with no hull.  The complement of
+# N = conv(G) + R^d_+ is a bounded polyhedral set whose vertices are the
+# origin and points of G, so the (d-1)-covolume of its slice x_d = s is a
+# polynomial of degree <= d - 1 in s between consecutive heights of G, and
+# the closed Newton-Cotes rule on d nodes integrates it exactly.  The slice
+# of N is conv(P_s) + R^(d-1)_+, where P_s holds the projections of the
+# points p of G with p_d <= s and, for every p below s and q above it, the
+# point where the segment pq crosses x_d = s; the slices recurse down to the
+# area under a convex chain at d = 2.  Every step is integer arithmetic, and
+# no facet, triangulation or cofactor appears, so criterion 8 checks the cone
+# sum of ``polyhedra`` against code it does not share.  A point of G whose
+# shadow is no vertex of the slice at its own height is no vertex of N either,
+# so it is dropped, bottom up, before the later slices are taken.
 
 
-def _det(rows):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+# closed Newton-Cotes weights on d equally spaced nodes, exact to degree d - 1
+_NEWTON_COTES = {3: (1, 4, 1), 4: (1, 3, 3, 1)}
 
 
-def _facet_normal(points):
-    """Integer normal of the hyperplane through d affinely independent points."""
-    d = len(points[0])
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(d)] for p in points[1:]]
-    normal = []
-    for i in range(d):
-        minor = [[r[j] for j in range(d) if j != i] for r in rows]
-        sub = _det(minor) if minor else Fraction(1)
-        normal.append((-1) ** i * sub)
-    if all(c == 0 for c in normal):
-        return None
-    nums = [int(c) for c in normal]
-    g = 0
-    for c in nums:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in nums)
+def _slice_covolume(points):
+    """(covolume of conv(points) + R^d_+, a subset of the points holding all
+    its vertices) for integer points, d = 2, 3, 4."""
+    pts = []  # the minimal points in sorted order; in the plane, the chain's vertices
+    for g in sorted(set(points)):
+        if len(g) > 2:
+            if not any(all(a <= b for a, b in zip(h, g)) for h in pts):
+                pts.append(g)
+        elif not pts or g[1] < pts[-1][1]:  # x rises, so a minimal point's y falls
+            while len(pts) > 1 and (pts[-1][0] - pts[-2][0]) * (g[1] - pts[-2][1]) <= (
+                pts[-1][1] - pts[-2][1]
+            ) * (g[0] - pts[-2][0]):
+                pts.pop()  # on or above the chord from pts[-2] to g
+            pts.append(g)
+    top = max(pts, key=lambda p: p[-1])
+    if min(p[-1] for p in pts) != 0 or any(top[:-1]):
+        raise InfiniteVolume("the slices need a point at height 0 and one on the last axis")
+    if len(pts[0]) == 2:  # the area under the lower-left convex chain
+        return Fraction(sum((b[0] - a[0]) * (a[1] + b[1]) for a, b in zip(pts, pts[1:])), 2), pts
+    weights = _NEWTON_COTES[len(pts[0])]
+    k = len(weights) - 1
+    slices = {}
 
+    def at(node):
+        """The slice at height node / k as (covolume, D, vertices): its points
+        are scaled to integers by D = k * lcm(q_d - p_d), its covolume back by
+        1 / D^k."""
+        if node not in slices:
+            below = [p for p in pts if k * p[-1] <= node]
+            pairs = [(p, q) for p in below if k * p[-1] < node for q in pts if k * q[-1] > node]
+            step = lcm(*(q[-1] - p[-1] for p, q in pairs))
+            scale = k * step
+            cut = [tuple([scale * c for c in p[:-1]]) for p in below]
+            for p, q in pairs:
+                t = step // (q[-1] - p[-1]) * (node - k * p[-1])
+                cut.append(tuple([scale * a + t * (b - a) for a, b in zip(p, q[:-1])]))
+            volume, vertices = _slice_covolume(cut)
+            slices[node] = volume / scale**k, scale, set(vertices)
+        return slices[node]
 
-class _HullCertificationError(RuntimeError):
-    pass
-
-
-def _dot(n, p):
-    return sum(a * b for a, b in zip(n, p))
-
-
-def _ring_2d(points):
-    """Convex-position ring of 2d points, counterclockwise, strict turns."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    ring = lower[:-1] + upper[:-1]
-    return ring
-
-
-def _independent_subset(points, d):
-    """d affinely independent points, or None."""
-    base = points[0]
-    chosen = [base]
-    rows = []
-    for p in points[1:]:
-        cand = rows + [[Fraction(p[i] - base[i]) for i in range(d)]]
-        if _matrix_rank(cand) == len(cand):
-            rows = cand
-            chosen.append(p)
-            if len(chosen) == d:
-                return chosen
-    return None
-
-
-def _matrix_rank(rows):
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _exact_facets(points):
-    """Facets of conv(points) as (inward normal, offset, on-points), exact.
-
-    In dimension >= 3, qhull supplies candidate hyperplanes; each facet is
-    reconstructed exactly from points on it, verified to support the point
-    set, and the facet complex is certified closed by matching every ridge
-    to exactly two facets.  A certification failure raises rather than
-    returning a wrong answer.
-    """
-    pts = sorted(set(map(tuple, points)))
-    d = len(pts[0])
-    if d == 1:
-        lo, hi = pts[0][0], pts[-1][0]
-        if lo == hi:
-            raise _HullCertificationError("degenerate 1d hull")
-        return [((1,), lo, ((lo,),)), ((-1,), -hi, ((hi,),))]
-    if d == 2:
-        ring = _ring_2d(pts)
-        if len(ring) < 3:
-            raise _HullCertificationError("collinear 2d point set")
-        facets = []
-        for i, a in enumerate(ring):
-            b = ring[(i + 1) % len(ring)]
-            normal = (a[1] - b[1], b[0] - a[0])
-            g = gcd(abs(normal[0]), abs(normal[1]))
-            normal = (normal[0] // g, normal[1] // g)
-            off = _dot(normal, a)
-            if any(_dot(normal, p) < off for p in pts):
-                normal = (-normal[0], -normal[1])
-                off = -off
-            on = tuple(p for p in pts if _dot(normal, p) == off)
-            facets.append((normal, off, on))
-        return facets
-
-    from scipy.spatial import ConvexHull  # hyperplane hints only
-
-    hull = ConvexHull(pts)
-    scale = max(1.0, max(abs(c) for p in pts for c in p))
-    hint_rows = {tuple(round(v, 9) for v in row) for row in hull.equations.tolist()}
-    facets = {}
-    for row in sorted(hint_rows):
-        nf, c = row[:-1], row[-1]
-        near = [p for p in pts if abs(_dot(nf, p) + c) < 1e-6 * scale]
-        if len(near) < d:
-            continue
-        basis = _independent_subset(near, d)
-        if basis is None:
-            continue
-        normal = _facet_normal(basis)
-        if normal is None:
-            continue
-        off = _dot(normal, basis[0])
-        values = [_dot(normal, p) for p in pts]
-        if all(v >= off for v in values):
-            pass
-        elif all(v <= off for v in values):
-            normal = tuple(-x for x in normal)
-            off = -off
-            values = [-v for v in values]
-        else:
-            continue  # spurious hint; the closure check guards completeness
-        on = tuple(p for p, v in zip(pts, values) if v == off)
-        facets[(normal, off)] = (normal, off, on)
-    facets = list(facets.values())
-    if not facets:
-        raise _HullCertificationError("no facets reconstructed")
-    ridge_count: dict = {}
-    for normal, off, on in facets:
-        for ridge in _facet_ridges(on, normal):
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    if any(c != 2 for c in ridge_count.values()):
-        raise _HullCertificationError("facet complex is not closed")
-    return facets
-
-
-def _project_facet(on, normal):
-    """Drop the coordinate of largest |normal| entry; injective on the facet."""
-    k = max(range(len(normal)), key=lambda i: abs(normal[i]))
-    shadow = {tuple(c for i, c in enumerate(p) if i != k): p for p in on}
-    return shadow
-
-
-def _facet_ridges(on, normal):
-    """Ridge identifiers (sorted point tuples) of a facet, exactly."""
-    d = len(normal)
-    shadow = _project_facet(on, normal)
-    flat = sorted(shadow)
-    if d == 2:
-        return [(shadow[flat[0]],), (shadow[flat[-1]],)]
-    return [
-        tuple(sorted(shadow[p] for p in sub_on))
-        for _, _, sub_on in _exact_facets(flat)
-    ]
-
-
-def _facet_triangulation(on, normal):
-    """(d-1)-simplices covering the facet, as tuples of d original points."""
-    d = len(normal)
-    shadow = _project_facet(on, normal)
-    flat = sorted(shadow)
-    if d == 2:
-        return [(shadow[flat[0]], shadow[flat[-1]])]
-    if d == 3:
-        ring = _ring_2d(flat)
-        return [
-            (shadow[ring[0]], shadow[ring[i]], shadow[ring[i + 1]])
-            for i in range(1, len(ring) - 1)
-        ]
-    # d == 4: tetrahedralise the 3-dimensional facet by a vertex fan
-    anchor = flat[0]
-    tets = []
-    for sub_normal, sub_off, sub_on in _exact_facets(flat):
-        if anchor in sub_on:
-            continue
-        for tri in _facet_triangulation(sub_on, sub_normal):
-            tets.append((shadow[anchor],) + tuple(shadow[p] for p in tri))
-    return tets
-
-
-def _polytope_volume(points) -> Fraction:
-    """Exact volume of conv(points) for integer points."""
-    pts = sorted(set(map(tuple, points)))
-    d = len(pts[0])
-    if _matrix_rank([[Fraction(p[i] - pts[0][i]) for i in range(d)] for p in pts[1:]]) < d:
-        return Fraction(0)
-    if d == 1:
-        return Fraction(pts[-1][0] - pts[0][0])
-    facets = _exact_facets(pts)
-    centroid = tuple(Fraction(sum(p[i] for p in pts), len(pts)) for i in range(d))
-    total = Fraction(0)
-    for normal, off, on in facets:
-        for simplex in _facet_triangulation(on, normal):
-            rows = [[Fraction(p[i]) - centroid[i] for i in range(d)] for p in simplex]
-            total += abs(_det(rows))
-    return total / factorial(d)
-
-
-def _corner_points(n, box):
-    """Vertex superset of region /\\ [0, box]^d."""
-    corners = set()
-    for g in n.generators:
-        for eps in itertools.product((0, 1), repeat=n.dim):
-            corners.add(tuple(g[i] if e == 0 else box for i, e in enumerate(eps)))
-    return sorted(corners)
+    # the slices at the heights first: a vertex of N is a vertex of its slice
+    for h in sorted({p[-1] for p in pts}):
+        _, scale, vertices = at(k * h)
+        pts = [p for p in pts if p[-1] != h or tuple([scale * c for c in p[:-1]]) in vertices]
+    heights = sorted({p[-1] for p in pts})
+    total = sum(
+        (b - a) * sum(w * at(k * a + i * (b - a))[0] for i, w in enumerate(weights))
+        for a, b in zip(heights, heights[1:])
+    )
+    return Fraction(total, sum(weights)), pts
 
 
 def _box_hull_covolume(n: ph.NewtonPolyhedron) -> Fraction:
-    """Covolume of a finite-volume polyhedron as M^d - Vol(region /\\ [0, M]^d).
+    """Covolume of a finite-volume polyhedron, integrated slice by slice.
 
-    The complement of the region lies in the box [0, M]^d with M the largest
-    generator coordinate, and region /\\ box is the convex hull of the corner
-    set {A + (M - A) o eps : eps in {0,1}^d}; its volume comes from the
-    certified hull above.
+    Exact: each slice covolume is a polynomial of degree at most d - 1
+    between consecutive generator heights, which the d-node Newton-Cotes rule
+    integrates without error, and every slice is taken in integers.  An
+    infinite-volume polyhedron raises ``InfiniteVolume``.
     """
-    m = n.max_coordinate
-    if m == 0:
-        return Fraction(0)
-    return Fraction(m) ** n.dim - _polytope_volume(_corner_points(n, m))
+    return _slice_covolume(n.generators)[0]
 
 
 # -- criterion 8: monomial multiplicities ------------------------------------------
 
 
 def _int_nth_root(n: int, d: int) -> int:
+    """floor(n^(1/d)) exactly, for any size of n: Newton's iteration in
+    integers falls monotonically onto the floor from any start above it."""
     if n < 0:
-        raise ValueError
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / d))) + 2
-    while x**d > n:
-        x -= 1
-    return x
+        raise ValueError("no real root of a negative number")
+    if d == 2 or n == 0:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits / d) > n^(1/d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def _minkowski_holds(a: int, b: int, c: int, d: int) -> bool:

@@ -39,7 +39,12 @@ from newtonpoly.polyhedra import (
     sum_d,
 )
 from newtonpoly.product import mixed_height
-from newtonpoly.verify import _box_hull_covolume, _det as _oracle_det
+from newtonpoly.verify import (
+    _box_hull_covolume,
+    _det as _oracle_det,
+    _int_nth_root,
+    _minkowski_holds,
+)
 
 M2_D3 = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
@@ -165,21 +170,74 @@ class TestCovolume:
             checked += 1
 
     def test_no_scipy_on_the_polyhedra_path(self):
+        # a None entry in sys.modules makes every scipy import raise, so the
+        # library and the box-hull oracle of criterion 8 both run without it
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from newtonpoly.polyhedra import NewtonPolyhedron, face_identity_check\n"
             "for d in (3, 4):\n"
             "    gens = [tuple(3 if i == a else 0 for i in range(d)) for a in range(d)]\n"
             "    n = NewtonPolyhedron(d, gens + [(1,) * d, (2,) + (0,) * (d - 2) + (1,)])\n"
             "    lhs, rhs = face_identity_check(n)\n"
             "    assert lhs == rhs, (lhs, rhs)\n"
-            "assert 'scipy' not in sys.modules\n"
+            "from newtonpoly.cli import main\n"
+            "status = main(['verify', 'monomial-multiplicity'])\n"
+            "assert status == 0, status\n"
+            "assert sys.modules['scipy'] is None\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBoxHullOracle:
+    """The slicing oracle on values derived by hand.  Each slice area is
+    quadratic (d = 3) or cubic (d = 4) in the height, so a wrong quadrature
+    rule or a missing segment crossing changes the answer."""
+
+    def test_simplex_with_an_interior_corner(self):
+        # three cones from the origin over the triangles through (1, 1, 1) and
+        # two axis points, each det(4 e_1, 4 e_2, (1, 1, 1)) / 3!: 3 * 16 / 3! = 8
+        n = NewtonPolyhedron(3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+        assert _box_hull_covolume(n) == 8
+
+    def test_d4_simplex_with_an_interior_corner(self):
+        # four cones over the tetrahedra through (1, 1, 1, 1), each 64 / 4!
+        gens = [tuple(4 if i == a else 0 for i in range(4)) for a in range(4)]
+        n = NewtonPolyhedron(4, gens + [(1, 1, 1, 1)])
+        assert _box_hull_covolume(n) == Fraction(32, 3)
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 1), (0, 1, 1), (0, 0, 2)],  # no point at height 0
+        [(2, 0, 0), (0, 2, 0), (1, 1, 1)],  # none on the last axis
+        [(2, 0, 0), (0, 0, 2)],  # the slice at height 0 misses an axis
+    ])
+    def test_infinite_volume_raises(self, gens):
+        with pytest.raises(InfiniteVolume):
+            _box_hull_covolume(NewtonPolyhedron(3, gens))
+
+
+class TestMinkowskiCheck:
+    # past 2^53 a root taken from a float start would land below the floor
+    @pytest.mark.parametrize("r", [10**18 + 12345, 3 * 10**24 + 7])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_integer_root_is_exact_at_any_size(self, r, d):
+        assert _int_nth_root(r**d, d) == r
+        assert _int_nth_root(r**d - 1, d) == r - 1
+        assert _int_nth_root((r + 1) ** d - 1, d) == r
+
+    def test_small_roots(self):
+        assert [_int_nth_root(n, 3) for n in (0, 1, 7, 8, 26, 27)] == [0, 1, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("e1, e2, d", [(4, 16, 2), (8, 64, 3), (16, 1296, 4)])
+    def test_homothetic_pairs_meet_the_bound(self, e1, e2, d):
+        # e of N1 + N2 for homothetic N1, N2 is (e1^(1/d) + e2^(1/d))^d
+        e12 = round(e1 ** (1 / d) + e2 ** (1 / d)) ** d
+        assert _minkowski_holds(e12, e1, e2, d)
+        assert not _minkowski_holds(e12 + 1, e1, e2, d)
 
 
 class TestMixedCovolume:

@@ -30,6 +30,9 @@ neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 
 No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
 import ``random``.
+
+sympy is the only runtime dependency: no module imports ``scipy``, whose
+float hulls the exact oracles do not need.
 """
 
 import ast
@@ -240,10 +243,15 @@ def _uses_fraction(node):
 
 
 def _imports(tree, module):
-    """The module, or a name from it, is imported somewhere in tree."""
+    """The module, a submodule of it, or a name from either is imported
+    somewhere in tree."""
+
+    def within(name):
+        return name == module or name.startswith(module + ".")
+
     return any(
-        (isinstance(n, ast.Import) and any(a.name == module for a in n.names))
-        or (isinstance(n, ast.ImportFrom) and n.module == module)
+        (isinstance(n, ast.Import) and any(within(a.name) for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.level == 0 and within(n.module or ""))
         for n in ast.walk(tree)
     )
 
@@ -270,6 +278,9 @@ def test_fraction_scans_see_every_form():
     assert not _imports(ast.parse("from .polygon import INF\n"), "fractions")
     assert _imports(ast.parse("import os, random as r\n"), "random")
     assert not _imports(ast.parse("from .puiseux import random\n"), "random")
+    assert _imports(ast.parse("def f():\n    from scipy.spatial import ConvexHull\n"), "scipy")
+    assert _imports(ast.parse("import scipy.spatial as sp\n"), "scipy")
+    assert not _imports(ast.parse("import scipyx\nfrom .scipy import hull\n"), "scipy")
 
 
 def test_product_imports_nothing_from_fractions():
@@ -280,6 +291,13 @@ def test_product_imports_nothing_from_fractions():
 def test_invariants_imports_nothing_from_random():
     path = PACKAGE / "invariants.py"
     assert not _imports(ast.parse(path.read_text(), filename=str(path)), "random")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_scipy(path):
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "scipy"), (
+        f"{path.name} imports scipy; sympy is the only runtime dependency"
+    )
 
 
 @pytest.mark.parametrize("name", CONSTRUCTION_PATH)
