@@ -1,9 +1,9 @@
 """Reference curves for cross-validation of the invariant machinery.
 
 Branch curves are built from their parameterisations: monomial branches get
-explicit binomial equations, multi-exponent branches are eliminated with a
-resultant.  The semigroup attached to each curve is the independent input
-against which the direct polar computation is checked.
+explicit binomial equations, multi-exponent branches are eliminated as a
+characteristic polynomial.  The semigroup attached to each curve is the
+independent input against which the direct polar computation is checked.
 """
 
 from __future__ import annotations
@@ -17,21 +17,20 @@ from .series import YPolynomial, parse_polynomial
 
 
 def curve_from_parameterisation(x_exp: int, y_terms) -> YPolynomial:
-    """Minimal equation of the branch x = t^a, y = sum c t^b, by elimination."""
+    """Minimal equation of the branch x = t^a, y = sum c t^b.
+
+    It is the characteristic polynomial in y of multiplication by y(t) on
+    Q[x][t]/(t^a - x), whose eigenvalues are y(t) at the a roots of t^a = x.
+    """
     t, x, y = sympy.symbols("t x y")
     ypoly = sum(sympy.Rational(c) * t**b for b, c in y_terms)
-    res = sympy.resultant(t**x_exp - x, ypoly - y, t)
-    res = sympy.expand(res)
-    poly = sympy.Poly(res, x, y)
+    columns = [sympy.Poly(sympy.rem(ypoly * t**j, t**x_exp - x, t), t) for j in range(x_exp)]
+    mult = sympy.Matrix(x_exp, x_exp, lambda i, j: columns[j].coeff_monomial(t**i))
+    poly = sympy.Poly(sympy.expand(mult.charpoly(y).as_expr()), x, y)
     terms = {}
     for (i, j), c in poly.terms():
         terms[(int(i), int(j))] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-    f = YPolynomial.from_terms(terms)
-    lead = f.coeffs[-1]
-    if len(lead.coeffs) == 1 and lead.coeffs[0][0] == 0:
-        inv = lead.coeffs[0][1].inverse()
-        f = YPolynomial.make([c.scale(inv) for c in f.coeffs], f.xvar, f.yvar)
-    return f
+    return YPolynomial.from_terms(terms)
 
 
 def monomial_branch_curve(a: int, b: int) -> YPolynomial:

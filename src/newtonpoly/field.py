@@ -5,19 +5,23 @@ tuples: a level-0 element is a Fraction, a level-k element is a tuple of d_k
 level-(k-1) elements (coefficients in the k-th generator).  All arithmetic is
 exact; inverses come from the extended Euclidean algorithm one level down.
 
-Univariate factorisation over Q delegates to sympy; over a proper tower it
-uses Trager's norm descent (iterated resultants eliminate the generators,
-sympy factors the rational norm, gcds over the tower lift the factors).  The
-lifted factorisation is re-verified by multiplying back, so a badly chosen
-shift can only cause a retry, never a wrong answer.
+Univariate factorisation over Q clears denominators and hands the integer
+coefficients to sympy's dense factoriser (dup_factor_list); over a proper
+tower it uses Trager's norm descent: the packed resultant kernel of
+newtonpoly.series eliminates the generators one step at a time, the dense
+factoriser splits the rational norm, and gcds over the tower lift the
+factors.  The lifted factorisation is re-verified by multiplying back, so a
+badly chosen shift can only cause a retry, never a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .errors import ReducibleExtension
 
@@ -142,7 +146,7 @@ class GroundField:
             inv = coeffs[-1].inverse()
             coeffs = [c * inv for c in coeffs]
         if name is None:
-            name = f"a{self.level + 1}"
+            name = self.free_name("a")
         if name in _RESERVED_NAMES or any(s.name == name for s in self.steps):
             raise ValueError(f"generator name {name!r} unavailable")
         if verify and len(coeffs) > 2:
@@ -153,6 +157,15 @@ class GroundField:
                 )
         step = ExtensionStep(name, tuple(c.data for c in coeffs))
         return GroundField(self.steps + (step,))
+
+    def free_name(self, prefix: str) -> str:
+        """The first generator name prefix + index, from index level + 1 on,
+        that no step of the tower uses."""
+        taken = {s.name for s in self.steps}
+        index = self.level + 1
+        while f"{prefix}{index}" in taken:
+            index += 1
+        return f"{prefix}{index}"
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -516,80 +529,63 @@ def squarefree_decomposition(field, p):
 # -- factorisation -------------------------------------------------------------
 
 
-def _rational_poly_to_sympy(coeffs, u):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], u)
-
-
-def _sympy_poly_to_rational(poly) -> list[Fraction]:
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+def _rational_factors(coeffs):
+    """Monic irreducible factors over Q of a rational polynomial, as
+    ascending Fractions, with their multiplicities."""
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in reversed(coeffs)]
+    _, factors = dup_factor_list(ints, ZZ)
+    return [([Fraction(int(c), int(fac[0])) for c in reversed(fac)], mult)
+            for fac, mult in factors]
 
 
 def _factor_over_qq(field, p):
-    u = sympy.Symbol("u")
     coeffs = [c.rational_value() for c in p]
     if any(c is None for c in coeffs):
         raise ArithmeticError("polynomial to factor over QQ has irrational coefficients")
-    spoly = _rational_poly_to_sympy(coeffs, u)
-    _, factors = spoly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fc = _sympy_poly_to_rational(sympy.Poly(fac, u))
-        lead = fc[-1]
-        fc = [c / lead for c in fc]
-        out.append(([field.from_rational(c) for c in fc], int(mult)))
-    out.sort(key=lambda fm: (poly_degree(fm[0]), _poly_sort_key(fm[0])))
-    return out
+    return [([field.from_rational(c) for c in fc], mult)
+            for fc, mult in _rational_factors(coeffs)]
 
 
-def _poly_sort_key(p):
-    return tuple(repr(c) for c in p)
+def _norm_to_qq(field, p):
+    """Norm of p in K[u] down to Q[u], as ascending Fractions.
 
+    Over one step k(a) of the tower the norm of p in k(a)[u] is
+    Res_a(m(a), p), m the monic minimal polynomial of a: m is unitary, so
+    the packed resultant is exactly the product of p(alpha) over the roots
+    alpha of m.  It reads a as y and u as x.
+    """
+    # series imports this module, so the kernel is imported at call time
+    from .series import YPolynomial, sylvester_resultant
 
-def _data_to_sympy(data, level, symbols):
-    if level == 0:
-        return sympy.Rational(data.numerator, data.denominator)
-    return sympy.Add(*[
-        _data_to_sympy(c, level - 1, symbols) * symbols[level - 1] ** k
-        for k, c in enumerate(data)
-    ])
-
-
-def _norm_to_qq(field, p, u):
-    """Norm of p in K[u] down to Q[u] via iterated resultants."""
-    symbols = [sympy.Symbol(s.name) for s in field.steps]
-    expr = sympy.Add(*[
-        _data_to_sympy(c.data, field.level, symbols) * u ** k for k, c in enumerate(p)
-    ])
+    coeffs = [c.data for c in p]
     for level in range(field.level, 0, -1):
-        step = field.steps[level - 1]
-        mp = sympy.Add(*[
-            _data_to_sympy(c, level - 1, symbols) * symbols[level - 1] ** k
-            for k, c in enumerate(step.minpoly)
-        ])
-        expr = sympy.resultant(sympy.expand(mp), sympy.expand(expr), symbols[level - 1])
-    return sympy.Poly(sympy.expand(expr), u)
+        base = GroundField(field.steps[: level - 1])
+        minpoly = field.steps[level - 1].minpoly
+        m = YPolynomial.from_terms(
+            {(0, i): FieldElement(base, c) for i, c in enumerate(minpoly)}, base)
+        q = YPolynomial.from_terms({(e, i): FieldElement(base, ci)
+                                    for e, c in enumerate(coeffs) for i, ci in enumerate(c)}, base)
+        norm = sylvester_resultant(m, q)
+        terms, zero = dict(norm.coeffs), base.zero()
+        coeffs = [terms.get(e, zero).data for e in range(norm.degree() + 1)]
+    return coeffs
 
 
 def _trager_factor(field, p):
     """Factor a monic squarefree p over a proper tower."""
-    u = sympy.Dummy("u")  # a generator may be named u
     gamma = field.generator(0)
     for i in range(1, field.level):
         gamma = gamma + field.generator(i)
     for s in (0, 1, -1, 2, -2, 3, -3, 5, -5, 7):
         shift = field.from_rational(s) * gamma
         shifted = poly_compose_linear(field, p, field.one(), -shift)
-        norm = _norm_to_qq(field, shifted, u)
-        if norm.degree() != poly_degree(p) * field.degree():
-            continue
-        if sympy.degree(sympy.gcd(norm, norm.diff(u)), u) > 0:
-            continue
-        _, rational_factors = norm.factor_list()
+        factors = _rational_factors(_norm_to_qq(field, shifted))
+        if any(mult != 1 for _, mult in factors):
+            continue  # the norm is not squarefree
         pieces = []
-        for fac, _ in rational_factors:
-            fc = _sympy_poly_to_rational(sympy.Poly(fac, u))
-            lifted = [field.from_rational(c / fc[-1]) for c in fc]
-            g = poly_gcd(field, shifted, lifted)
+        for fc, _ in factors:
+            g = poly_gcd(field, shifted, [field.from_rational(c) for c in fc])
             if poly_degree(g) > 0:
                 pieces.append(poly_compose_linear(field, g, field.one(), shift))
         product = [field.one()]
@@ -597,7 +593,6 @@ def _trager_factor(field, p):
             product = poly_mul(field, product, piece)
         if _poly_strip(poly_sub(field, product, list(p))):
             continue  # bad shift; the verification failed
-        pieces.sort(key=lambda f: (poly_degree(f), _poly_sort_key(f)))
         return [(piece, 1) for piece in pieces]
     raise ArithmeticError("no Trager shift produced a squarefree norm")
 
@@ -614,10 +609,9 @@ def factor_poly(field, p):
     if poly_degree(p) == 1:
         return [(p, 1)]
     if field.level == 0:
-        return _factor_over_qq(field, p)
-    out = []
-    for sqf, mult in squarefree_decomposition(field, p):
-        for fac, m in _trager_factor(field, sqf):
-            out.append((fac, m * mult))
-    out.sort(key=lambda fm: (poly_degree(fm[0]), _poly_sort_key(fm[0])))
+        out = _factor_over_qq(field, p)
+    else:
+        out = [(fac, m * mult) for sqf, mult in squarefree_decomposition(field, p)
+               for fac, m in _trager_factor(field, sqf)]
+    out.sort(key=lambda fm: (poly_degree(fm[0]), tuple(repr(c) for c in fm[0])))
     return out

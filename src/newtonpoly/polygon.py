@@ -316,26 +316,17 @@ def boundary_at(p: NewtonPolygon, x) -> object:
     x = Fraction(x)
     if x < 0:
         raise ValueError("abscissa must be nonnegative")
-    wall = Fraction(p.x_offset)
-    floor = Fraction(p.y_offset)
-    finite = []
-    for e in p.edges:
-        if is_inf(e.h):
-            wall += e.ell
-        elif is_inf(e.ell):
-            floor += e.h
-        else:
-            finite.append(e)
+    wall, floor, chain = _wall_floor_chain(p)
     if x < wall:
         return INF
     cur_x = wall
-    cur_y = floor + sum(e.h for e in finite)
-    for e in finite:
+    cur_y = floor + sum(e.h for e in chain)
+    for e in chain:
         if x <= cur_x + e.ell:
             return cur_y - Fraction(e.h, e.ell) * (x - cur_x)
         cur_x += e.ell
         cur_y -= e.h
-    return floor
+    return Fraction(floor)
 
 
 def _wall_floor_chain(p: NewtonPolygon):

@@ -105,7 +105,7 @@ def _adjoin_root(field: GroundField, poly_coeffs, prefix: str):
     up to degree MAX_TOWER_DEGREE."""
     if fld.poly_degree(poly_coeffs) == 1:
         return field, -poly_coeffs[0]
-    bigger = field.extend(poly_coeffs, name=f"{prefix}{field.level + 1}")
+    bigger = field.extend(poly_coeffs, name=field.free_name(prefix))
     if bigger.degree() > MAX_TOWER_DEGREE:
         raise ExtensionTooDeep(
             f"tower degree {bigger.degree()} exceeds the bound {MAX_TOWER_DEGREE}"

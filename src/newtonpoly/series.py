@@ -1231,6 +1231,10 @@ def _parse_adjoin(clause, field) -> GroundField:
     value = parser.parse_expr()
     if not parser.tz.at_end():
         raise ValueError("trailing input in adjoin clause")
+    if not is_inf(value.precision):
+        raise ValueError(f"defining polynomial of {name} must be exact, without O(...)")
+    if not value.terms:
+        raise ValueError(f"defining polynomial of {name} is zero")
     deg = max(i for i, _ in value.terms)
     coeffs = [field.zero() for _ in range(deg + 1)]
     for (i, j), v in value.terms.items():

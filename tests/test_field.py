@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,12 @@ class TestExtensions:
     def test_degree(self, tower):
         assert tower.degree() == 4
 
+    def test_default_name_skips_a_taken_one(self):
+        # the user's a2 holds the default name of the step at level 1
+        k = QQ.extend([-2, 0, 1], name="a2").extend([-3, 0, 1])
+        assert [s.name for s in k.steps] == ["a2", "a3"]
+        assert [s.name for s in k.extend([-5, 0, 1]).steps] == ["a2", "a3", "a4"]
+
 
 class TestFactorisation:
     def test_over_qq_irreducible(self):
@@ -201,3 +208,71 @@ class TestFactorisation:
         b = poly_mul(qq_sqrt2, [-r2, qq_sqrt2.one()], [qq_sqrt2.from_rational(3), qq_sqrt2.one()])
         g = poly_gcd(qq_sqrt2, a, b)
         assert g == [-r2, qq_sqrt2.one()]
+
+
+# -- the norm against an independent symbolic elimination ------------------------
+
+
+def _data_to_sympy(data, level, symbols):
+    if level == 0:
+        return sympy.Rational(data.numerator, data.denominator)
+    return sympy.Add(*[
+        _data_to_sympy(c, level - 1, symbols) * symbols[level - 1] ** k
+        for k, c in enumerate(data)
+    ])
+
+
+def norm_by_symbolic_resultants(k, p):
+    """Norm of p in k[u] down to Q[u], as ascending Fractions, by sympy's
+    symbolic resultant against each minimal polynomial in turn: a reference
+    independent of the packed kernel."""
+    u = sympy.Dummy("u")  # a generator may be named u
+    symbols = [sympy.Symbol(s.name) for s in k.steps]
+    expr = sympy.Add(*[_data_to_sympy(c.data, k.level, symbols) * u ** e
+                       for e, c in enumerate(p)])
+    for level in range(k.level, 0, -1):
+        a = symbols[level - 1]
+        mp = sympy.Add(*[_data_to_sympy(c, level - 1, symbols) * a ** e
+                         for e, c in enumerate(k.steps[level - 1].minpoly)])
+        expr = sympy.resultant(sympy.expand(mp), sympy.expand(expr), a)
+    coeffs = sympy.Poly(sympy.expand(expr), u).all_coeffs()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
+
+
+def _norm_towers():
+    """QQ(sqrt 2); QQ(a, b) with a^2 = 2, b^3 = a + 1; QQ(cbrt 3); a
+    degree-1 step u = 3 under r^2 = u; a generator named u."""
+    s2 = QQ.extend([-2, 0, 1], name="a", verify=True)
+    a = s2.generator()
+    two_step = s2.extend([-(a + 1), 0, 0, 1], name="b", verify=True)
+    cubic = QQ.extend([-3, 0, 0, 1], name="c", verify=True)
+    flat = QQ.extend([-3, 1], name="u")
+    flat = flat.extend([-flat.generator(), 0, 1], name="r", verify=True)
+    named_u = QQ.extend([-3, 0, 1], name="u", verify=True)
+    return {"sqrt2": s2, "two-step": two_step, "cubic": cubic, "degree-1 step": flat,
+            "named u": named_u}
+
+
+NORM_TOWERS = _norm_towers()
+
+
+class TestNorm:
+    @pytest.mark.parametrize("name", sorted(NORM_TOWERS))
+    def test_matches_symbolic_resultants(self, name):
+        k = NORM_TOWERS[name]
+        rng = random.Random(f"norm {name}")
+
+        def element():
+            e = k.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for i in range(k.level):
+                e = e + k.generator(i) ** rng.randint(1, 2) * rng.randint(-2, 2)
+            return e
+
+        for _ in range(8):
+            p = [element() for _ in range(rng.randint(1, 3))]
+            p.append(k.one() if rng.random() < 0.5 else element() + 5)
+            if p[-1].is_zero():
+                continue
+            norm = field._norm_to_qq(k, p)
+            assert len(norm) == (len(p) - 1) * k.degree() + 1
+            assert norm == norm_by_symbolic_resultants(k, p)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from newtonpoly import puiseux
+from newtonpoly.cli import main
 from newtonpoly.errors import (
     ExtensionTooDeep,
     IdenticallyZero,
@@ -291,6 +292,15 @@ class TestBranchFormat:
     def test_round_trip_extension(self):
         (b,) = puiseux_expand(P("y^2 - 2*x^3"), t_precision=9)
         assert parse_branch(format_branch(b)) == b
+
+    def test_user_generator_with_a_generated_name(self, capsys):
+        # the user's a2 holds the name the next step would get at level 1
+        text = "adjoin a2: a2^2 - 2; y^2 - a2*x^3"
+        (b,) = puiseux_expand(P(text), t_precision=9)
+        assert [s.name for s in b.field.steps] == ["a2", "a3"]
+        assert parse_branch(format_branch(b)) == b
+        assert main(["puiseux", "expand", text]) == 0
+        assert "field = QQ[a2: a2^2 - 2, a3: a3^2 - a2]" in capsys.readouterr().out
 
     def test_defining_polynomial_with_y_rejected(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,17 @@ class TestCli:
         code, out, err = run_cli(capsys, "puiseux", "expand", "y^2 - x^3")
         assert code == 2 and out == "" and "parse error" in err
 
+    @pytest.mark.parametrize("clause, message", [
+        # O(u^1) hides the constant term; O(u^5) is truncated all the same
+        ("u^2 + 1 + O(u^1)", "defining polynomial of u must be exact, without O(...)"),
+        ("u^2 + 1 + O(u^5)", "defining polynomial of u must be exact, without O(...)"),
+        ("0", "defining polynomial of u is zero"),
+        ("u^2 - u^2", "defining polynomial of u is zero"),
+    ])
+    def test_bad_adjoin_clause_exit_2(self, capsys, clause, message):
+        code, out, err = run_cli(capsys, "puiseux", "expand", f"adjoin u: {clause}; y^2 - u*x^3")
+        assert (code, out) == (2, "") and err.startswith("parse error") and message in err
+
     @pytest.mark.parametrize("text", [
         "[1,2]", '"x"', '{"dim": 2}', '{"dim": "2", "generators": [[1, 0], [0, 1]]}',
         '{"dim": 2, "generators": [[1, 0], [0, 1.5]]}', '{"dim": 2, "generators": {"a": 1}}',

@@ -12,13 +12,17 @@ fan reuse of the mixed covolumes it checks, and none of
 ``newtonpoly.series``, whose packed resultant kernel its rational Sylvester
 determinants check.
 
-``series.py`` has one resultant kernel: it calls sympy's ``dup_resultant``
-exactly once.  Elsewhere ``sylvester_resultant`` is called in one function
+The package has one resultant kernel: ``series.py`` calls sympy's
+``dup_resultant`` exactly once, no other module calls it, and no module
+calls sympy's symbolic ``resultant``.  ``field.py`` talks to sympy only
+through dense integer lists: it imports nothing from sympy outside
+``sympy.polys``.  Elsewhere ``sylvester_resultant`` is called in one function
 per module, where nothing local does its job: in ``invariants.py`` inside
 ``discriminant_polygon`` (the Cerf diagram), in ``puiseux.py`` inside
-``puiseux_expand`` (the square-free certificate).  So a resultant that only
-bounds or certifies what mu or a local count already decides cannot come
-back unnoticed.
+``puiseux_expand`` (the square-free certificate), in ``field.py`` inside
+``_norm_to_qq`` (Trager's norm).  So a resultant that only bounds or
+certifies what mu or a local count already decides cannot come back
+unnoticed.
 
 ``polyhedra.py`` has one determinant kernel: it defines no ``_det`` and calls
 none, and its facet normals and simplex volumes all come from the
@@ -179,6 +183,55 @@ def test_series_has_one_resultant_kernel():
     )
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_resultant_outside_the_kernel(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [c.lineno for c in _calls(tree, "resultant")]
+    if path.name != "series.py":
+        stray += [c.lineno for c in _calls(tree, "dup_resultant")]
+    assert not stray, (
+        f"{path.name} takes a resultant on lines {sorted(stray)}; every resultant goes "
+        "through the packed kernel of series.py"
+    )
+
+
+def _sympy_imports(tree):
+    """The sympy modules a tree imports from, absolute imports only."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module or "")
+    return {name for name in names if name == "sympy" or name.startswith("sympy.")}
+
+
+def test_sympy_import_scan_sees_every_form():
+    source = (
+        "import sympy\n"
+        "import sympy.polys.factortools as ft, os\n"
+        "from sympy import Dummy\n"
+        "from sympy.polys.domains import ZZ\n"
+        "def f():\n    from sympy.core import Symbol\n"
+        "from .sympy import x\n"
+        "import sympyx\n"
+    )
+    assert _sympy_imports(ast.parse(source)) == {
+        "sympy", "sympy.polys.factortools", "sympy.polys.domains", "sympy.core"}
+
+
+def test_field_talks_to_sympy_through_polys_only():
+    path = PACKAGE / "field.py"
+    outside = sorted(
+        name for name in _sympy_imports(ast.parse(path.read_text(), filename=str(path)))
+        if name != "sympy.polys" and not name.startswith("sympy.polys.")
+    )
+    assert not outside, (
+        f"field.py imports {outside}; it passes sympy dense integer lists, "
+        "through sympy.polys only"
+    )
+
+
 # the functions of polyhedra.py that take a hyperplane normal or a simplex
 # determinant, each from the one cofactor kernel
 COFACTOR_CALLERS = ["_facet_normal", "_cone_volume", "face_identity_check"]
@@ -201,7 +254,8 @@ def test_polyhedra_has_one_determinant_kernel():
 
 
 # the one function of each module that may call sylvester_resultant
-RESULTANT_CALLERS = {"invariants.py": "discriminant_polygon", "puiseux.py": "puiseux_expand"}
+RESULTANT_CALLERS = {"field.py": "_norm_to_qq", "invariants.py": "discriminant_polygon",
+                     "puiseux.py": "puiseux_expand"}
 
 
 @pytest.mark.parametrize("name, caller", sorted(RESULTANT_CALLERS.items()))
