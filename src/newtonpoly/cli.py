@@ -92,7 +92,11 @@ def _parse_semigroup_arg(text: str):
     text = text.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise ValueError("semigroup format is <b0,b1,...>")
-    return validate_semigroup([int(v) for v in text[1:-1].split(",")])
+    entries = [v.strip() for v in text[1:-1].split(",")]
+    # int() alone would also take underscores, signs and non-ASCII digits
+    if not all(v.isascii() and v.isdigit() for v in entries):
+        raise ValueError(f"semigroup entries must be ASCII digits, got {text!r}")
+    return validate_semigroup([int(v) for v in entries])
 
 
 def _parse_pairs_arg(text: str) -> JacobianPolygon:

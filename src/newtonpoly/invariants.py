@@ -38,6 +38,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .polygon import INF, ElementaryPolygon, NewtonPolygon, from_support
+from .polyhedra import _integral
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
 from .series import (
     YPolynomial,
@@ -123,7 +124,7 @@ class JacobianPolygon:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(e), int(m)) for e, m in self.pairs)
+        pairs = tuple((_integral(e), _integral(m)) for e, m in self.pairs)
         if not pairs:
             raise ValueError("jacobian polygon needs at least one pair")
         for e, m in pairs:
@@ -151,8 +152,11 @@ def merle_polygon(s: SemigroupType) -> JacobianPolygon:
     """Jacobian polygon of an irreducible branch from its semigroup.
 
     Packet q contributes m_q = n_1...n_{q-1} (n_q - 1) and
-    e_q = (n_q - 1) b_q - m_q, for q = 1..g.
+    e_q = (n_q - 1) b_q - m_q, for q = 1..g.  The semigroup <1> of genus 0
+    is a smooth branch, so NotSingular is raised for it.
     """
+    if not s.genus:
+        raise NotSingular(f"{s} is the semigroup of a smooth branch, not a singular one")
     pairs = []
     for q in range(1, s.genus + 1):
         n_q = s.quotients[q - 1]

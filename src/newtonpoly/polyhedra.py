@@ -338,8 +338,12 @@ class NewtonPolyhedron:
 
 
 def _integral(value) -> int:
-    """value as an int; ValueError when int() would truncate it."""
-    n = int(value)
+    """value as an int; ValueError when int() would truncate it, or when it
+    is infinite (where int() raises OverflowError)."""
+    try:
+        n = int(value)
+    except OverflowError:
+        n = None
     if n != value:
         raise ValueError(f"{value!r} is not an integer")
     return n

@@ -33,6 +33,7 @@ intersections on x = 0 whatever the second operand's leading coefficient.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -614,8 +615,8 @@ class YPolynomial:
         given as {(xexp, ydeg): value} with values in f's field or a tower
         over it (ints and Fractions are coerced).
 
-        Expanded by Horner's rule in y on term dictionaries (see _pv_mul),
-        whose products are of field elements, not of series.
+        Expanded by Horner's rule in y on term dictionaries (_mul_terms and
+        _add_terms), whose products are of field elements, not of series.
         """
         if not all(coeff.is_exact for coeff in self.coeffs):
             raise PrecisionInsufficient("coordinate change needs exact coefficients")
@@ -623,18 +624,16 @@ class YPolynomial:
         for v in (*xs.values(), *ys.values()):
             if isinstance(v, FieldElement):
                 k = join_fields(k, v.field)
-        xs, ys = (_PolyValue({key: k.coerce(v) for key, v in m.items()}) for m in (xs, ys))
-        x_powers = [_PolyValue({(0, 0): k.one()})]
-        acc = _PolyValue({})
-        for coeff in reversed(self.lift_field(k).coeffs):
-            acc = _pv_mul(k, acc, ys)
-            terms = acc.terms
-            for e, v in coeff.coeffs:
-                while len(x_powers) <= e:
-                    x_powers.append(_pv_mul(k, x_powers[-1], xs))
-                for key, c in x_powers[e].terms.items():
-                    terms[key] = terms[key] + v * c if key in terms else v * c
-        return YPolynomial.from_terms(acc.terms, k, self.xvar, self.yvar)
+        xs, ys = ({key: k.coerce(v) for key, v in m.items()} for m in (xs, ys))
+        coeffs = self.lift_field(k).coeffs
+        x_powers = [{(0, 0): k.one()}]
+        for _ in range(max((c.coeffs[-1][0] for c in coeffs if c.coeffs), default=0)):
+            x_powers.append(_mul_terms(x_powers[-1], xs))
+        acc = {}
+        for coeff in reversed(coeffs):
+            acc = _add_terms(_mul_terms(acc, ys), (
+                (key, v * c) for e, v in coeff.coeffs for key, c in x_powers[e].items()))
+        return YPolynomial.from_terms(acc, k, self.xvar, self.yvar)
 
     def substitute_linear(self, a, b, c, d) -> "YPolynomial":
         """Exact coordinate change (x, y) -> (a x + b y, c x + d y)."""
@@ -1014,186 +1013,151 @@ def meet_on_x0_only_at_origin(f1: YPolynomial, f2: YPolynomial) -> bool:
 # -- text format ----------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^():;,=<>])|(?P<bad>.)|(?P<end>\Z))")
+
+
+def _tokens(text):
+    """Tokens (kind, value, position) of text, one regex match each, read
+    lazily so that an error surfaces where the parser reaches it.  Kinds
+    are "int" (ASCII digits, as an int), "name" (ASCII letters, digits and
+    _), "op" and, last, "end"; any other character is a ValueError."""
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "bad":
+            raise ValueError(f"unexpected character {m[kind]!r} at {m.start(kind)}")
+        yield kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)
+        if kind == "end":
+            return
+
+
+def _add_terms(terms, pairs):
+    """Terms {(xexp, ydeg): FieldElement} plus each (key, value) pair, zeros
+    dropped."""
+    out = dict(terms)
+    for key, v in pairs:
+        out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+def _mul_terms(a, b):
+    """Product of two term dictionaries, zeros dropped."""
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            v = v1 * v2
+            out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text into term dictionaries.
+    precision is the least p of every O(xvar^p) read, INF if none."""
+
+    def __init__(self, text, field, xvar, yvar):
+        self.tokens = _tokens(text)
+        self.tok = None  # the next token, once read
+        self.field, self.xvar, self.yvar = field, xvar, yvar
+        self.precision = INF
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("int", self.text[self.pos:j], j)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[self.pos:j], j)
-        if ch in "+-*/^():;,=<>":
-            return ("op", ch, self.pos + 1)
-        raise ValueError(f"unexpected character {ch!r} at {self.pos}")
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        self.pos = tok[2]
-        return tok
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
 
     def accept(self, kind, value=None):
         tok = self.peek()
-        if tok and tok[0] == kind and (value is None or tok[1] == value):
-            self.pos = tok[2]
+        if tok[0] == kind and (value is None or tok[1] == value):
+            self.tok = None
             return tok
         return None
 
     def expect(self, kind, value=None):
         tok = self.accept(kind, value)
         if tok is None:
-            raise ValueError(f"expected {value or kind} at position {self.pos}")
-        return tok
-
-    def at_end(self):
-        return self.peek() is None
-
-
-class _PolyValue:
-    """Value during parsing: {(xexp, ydeg): FieldElement} plus a precision."""
-
-    __slots__ = ("terms", "precision")
-
-    def __init__(self, terms, precision=INF):
-        self.terms = terms
-        self.precision = precision
-
-
-def _pv_add(field, a, b, sub=False):
-    out = dict(a.terms)
-    for key, v in b.terms.items():
-        w = -v if sub else v
-        out[key] = out[key] + w if key in out else w
-    return _PolyValue({k: v for k, v in out.items() if not v.is_zero()},
-                      min(a.precision, b.precision))
-
-
-def _pv_mul(field, a, b):
-    out = {}
-    for (i1, j1), v1 in a.terms.items():
-        for (i2, j2), v2 in b.terms.items():
-            key = (i1 + i2, j1 + j2)
-            v = v1 * v2
-            out[key] = out[key] + v if key in out else v
-    return _PolyValue({k: v for k, v in out.items() if not v.is_zero()},
-                      min(a.precision, b.precision))
-
-
-class _Parser:
-    def __init__(self, text, field, xvar, yvar):
-        self.tz = _Tokenizer(text)
-        self.field = field
-        self.xvar = xvar
-        self.yvar = yvar
+            raise ValueError(f"expected {value or kind} at position {self.tok[2]}")
+        return tok[1]
 
     def const(self, q):
-        return _PolyValue({(0, 0): self.field.coerce(q)} if q else {})
+        return {(0, 0): self.field.coerce(q)} if q else {}
+
+    def parse_all(self):
+        terms = self.parse_expr()
+        if self.peek()[0] != "end":
+            raise ValueError(f"trailing input at position {self.tok[2]}")
+        return terms
 
     def parse_expr(self):
-        if self.tz.accept("op", "-"):
-            acc = _pv_add(self.field, self.const(0), self.parse_term(), sub=True)
-        else:
-            acc = self.parse_term()
-        while True:
-            if self.tz.accept("op", "+"):
-                # allow a trailing O(x^p) precision marker
-                o = self.try_o_term()
-                if o is not None:
-                    acc.precision = min(acc.precision, o)
-                    continue
-                acc = _pv_add(self.field, acc, self.parse_term())
-            elif self.tz.accept("op", "-"):
-                acc = _pv_add(self.field, acc, self.parse_term(), sub=True)
-            else:
-                return acc
-
-    def try_o_term(self):
-        save = self.tz.pos
-        tok = self.tz.accept("name", "O")
-        if tok is None:
-            return None
-        if not self.tz.accept("op", "("):
-            self.tz.pos = save
-            return None
-        name = self.tz.expect("name")[1]
-        if name != self.xvar:
-            raise ValueError(f"precision marker must use {self.xvar}")
-        if self.tz.accept("op", "^"):
-            p = int(self.tz.expect("int")[1])
-        else:
-            p = 1
-        self.tz.expect("op", ")")
-        return p
+        acc = self.parse_term()
+        while tok := self.accept("op", "+") or self.accept("op", "-"):
+            term = self.parse_term().items()
+            acc = _add_terms(acc, term if tok[1] == "+" else ((key, -v) for key, v in term))
+        return acc
 
     def parse_term(self):
         acc = self.parse_power()
         while True:
-            if self.tz.accept("op", "*"):
-                acc = _pv_mul(self.field, acc, self.parse_power())
-            elif self.tz.accept("op", "/"):
+            if self.accept("op", "*"):
+                acc = _mul_terms(acc, self.parse_power())
+            elif self.accept("op", "/"):
                 den = self.parse_power()
-                if set(den.terms) - {(0, 0)}:
+                if set(den) - {(0, 0)}:
                     raise ValueError("division only by constants")
-                if (0, 0) not in den.terms:
+                if not den:
                     raise ValueError("division by zero")
-                inv = den.terms[(0, 0)].inverse()
-                acc = _pv_mul(self.field, acc, _PolyValue({(0, 0): inv}))
+                acc = _mul_terms(acc, {(0, 0): den[(0, 0)].inverse()})
             else:
                 return acc
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.tz.accept("op", "^"):
-            n = int(self.tz.expect("int")[1])
-            acc = self.const(1)
-            while n:
-                if n & 1:
-                    acc = _pv_mul(self.field, acc, base)
-                n >>= 1
-                if n:
-                    base = _pv_mul(self.field, base, base)
-            return acc
-        return base
+        if not self.accept("op", "^"):
+            return base
+        n = self.expect("int")
+        acc = self.const(1)
+        while n:
+            if n & 1:
+                acc = _mul_terms(acc, base)
+            n >>= 1
+            if n:
+                base = _mul_terms(base, base)
+        return acc
 
     def parse_atom(self):
-        if self.tz.accept("op", "("):
+        if self.accept("op", "("):
             inner = self.parse_expr()
-            self.tz.expect("op", ")")
+            self.expect("op", ")")
             return inner
-        if self.tz.accept("op", "-"):
-            return _pv_add(self.field, self.const(0), self.parse_power(), sub=True)
-        tok = self.tz.peek()
-        if tok is None:
+        if self.accept("op", "-"):
+            return {key: -v for key, v in self.parse_power().items()}
+        kind, value, _ = self.peek()
+        if kind == "end":
             raise ValueError("unexpected end of expression")
-        if tok[0] == "int":
-            self.tz.next()
-            return self.const(int(tok[1]))
-        if tok[0] == "name":
-            self.tz.next()
-            name = tok[1]
-            if name == self.xvar:
-                return _PolyValue({(1, 0): self.field.one()})
-            if name == self.yvar:
-                return _PolyValue({(0, 1): self.field.one()})
-            try:
-                return _PolyValue({(0, 0): self.field.generator_named(name)})
-            except KeyError:
-                raise ValueError(f"unknown name {name!r}") from None
-        raise ValueError(f"unexpected token {tok[1]!r}")
+        if kind == "op":
+            raise ValueError(f"unexpected token {value!r}")
+        self.tok = None
+        if kind == "int":
+            return self.const(value)
+        if value == "O" and self.accept("op", "("):
+            # a precision marker O(xvar^p) stands for zero and bounds the
+            # precision of the whole text
+            if self.expect("name") != self.xvar:
+                raise ValueError(f"precision marker must use {self.xvar}")
+            p = self.expect("int") if self.accept("op", "^") else 1
+            self.expect("op", ")")
+            self.precision = min(self.precision, p)
+            return {}
+        if value == self.xvar:
+            return {(1, 0): self.field.one()}
+        if value == self.yvar:
+            return {(0, 1): self.field.one()}
+        try:
+            return {(0, 0): self.field.generator_named(value)}
+        except KeyError:
+            raise ValueError(f"unknown name {value!r}") from None
 
 
 def parse_polynomial(text, field=None, xvar="x", yvar="y") -> YPolynomial:
@@ -1205,12 +1169,8 @@ def parse_polynomial(text, field=None, xvar="x", yvar="y") -> YPolynomial:
     parts = [p for p in text.split(";") if p.strip()]
     for clause in parts[:-1]:
         field = _parse_adjoin(clause, field)
-    body = parts[-1] if parts else ""
-    parser = _Parser(body, field, xvar, yvar)
-    value = parser.parse_expr()
-    if not parser.tz.at_end():
-        raise ValueError(f"trailing input at position {parser.tz.pos}")
-    return YPolynomial.from_terms(value.terms, field, xvar, yvar, value.precision)
+    parser = _Parser(parts[-1] if parts else "", field, xvar, yvar)
+    return YPolynomial.from_terms(parser.parse_all(), field, xvar, yvar, parser.precision)
 
 
 def parse_series(text, field=None, var="x") -> TruncatedSeries:
@@ -1221,25 +1181,19 @@ def parse_series(text, field=None, var="x") -> TruncatedSeries:
 
 
 def _parse_adjoin(clause, field) -> GroundField:
-    tz = _Tokenizer(clause)
-    tz.expect("name", "adjoin")
-    name = tz.expect("name")[1]
-    tz.expect("op", ":")
-    rest = clause[tz.pos:]
-    # parse the defining polynomial with the new name acting as the variable
-    parser = _Parser(rest, field, xvar=name, yvar="_unused_y")
-    value = parser.parse_expr()
-    if not parser.tz.at_end():
-        raise ValueError("trailing input in adjoin clause")
-    if not is_inf(value.precision):
+    """field extended by the clause ``adjoin NAME: polynomial``, whose exact
+    polynomial in NAME has coefficients in field."""
+    parser = _Parser(clause, field, None, None)
+    parser.expect("name", "adjoin")
+    name = parser.xvar = parser.expect("name")
+    parser.expect("op", ":")
+    terms = parser.parse_all()
+    if not is_inf(parser.precision):
         raise ValueError(f"defining polynomial of {name} must be exact, without O(...)")
-    if not value.terms:
+    if not terms:
         raise ValueError(f"defining polynomial of {name} is zero")
-    deg = max(i for i, _ in value.terms)
-    coeffs = [field.zero() for _ in range(deg + 1)]
-    for (i, j), v in value.terms.items():
-        if j != 0:
-            raise ValueError(f"defining polynomial of {name} must be univariate in {name}")
+    coeffs = [field.zero()] * (max(i for i, _ in terms) + 1)
+    for (i, _), v in terms.items():
         coeffs[i] = v
     return field.extend(coeffs, name=name, verify=True)
 

@@ -104,6 +104,10 @@ class TestMerle:
             s = validate_semigroup(gens)
             assert semigroup_from_polygon(merle_polygon(s)) == s
 
+    def test_smooth_branch_is_not_singular(self):
+        with pytest.raises(NotSingular):
+            merle_polygon(validate_semigroup([1]))
+
 
 class TestDirect:
     def test_cusp(self):
@@ -463,6 +467,17 @@ class TestJacobianPolygonType:
         assert j.pairs == ((5, 1), (11, 2))
         with pytest.raises(ValueError):
             JacobianPolygon(((1, 2),))  # e < m
+
+    @pytest.mark.parametrize("pair", [
+        (2.5, 1), (Fraction(7, 2), 1), (2, 1.5), (float("inf"), 1), (1, float("inf")),
+        (float("nan"), 1),
+    ])
+    def test_non_integral_or_infinite_entries_are_refused(self, pair):
+        with pytest.raises(ValueError):
+            JacobianPolygon((pair,))
+
+    def test_integral_entries_of_other_types_are_taken(self):
+        assert JacobianPolygon(((4.0, Fraction(2)),)).pairs == ((4, 2),)
 
     def test_view_merges_equal_ratios(self):
         j = JacobianPolygon(((2, 1), (4, 2)))

@@ -95,6 +95,8 @@ class TestConstruction:
             NewtonPolyhedron(2, [(2.9, 0), (0, 2)])
         with pytest.raises(ValueError):
             NewtonPolyhedron(2.5, [(2, 0), (0, 2)])
+        with pytest.raises(ValueError, match="not an integer"):
+            NewtonPolyhedron(2, [(float("inf"), 0), (0, 2)])
         n = NewtonPolyhedron(2, [(Fraction(4, 2), 0), (0, 2.0)])
         assert n.generators == ((0, 2), (2, 0))
 

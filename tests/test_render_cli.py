@@ -204,6 +204,27 @@ class TestCli:
         code, out, err = run_cli(capsys, "polygon", "sum", text, "{}")
         assert code == 2 and out == "" and err.startswith("parse error")
 
+    @pytest.mark.parametrize("op", ["invert", "invariants"])
+    @pytest.mark.parametrize("text", ["{inf/1}", "{1/inf}"])
+    def test_infinite_jacobian_pair_exit_2(self, capsys, op, text):
+        code, out, err = run_cli(capsys, "curve", op, text)
+        assert (code, out, err) == (2, "", "parse error: inf is not an integer\n")
+
+    def test_merle_of_a_smooth_branch_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "merle", "<1>")
+        assert (code, out) == (1, "") and err.startswith("NotSingular:")
+
+    @pytest.mark.parametrize("text", ["<4,6,1_3>", "<>", "<2,,3>", "<\u0662,3>", "<2,+3>",
+                                      "<2,-3>"])
+    def test_semigroup_entries_are_ascii_digits_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "curve", "merle", text)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: semigroup entries must be ASCII digits, got {text!r}\n"
+
+    def test_semigroup_entries_may_be_spaced(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "merle", "< 4, 6 ,13 >")
+        assert (code, out, err) == (0, "{5/1}+{11/2}\n", "")
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonpoly import series
+from newtonpoly.cli import main
 from newtonpoly.errors import (
     NotAnEdge,
     NotIsolated,
@@ -244,6 +245,71 @@ class TestParsing:
         if f.is_zero():
             return
         assert parse_polynomial(format_polynomial(f)) == f
+
+    @given(st.integers(0, 6), st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 3), st.fractions(max_denominator=4),
+                  st.integers(-3, 3)), max_size=6))
+    @settings(max_examples=80)
+    def test_random_round_trip_over_a_tower_with_precision(self, p, terms):
+        # known terms lie below the precision p; c + d*u may be zero, and so
+        # may f, which prints as O(x^p)
+        k = P("adjoin u: u^2 - 3; y").field
+        u = k.generator_named("u")
+        coeffs = {(i, j): k.coerce(c) + u * d for i, j, c, d in terms if i < p}
+        f = YPolynomial.from_terms(coeffs, k, precision=p)
+        text = "adjoin u: u^2 - 3; " + format_polynomial(f)
+        assert parse_polynomial(text) == f
+
+    def test_truncated_zero_round_trip(self):
+        f = P("0 + O(x^3)")
+        assert format_polynomial(f) == "O(x^3)"
+        assert P("O(x^3)") == f
+
+    @pytest.mark.parametrize("text, precision", [
+        ("y - x/(2 + O(x^3))", 3),
+        ("(1 + O(x^2))^0*y - x", 2),
+        ("y - x + O(x^5) + O(x^4)", 4),
+        ("(y - x + O(x^3))*(y + x^2)", 3),
+        ("y + O(x^2)*y - x", 2),
+    ])
+    def test_any_precision_marker_bounds_the_whole_text(self, text, precision):
+        f = P(text)
+        assert {c.precision for c in f.coeffs} == {precision}
+
+    @pytest.mark.parametrize("text, position", [("x^٣", 2), ("x²", 1), ("²", 0),
+                                                ("é + y", 0)])
+    def test_non_ascii_digits_and_letters_exit_2(self, capsys, text, position):
+        assert main(["series", "polygon", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: unexpected character {text[position]!r} at {position}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("y - (x", "expected ) at position 6"),
+        ("y x", "trailing input at position 2"),
+        ("y +", "unexpected end of expression"),
+        ("y $ x", "unexpected character '$' at 2"),
+        ("y + O(y^2)", "precision marker must use x"),
+        ("y^x", "expected int at position 2"),
+        ("y + )", "unexpected token ')'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("adjoin u u^2; y", "expected : at position 9"),
+        ("adjoin : u^2; y", "expected name at position 7"),
+        ("adjoinu: u^2; y", "expected adjoin at position 0"),
+        ("adjoin u: u^2 - 2 x; y", "trailing input at position 18"),
+        ("adjoin u: u^2 - y; y", "unknown name 'y'"),
+    ])
+    def test_adjoin_clause_errors(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == message
 
 
 class TestNewtonPolygon:

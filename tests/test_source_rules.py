@@ -37,6 +37,12 @@ import ``random``.
 
 sympy is the only runtime dependency: no module imports ``scipy``, whose
 float hulls the exact oracles do not need.
+
+The text format is read in one tokenizing pass: ``series.py`` classifies
+characters only in the ASCII classes of the ``_tokens`` regex, so it calls
+none of the Unicode-aware ``str`` tests (``isdigit`` takes "\u0663" and
+"\u00b2"), and the character-scanning ``_Tokenizer`` and the ``_PolyValue``
+wrapper stay gone.
 """
 
 import ast
@@ -360,3 +366,44 @@ def test_polygon_construction_path_has_no_fraction(name):
     funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
     assert name in funcs, f"polygon.py defines no {name}"
     assert not _uses_fraction(funcs[name]), f"polygon.py {name} refers to Fraction or .slope"
+
+
+CHARACTER_TESTS = {"isdigit", "isalpha", "isalnum", "isspace"}
+PARSER_LEFTOVERS = {"_Tokenizer", "_PolyValue"}
+
+
+def _character_scans(tree):
+    """Lines of calls to str's character tests, and leftover definitions."""
+    calls = [c.lineno for name in sorted(CHARACTER_TESTS) for c in _calls(tree, name)]
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+               and node.name in PARSER_LEFTOVERS]
+    return sorted(calls), sorted(defined)
+
+
+def test_character_scan_sees_the_old_tokenizer():
+    source = (
+        "class _Tokenizer:\n"
+        "    def peek(self):\n"
+        "        while self.text[self.pos].isspace():\n"
+        "            self.pos += 1\n"
+        "        if self.text[self.pos].isdigit():\n"
+        "            return 'int'\n"
+        "        if ch.isalpha() or ch == '_':\n"
+        "            return 'name' if str.isalnum(ch) else None\n"
+        "class _PolyValue:\n"
+        "    pass\n"
+    )
+    assert _character_scans(ast.parse(source)) == ([3, 5, 7, 8], ["_PolyValue", "_Tokenizer"])
+
+
+def test_series_scans_characters_only_in_tokens():
+    path = PACKAGE / "series.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls, defined = _character_scans(tree)
+    assert not calls, (
+        f"series.py calls a str character test on lines {calls}; the _tokens regex "
+        "classifies every character, in ASCII classes"
+    )
+    assert not defined, f"series.py defines {defined}; the parser reads _tokens into dicts"
+    assert "_tokens" in _functions(tree), "series.py defines no _tokens"
