@@ -259,8 +259,12 @@ def _cmd_curve(args):
         sings = []
         if args.singularities:
             for chunk in args.singularities.split(";"):
-                mu_n, mu_n1 = chunk.split(",")
-                sings.append((int(mu_n), int(mu_n1)))
+                try:
+                    mu_n, mu_n1 = (int(v) for v in chunk.split(","))
+                except ValueError:
+                    raise ValueError(
+                        f"singularity {chunk!r} is not of the form mu_n,mu_n1") from None
+                sings.append((mu_n, mu_n1))
         v = dual_degree(degree, dim, sings)
         print(json.dumps(v) if args.json else str(v))
     elif args.op == "milnor":

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
+from .field import QQ
 from .invariants import validate_semigroup
-from .series import YPolynomial, parse_polynomial
+from .series import TruncatedSeries, YPolynomial, parse_polynomial
 
 
 def curve_from_parameterisation(x_exp: int, y_terms) -> YPolynomial:
@@ -21,16 +20,21 @@ def curve_from_parameterisation(x_exp: int, y_terms) -> YPolynomial:
 
     It is the characteristic polynomial in y of multiplication by y(t) on
     Q[x][t]/(t^a - x), whose eigenvalues are y(t) at the a roots of t^a = x.
+    There t^j has trace a*x^(j/a) when a divides j and 0 otherwise, which
+    gives the power sums p_k = tr y(t)^k; Newton's identities
+    k*c_k = -(c_(k-1)*p_1 + ... + c_0*p_k) then give the coefficient c_k of
+    y^(a-k), with c_0 = 1.
     """
-    t, x, y = sympy.symbols("t x y")
-    ypoly = sum(sympy.Rational(c) * t**b for b, c in y_terms)
-    columns = [sympy.Poly(sympy.rem(ypoly * t**j, t**x_exp - x, t), t) for j in range(x_exp)]
-    mult = sympy.Matrix(x_exp, x_exp, lambda i, j: columns[j].coeff_monomial(t**i))
-    poly = sympy.Poly(sympy.expand(mult.charpoly(y).as_expr()), x, y)
-    terms = {}
-    for (i, j), c in poly.terms():
-        terms[(int(i), int(j))] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-    return YPolynomial.from_terms(terms)
+    a, zero = x_exp, TruncatedSeries.zero(QQ, "x")
+    y = TruncatedSeries.make(QQ, "t", {b: Fraction(c) for b, c in y_terms})
+    power, sums, coeffs = y, [], [TruncatedSeries.constant(QQ, "x", 1)]
+    for k in range(1, a + 1):
+        sums.append(TruncatedSeries.make(QQ, "x", {e // a: c * a for e, c in power.coeffs
+                                                   if e % a == 0}))
+        power = power * y
+        total = sum((coeffs[i] * sums[k - 1 - i] for i in range(k)), zero)
+        coeffs.append(total.scale(Fraction(-1, k)))
+    return YPolynomial.make(coeffs[::-1])
 
 
 def monomial_branch_curve(a: int, b: int) -> YPolynomial:

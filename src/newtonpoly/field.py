@@ -307,25 +307,20 @@ class FieldElement:
             level -= 1
         return data
 
-    def _binary(self, other):
+    def _binary(self, other, op):
+        """op(level, a, b) on the data of self and other, other an int, a
+        Fraction or an element of the same field; elements of another field
+        raise ValueError (GroundField.lift embeds them explicitly)."""
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
-        if not isinstance(other, FieldElement):
+        elif not isinstance(other, FieldElement):
             return NotImplemented
-        if other.field != self.field:
-            if self.field.is_prefix_of(other.field):
-                return other.field.lift(self), other
-            if other.field.is_prefix_of(self.field):
-                return self, self.field.lift(other)
-            raise ValueError("elements of unrelated towers")
-        return self, other
+        elif other.field != self.field:
+            raise ValueError("elements of different fields")
+        return FieldElement(self.field, op(self.field.level, self.data, other.data))
 
     def __add__(self, other):
-        pair = self._binary(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return FieldElement(a.field, _dadd(a.field.level, a.data, b.data))
+        return self._binary(other, _dadd)
 
     __radd__ = __add__
 
@@ -333,21 +328,13 @@ class FieldElement:
         return FieldElement(self.field, _dneg(self.field.level, self.data))
 
     def __sub__(self, other):
-        pair = self._binary(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return FieldElement(a.field, _dsub(a.field.level, a.data, b.data))
+        return self._binary(other, _dsub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        pair = self._binary(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return FieldElement(a.field, _dmul(a.field, a.field.level, a.data, b.data))
+        return self._binary(other, lambda level, a, b: _dmul(self.field, level, a, b))
 
     __rmul__ = __mul__
 
@@ -376,11 +363,9 @@ class FieldElement:
         return FieldElement(field, tuple(data + [zero] * (deg - len(data))))
 
     def __truediv__(self, other):
-        pair = self._binary(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * other.inverse() if isinstance(other, FieldElement) else NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -398,15 +383,12 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
+        """Elements of different fields are unequal, as their hashes are."""
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        try:
-            a, b = self._binary(other)
-        except ValueError:
-            return False
-        return a.data == b.data
+        return self.field == other.field and self.data == other.data
 
     def __hash__(self):
         return hash((self.field, self.data))

@@ -34,7 +34,6 @@ from .series import (
     _parse_adjoin,
     edge_lattice_coefficients,
     format_series,
-    join_fields,
     newton_polygon_of,
     parse_series,
     polygon_edges,
@@ -259,8 +258,7 @@ def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:
     along the axis branch; a value that vanishes to the precision of y(t)
     raises PrecisionInsufficient with required=None.
     """
-    k = join_fields(g.field, b.field)
-    val = g.lift_field(k).eval_on_branch(b.ramification, b.y_series.lift_field(k))
+    val = g.eval_on_branch(b.ramification, b.y_series)
     if val.coeffs:
         return val.coeffs[0][0]
     if val.is_exact:

@@ -3,7 +3,9 @@
 A :class:`TruncatedSeries` stores sparse exact coefficients below an explicit
 precision bound (INF for exact polynomials); every operation propagates the
 bound pessimistically, and polygon or valuation extraction refuses to answer
-when a hidden term could change the result.
+when a hidden term could change the result.  Operators need operands over
+one field; only the functions that take two polynomials, or a polynomial
+and a branch or substitution, join nested towers (join_fields) first.
 
 Series products over every tower share one kernel (Kronecker substitution):
 each operand is read as a polynomial in t and the tower's generators, its
@@ -171,12 +173,16 @@ class TruncatedSeries:
         )
 
     def _coerce_pair(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = TruncatedSeries.constant(self.field, self.var, self.field.coerce(other))
+        """(self, other), a scalar other made a constant; other fields raise."""
+        if isinstance(other, (int, Fraction)):
+            other = self.field.from_rational(other)
+        if isinstance(other, FieldElement):
+            other = TruncatedSeries.constant(other.field, self.var, other)
         if other.var != self.var:
             raise ValueError(f"variable mismatch {self.var} vs {other.var}")
-        k = join_fields(self.field, other.field)
-        return self.lift_field(k), other.lift_field(k)
+        if other.field != self.field:
+            raise ValueError("series over different fields")
+        return self, other
 
     # -- arithmetic --------------------------------------------------------
 
@@ -487,10 +493,8 @@ class YPolynomial:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
-        common = coeffs[0].field
-        for c in coeffs[1:]:
-            common = join_fields(common, c.field)
-        coeffs = [c.lift_field(common) for c in coeffs]
+        if any(c.field != coeffs[0].field for c in coeffs):
+            raise ValueError("coefficients over different fields")
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         return YPolynomial(xvar, yvar, tuple(coeffs))
@@ -530,14 +534,16 @@ class YPolynomial:
         return YPolynomial(self.xvar, self.yvar, tuple(c.lift_field(new_field) for c in self.coeffs))
 
     def _coerce_pair(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, TruncatedSeries)):
-            if not isinstance(other, TruncatedSeries):
-                other = TruncatedSeries.constant(self.field, self.xvar, self.field.coerce(other))
+        """(self, other), a scalar or series other made a polynomial; other fields raise."""
+        if isinstance(other, (int, Fraction, FieldElement)):
+            other = self.coeffs[0]._coerce_pair(other)[1]
+        if isinstance(other, TruncatedSeries):
             other = YPolynomial.make([other], self.xvar, self.yvar)
         if (other.xvar, other.yvar) != (self.xvar, self.yvar):
             raise ValueError("variable mismatch")
-        k = join_fields(self.field, other.field)
-        return self.lift_field(k), other.lift_field(k)
+        if other.field != self.field:
+            raise ValueError("polynomials over different fields")
+        return self, other
 
     def __add__(self, other):
         a, b = self._coerce_pair(other)
@@ -997,16 +1003,16 @@ def intersection_number(f1: YPolynomial, f2: YPolynomial) -> int:
     order = res.order()
     if is_inf(order):
         raise NotIsolated("resultant vanishes identically")
-    if not meet_on_x0_only_at_origin(f1, f2):
+    if not meet_on_x0_only_at_origin(f1.lift_field(res.field), f2.lift_field(res.field)):
         raise NotLocal("the curves also meet on x = 0 away from the origin")
     return order
 
 
 def meet_on_x0_only_at_origin(f1: YPolynomial, f2: YPolynomial) -> bool:
-    """True when f1(0, y) and f2(0, y) share no root other than y = 0."""
-    k = join_fields(f1.field, f2.field)
-    at_x0 = [[k.lift(c.coefficient(0)) for c in f.coeffs] for f in (f1, f2)]
-    common = fld.poly_gcd(k, *at_x0)  # monic, so a power of y iff all else is zero
+    """True when f1(0, y) and f2(0, y), over one field, share no root other
+    than y = 0."""
+    at_x0 = [[c.coefficient(0) for c in f.coeffs] for f in (f1, f2)]
+    common = fld.poly_gcd(f1.field, *at_x0)  # monic, so a power of y iff all else is zero
     return all(c.is_zero() for c in common[:-1])
 
 
@@ -1246,12 +1252,15 @@ def format_polynomial(f: YPolynomial) -> str:
     """Canonical sparse term list; bit-exact under parse_polynomial.
 
     Polynomials must have one uniform precision across coefficients (exact
-    counts as uniform); the known terms are printed flat with at most one
-    trailing O(x^p) marker.
+    counts as uniform), and a known term in the top y-coefficient unless the
+    y-degree is 0, since the text keeps the y-degree only through its terms;
+    the known terms are printed flat with at most one trailing O(x^p) marker.
     """
     precisions = {c.precision for c in f.coeffs}
     if len(precisions) > 1:
         raise ValueError("text format requires a uniform coefficient precision")
+    if f.degree() > 0 and not f.coeffs[-1].coeffs:
+        raise ValueError("text format requires a known term in the top y-coefficient")
     prec = precisions.pop()
     items = []
     for j in range(f.degree(), -1, -1):

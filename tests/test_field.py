@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -62,6 +63,28 @@ class TestArithmetic:
         r2 = qq_sqrt2.generator()
         lifted = tower.lift(r2)
         assert lifted * lifted == tower.from_rational(2)
+
+    def test_negative_power(self, qq_sqrt2):
+        r2 = qq_sqrt2.generator()
+        assert r2**-2 == qq_sqrt2.from_rational(Fraction(1, 2))
+        assert (r2 + 1) ** -2 * (r2 + 1) ** 2 == qq_sqrt2.one()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_operands_share_one_field(self, qq_sqrt2, op):
+        u, v = QQ.from_rational(2), qq_sqrt2.from_rational(2)
+        with pytest.raises(ValueError):
+            op(u, v)
+        with pytest.raises(ValueError):
+            op(v, u)
+        assert op(qq_sqrt2.lift(u), v) == op(v, v)
+        assert op(v, 2) == op(v, v) and op(Fraction(2), v) == op(v, v)
+
+    def test_equality_agrees_with_hash_across_fields(self, qq_sqrt2, tower):
+        u, v = QQ.from_rational(2), qq_sqrt2.from_rational(2)
+        assert u != v and v != tower.from_rational(2)
+        assert len({u, v}) == 2
+        assert qq_sqrt2.lift(u) == v and u == 2 and v == 2
 
     @given(rationals, rationals)
     @settings(max_examples=40)

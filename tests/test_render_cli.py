@@ -225,6 +225,14 @@ class TestCli:
         code, out, err = run_cli(capsys, "curve", "merle", "< 4, 6 ,13 >")
         assert (code, out, err) == (0, "{5/1}+{11/2}\n", "")
 
+    @pytest.mark.parametrize("singularities, chunk", [("1,1;2", "2"), ("1,x", "1,x"),
+                                                      ("2,1;1,2,3", "1,2,3")])
+    def test_dual_degree_bad_singularity_exit_2(self, capsys, singularities, chunk):
+        code, out, err = run_cli(capsys, "curve", "dual-degree", "3",
+                                 "--singularities", singularities)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: singularity {chunk!r} is not of the form mu_n,mu_n1\n"
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -70,6 +71,59 @@ class TestSeriesArithmetic:
         b = parse_series("1 + x")
         q = a.exact_div(b)
         assert q * b == a
+
+    def test_inverse_at_exact_precision(self):
+        assert parse_series("2").inverse() == parse_series("1/2")
+        with pytest.raises(PrecisionInsufficient):
+            parse_series("1 + x").inverse()
+
+
+class TestOneField:
+    """Operators take operands over one field; towers are joined only by the
+    functions that take operands over nested towers."""
+
+    K = P("adjoin a: a^2 - 2; y").field
+
+    def pairs(self):
+        s, t = parse_series("1 + x"), parse_series("1 + x", field=self.K)
+        f, g = P("y - x"), P("adjoin a: a^2 - 2; y - x")
+        return {"series": (s, t), "series-swapped": (t, s), "polynomials": (f, g),
+                "polynomials-swapped": (g, f), "polynomial-series": (f, t)}
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("kind", ["series", "series-swapped", "polynomials",
+                                      "polynomials-swapped", "polynomial-series"])
+    def test_operands_over_different_fields_raise(self, op, kind):
+        a, b = self.pairs()[kind]
+        with pytest.raises(ValueError, match="different fields"):
+            op(a, b)
+        assert op(a.lift_field(self.K), b.lift_field(self.K)).field == self.K
+
+    def test_scalars_and_construction(self):
+        s, t = parse_series("1 + x"), parse_series("1 + x", field=self.K)
+        assert s != t and s.lift_field(self.K) == t
+        assert s + 1 == parse_series("2 + x") and t * Fraction(1, 2) == t.scale(Fraction(1, 2))
+        with pytest.raises(ValueError):
+            s + self.K.generator()
+        with pytest.raises(ValueError):
+            s.exact_div(t)
+        with pytest.raises(ValueError):
+            YPolynomial.make([s, t])
+
+    @pytest.mark.parametrize("argv, out", [
+        (["resultant", "adjoin a: a^2 - 2; y - a*x", "y + x"], "(1 + a)*x"),
+        (["resultant", "y + x", "adjoin a: a^2 - 2; y - a*x"], "(-1 - a)*x"),
+        (["shifted-resultant", "adjoin a: a^2 - 2; y - a*x", "y + x"], "-T + (1 + a)*x"),
+        (["intersect", "adjoin a: a^2 - 2; y - a*x^2", "y^2 - x^3"], "3"),
+    ])
+    def test_operands_over_nested_towers(self, capsys, argv, out):
+        assert main(["series", *argv]) == 0
+        assert capsys.readouterr() == (out + "\n", "")
+
+    def test_operands_over_unrelated_towers_exit_2(self, capsys):
+        argv = ["series", "resultant", "adjoin a: a^2 - 2; y - a*x", "adjoin b: b^2 - 3; y - b*x"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "parse error: towers are not nested; cannot join\n")
 
 
 def schoolbook_product(a, b):
@@ -235,6 +289,13 @@ class TestParsing:
         cut = TruncatedSeries.zero(QQ, "x", precision=3)
         f = YPolynomial.make([cut, exact])
         with pytest.raises(ValueError):
+            format_polynomial(f)
+
+    def test_unknown_top_coefficient_rejected(self):
+        # the text keeps the y-degree only through the terms it prints
+        f = YPolynomial.from_terms({(5, 3): 1, (0, 0): 1}, precision=2)
+        assert f.degree() == 3
+        with pytest.raises(ValueError, match="top y-coefficient"):
             format_polynomial(f)
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),

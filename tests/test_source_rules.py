@@ -14,15 +14,13 @@ determinants check.
 
 The package has one resultant kernel: ``series.py`` calls sympy's
 ``dup_resultant`` exactly once, no other module calls it, and no module
-calls sympy's symbolic ``resultant``.  ``field.py`` talks to sympy only
-through dense integer lists: it imports nothing from sympy outside
-``sympy.polys``.  Elsewhere ``sylvester_resultant`` is called in one function
-per module, where nothing local does its job: in ``invariants.py`` inside
-``discriminant_polygon`` (the Cerf diagram), in ``puiseux.py`` inside
-``puiseux_expand`` (the square-free certificate), in ``field.py`` inside
-``_norm_to_qq`` (Trager's norm).  So a resultant that only bounds or
-certifies what mu or a local count already decides cannot come back
-unnoticed.
+calls sympy's symbolic ``resultant``.  Elsewhere ``sylvester_resultant``
+is called in one function per module, where nothing local does its job: in
+``invariants.py`` inside ``discriminant_polygon`` (the Cerf diagram), in
+``puiseux.py`` inside ``puiseux_expand`` (the square-free certificate), in
+``field.py`` inside ``_norm_to_qq`` (Trager's norm).  So a resultant that
+only bounds or certifies what mu or a local count already decides cannot
+come back unnoticed.
 
 ``polyhedra.py`` has one determinant kernel: it defines no ``_det`` and calls
 none, and its facet normals and simplex volumes all come from the
@@ -36,7 +34,21 @@ No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
 import ``random``.
 
 sympy is the only runtime dependency: no module imports ``scipy``, whose
-float hulls the exact oracles do not need.
+float hulls the exact oracles do not need.  The package talks to sympy
+through dense integer lists: no module imports anything from sympy outside
+``sympy.polys``, except that ``verify.py`` imports ``sympy`` for the
+``sympy.simplify`` fallback of its symbolic comparisons.
+
+Arithmetic stays inside one field.  The operand checks of the operators
+(``FieldElement._binary``, ``TruncatedSeries._coerce_pair``,
+``YPolynomial._coerce_pair``) and ``YPolynomial.make`` call none of
+``join_fields``, ``lift`` and ``lift_field``: operands over different
+towers raise, and towers are joined only where they grow (the Newton steps
+of ``puiseux``) or where a public function takes operands over nested
+towers (the resultants, ``intersection_number``,
+``is_nondegenerate_pair``, ``eval_on_branch``, and so
+``order_along_branch``, and ``substitute``), so no operator pays for a join
+that no caller needs.
 
 The text format is read in one tokenizing pass: ``series.py`` classifies
 characters only in the ASCII classes of the ``_tokens`` regex, so it calls
@@ -226,15 +238,39 @@ def test_sympy_import_scan_sees_every_form():
         "sympy", "sympy.polys.factortools", "sympy.polys.domains", "sympy.core"}
 
 
-def test_field_talks_to_sympy_through_polys_only():
-    path = PACKAGE / "field.py"
-    outside = sorted(
+# modules that may import sympy outside sympy.polys, and what they import
+SYMPY_OUTSIDE_POLYS = {"verify.py": {"sympy"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_sympy_only_through_polys(path):
+    outside = {
         name for name in _sympy_imports(ast.parse(path.read_text(), filename=str(path)))
         if name != "sympy.polys" and not name.startswith("sympy.polys.")
-    )
+    } - SYMPY_OUTSIDE_POLYS.get(path.name, set())
     assert not outside, (
-        f"field.py imports {outside}; it passes sympy dense integer lists, "
-        "through sympy.polys only"
+        f"{path.name} imports {sorted(outside)}; sympy is reached through sympy.polys "
+        "with dense integer lists"
+    )
+
+
+# the operand checks of the operators, which keep arithmetic inside one field
+ONE_FIELD_FUNCTIONS = [("field.py", "FieldElement._binary"),
+                       ("series.py", "TruncatedSeries._coerce_pair"),
+                       ("series.py", "YPolynomial._coerce_pair"),
+                       ("series.py", "YPolynomial.make")]
+TOWER_JOINS = ["join_fields", "lift", "lift_field"]
+
+
+@pytest.mark.parametrize("name, function", ONE_FIELD_FUNCTIONS)
+def test_operators_join_no_towers(name, function):
+    path = PACKAGE / name
+    functions = _functions(ast.parse(path.read_text(), filename=str(path)))
+    assert function in functions, f"{name} defines no {function}"
+    calls = sorted(c.lineno for join in TOWER_JOINS for c in _calls(functions[function], join))
+    assert not calls, (
+        f"{name} {function} joins or lifts towers on lines {calls}; operands over "
+        "different fields raise, and the callers that take nested towers join them"
     )
 
 
