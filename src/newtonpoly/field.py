@@ -383,7 +383,7 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
-        """Elements of different fields are unequal, as their hashes are."""
+        """Elements of different fields are unequal; a scalar equals its value."""
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
@@ -391,7 +391,8 @@ class FieldElement:
         return self.field == other.field and self.data == other.data
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        q = self.rational_value()  # hashed like the int or Fraction it equals
+        return hash((self.field, self.data)) if q is None else hash(q)
 
     def __repr__(self):
         return _data_str(self.data, self.field, self.field.level)

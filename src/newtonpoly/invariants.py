@@ -7,12 +7,13 @@ transversal direction, taken in the order a = 1, 2, ..., is expanded into
 Puiseux branches, and per branch q its multiplicity m_q and its contact
 e_q + m_q with f give a pair; the Newton polygon of the Cerf diagram, the
 discriminant Res_y(f - v, f_y) of the map (l, f) in an admissible direction
-l, must be their polygon; and the intersection number of the partials at
-the origin, the Milnor number, must be their length.  By Teissier's lemma
-("Cycles evanescents, sections planes et conditions de Whitney", 1973) a
-transversal polar curve meets f at the origin with multiplicity mu + m - 1
-(m the multiplicity of f), which caps the precision of its expansion.  No
-step draws a random number.  Derived equisingularity data (Lojasiewicz
+l, taken as one resultant in x and v (series.level_resultant), must be
+their polygon; and the intersection number of the partials at the origin,
+the Milnor number, must be their length.  By Teissier's lemma ("Cycles
+evanescents, sections planes et conditions de Whitney", 1973) a transversal
+polar curve meets f at the origin with multiplicity mu + m - 1 (m the
+multiplicity of f), which caps the precision of its expansion.  No step
+draws a random number.  Derived equisingularity data (Lojasiewicz
 exponents, determinacy, class diminution, the double-point bracket) are read
 off the polygon.
 """
@@ -43,8 +44,8 @@ from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
 from .series import (
     YPolynomial,
     intersection_number,
+    level_resultant,
     meet_on_x0_only_at_origin,
-    sylvester_resultant,
 )
 
 
@@ -272,40 +273,15 @@ def discriminant_polygon(g: YPolynomial) -> NewtonPolygon:
     """Newton polygon of the Cerf diagram of g, in an admissible direction
     (see cerf_directions).
 
-    The discriminant Delta(x, v) = Res_y(g - v, g_y) of the map (x, g) has
-    degree at most n - 1 in v (n = deg_y g), so it is interpolated from the
-    resultants at v = 0, 1, ..., n - 1, one power of x at a time.  Each polar
+    The discriminant Delta(x, v) = Res_y(g - v, g_y) of the map (x, g) is
+    one resultant, with v packed as T (see level_resultant).  Each polar
     class of contact e + m with g and multiplicity m gives an edge of length
     e + m and height m; the shear (i, j) -> (i + j - (mult - 1), j) of the
     terms x^i v^j turns it into {e/m} and puts the polygon on both axes.
     """
-    n = g.degree()
-    g_y = g.dy()
-    values = [sylvester_resultant(g - v, g_y) for v in range(n)]
     shift = g.multiplicity() - 1
-    points = []
-    for j, weights in enumerate(_interpolation_rows(n)):
-        column = {}
-        for w, r in zip(weights, values):
-            if w:
-                for i, c in r.coeffs:
-                    column[i] = column[i] + c * w if i in column else c * w
-        points.extend((i + j - shift, j) for i, c in column.items() if not c.is_zero())
-    return from_support(points)
-
-
-def _interpolation_rows(n: int):
-    """rows[j][k]: coefficient of v^j in the Lagrange polynomial of the node k
-    among the nodes 0, 1, ..., n - 1."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        basis = [Fraction(1)]
-        for node in range(n):
-            if node != k:  # times (v - node) / (k - node)
-                basis = [(lo - node * hi) / (k - node) for lo, hi in zip([0] + basis, basis + [0])]
-        for j, c in enumerate(basis):
-            rows[j][k] = c
-    return rows
+    delta = level_resultant(g, g.dy())
+    return from_support([(i + j - shift, j) for i, j in delta.support()])
 
 
 def cerf_polygon(f: YPolynomial) -> NewtonPolygon:

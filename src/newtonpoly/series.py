@@ -17,12 +17,13 @@ iteration on that product.
 A :class:`YPolynomial` is a polynomial in a distinguished variable y whose
 coefficients are truncated series in x.  This module extracts Newton polygons
 and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
-resultants, the shifted resultant realising the polygon product, and
-intersection numbers at the origin read off the resultant's valuation.
+resultants, the shifted resultant realising the polygon product, the level
+resultant Res_y(f - T, g), and intersection numbers at the origin read off
+the resultant's valuation.
 
-Resultants share one kernel too (_packed_resultant).  The Sylvester
-resultant and the shifted resultant Res_U(P1(T+U), P2(U)) both read their
-operands as polynomials in y over k[T, x], clear denominators, and pack
+Resultants share one kernel too (_packed_resultant).  The Sylvester, shifted
+Res_U(P1(T+U), P2(U)) and level resultants read their operands as
+polynomials in y over k[T, x], clear denominators, and pack
 every generator of the tower, x and T into slots of one integer, each
 variable with room for its degree in the result; sympy's univariate
 subresultant PRS then takes one integer resultant in y, whose balanced
@@ -38,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from sympy.polys.domains import ZZ
@@ -173,11 +175,14 @@ class TruncatedSeries:
         )
 
     def _coerce_pair(self, other):
-        """(self, other), a scalar other made a constant; other fields raise."""
+        """(self, other), a scalar other made a constant; other fields raise.
+        None for another type, for which the operators return NotImplemented."""
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if isinstance(other, FieldElement):
             other = TruncatedSeries.constant(other.field, self.var, other)
+        if not isinstance(other, TruncatedSeries):
+            return None
         if other.var != self.var:
             raise ValueError(f"variable mismatch {self.var} vs {other.var}")
         if other.field != self.field:
@@ -187,7 +192,10 @@ class TruncatedSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._coerce_pair(other)
+        pair = self._coerce_pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         p = min(a.precision, b.precision)
         out = dict(a.coeffs)
         for e, c in b.coeffs:
@@ -214,7 +222,10 @@ class TruncatedSeries:
         rest are multiplied by the packed kernel, _packed_product, one pair
         of runs (see _runs) at a time.
         """
-        a, b = self._coerce_pair(other)
+        pair = self._coerce_pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         if is_inf(a.precision) and is_inf(b.precision):
             p = INF
         else:
@@ -547,17 +558,9 @@ class YPolynomial:
 
     def __add__(self, other):
         a, b = self._coerce_pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
         z = TruncatedSeries.zero(a.field, a.xvar)
-        return YPolynomial.make(
-            [
-                (a.coeffs[i] if i < len(a.coeffs) else z)
-                + (b.coeffs[i] if i < len(b.coeffs) else z)
-                for i in range(n)
-            ],
-            a.xvar,
-            a.yvar,
-        )
+        sums = [c + d for c, d in zip_longest(a.coeffs, b.coeffs, fillvalue=z)]
+        return YPolynomial.make(sums, a.xvar, a.yvar)
 
     __radd__ = __add__
 
@@ -800,21 +803,24 @@ def is_nondegenerate_pair(f1: YPolynomial, f2: YPolynomial) -> bool:
 # -- resultants ------------------------------------------------------------------
 
 
-def _require_exact(f: YPolynomial, what: str, unitary=True):
-    """f is exact with a nonzero leading y-coefficient, a unit series when
+def _require_exact(p1: YPolynomial, p2: YPolynomial, what: str, unitary=False):
+    """(k, p1, p2) over the join k of the operands' towers, both exact with
+    a nonzero leading y-coefficient, p1's a unit series, and p2's too when
     unitary is set."""
-    lead = f.coeffs[-1]
-    if not lead.coeffs:
-        if lead.is_exact:
-            raise EmptySupport(f"{what}: zero polynomial")
-        raise PrecisionInsufficient(f"{what}: leading coefficient vanishes to precision")
-    if unitary and lead.coeffs[0][0] != 0:
-        raise NotUnitary(f"{what}: leading coefficient has positive order")
-    for c in f.coeffs:
-        if not c.is_exact:
+    k = join_fields(p1.field, p2.field)
+    p1, p2 = p1.lift_field(k), p2.lift_field(k)
+    for f, unit in ((p1, True), (p2, unitary)):
+        lead = f.coeffs[-1]
+        if not lead.coeffs:
+            if lead.is_exact:
+                raise EmptySupport(f"{what}: zero polynomial")
+            raise PrecisionInsufficient(f"{what}: leading coefficient vanishes to precision")
+        if unit and lead.coeffs[0][0] != 0:
+            raise NotUnitary(f"{what}: leading coefficient has positive order")
+        if not all(c.is_exact for c in f.coeffs):
             raise PrecisionInsufficient(
-                f"{what}: resultants require exact (untruncated) coefficients"
-            )
+                f"{what}: resultants require exact (untruncated) coefficients")
+    return k, p1, p2
 
 
 def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
@@ -830,12 +836,7 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     coefficients in the top deg(p2) rows, sign included, computed by the
     packed kernel (see _packed_resultant).
     """
-    k = join_fields(p1.field, p2.field)
-    p1, p2 = p1.lift_field(k), p2.lift_field(k)
-    _require_exact(p1, "sylvester_resultant")
-    _require_exact(p2, "sylvester_resultant", unitary=False)
-    if p1.degree() == 0 and p2.degree() == 0:
-        return TruncatedSeries.constant(k, p1.xvar, 1)
+    k, p1, p2 = _require_exact(p1, p2, "sylvester_resultant")
     (terms,) = _packed_resultant(k, [[(0, c)] for c in p1.coeffs], [[(0, c)] for c in p2.coeffs])
     return TruncatedSeries(k, p1.xvar, terms, INF)
 
@@ -948,10 +949,7 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     resultant_polygon), the orientation under which the product's height is
     the valuation of the resultant.
     """
-    k = join_fields(p1.field, p2.field)
-    p1, p2 = p1.lift_field(k), p2.lift_field(k)
-    _require_exact(p1, "shifted_resultant")
-    _require_exact(p2, "shifted_resultant")
+    k, p1, p2 = _require_exact(p1, p2, "shifted_resultant", unitary=True)
     if p1.is_y_divisible() or p2.is_y_divisible():
         raise YDivisible("shifted resultant requires polynomials not divisible by y")
     m, n = p1.degree(), p2.degree()
@@ -975,6 +973,20 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
     # the output is (-1)^(deg P1 deg P2) times the monic product of root
     # differences, and signs are not contract bearing
     return res
+
+
+def level_resultant(f: YPolynomial, g: YPolynomial) -> YPolynomial:
+    """Res_y(f - T, g) as a polynomial in T over exact series in x, whose
+    value at T = v is sylvester_resultant(f - v, g), with its contract; one
+    packed resultant, the constant y-coefficient of f carrying the term -T.
+    """
+    k, f, g = _require_exact(f, g, "level_resultant")
+    rows = [[(0, c)] for c in f.coeffs]
+    rows[0].append((1, TruncatedSeries.constant(k, f.xvar, -1)))
+    coeffs = _packed_resultant(k, rows, [[(0, c)] for c in g.coeffs])
+    return YPolynomial.make(
+        [TruncatedSeries(k, f.xvar, terms, INF) for terms in coeffs], f.xvar, "T"
+    )
 
 
 def realization_polygon(f: YPolynomial) -> NewtonPolygon:

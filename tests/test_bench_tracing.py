@@ -29,7 +29,6 @@ WRAPPED = (
     (invariants, "jacobian_polygon_direct"),
     (invariants, "milnor_number"),
     (invariants, "intersection_number"),
-    (invariants, "sylvester_resultant"),
     (invariants, "puiseux_expand"),
     (field.FieldElement, "inverse"),
     (field.FieldElement, "__mul__"),

@@ -86,6 +86,17 @@ class TestArithmetic:
         assert len({u, v}) == 2
         assert qq_sqrt2.lift(u) == v and u == 2 and v == 2
 
+    def test_hash_agrees_with_equality_for_scalars(self, qq_sqrt2, tower):
+        u, v, w = QQ.from_rational(2), qq_sqrt2.from_rational(2), tower.from_rational(2)
+        assert len({u, 2}) == len({v, Fraction(2)}) == len({w, 2}) == 1
+        assert {2: "two"}[u] == "two"
+        assert {Fraction(1, 2): "half"}[QQ.from_rational(Fraction(1, 2))] == "half"
+        r2 = qq_sqrt2.generator()
+        assert r2 * r2 == 2 and hash(r2 * r2) == hash(2)
+        # equal hashes, and still unequal across towers
+        assert hash(u) == hash(v) == hash(w) and len({u, v, w}) == 3
+        assert r2.rational_value() is None and hash(r2) == hash(qq_sqrt2.generator())
+
     @given(rationals, rationals)
     @settings(max_examples=40)
     def test_field_axioms_sample(self, a, b):

@@ -18,6 +18,7 @@ from newtonpoly.errors import (
     NotSingular,
     NotUnitary,
     ParameterOutOfRange,
+    PrecisionInsufficient,
 )
 from newtonpoly.invariants import (
     JacobianPolygon,
@@ -351,6 +352,16 @@ class TestCerf:
         for f in curves:
             polygons = [discriminant_polygon(g) for _, g in itertools.islice(cerf_directions(f), 3)]
             assert len(polygons) == 3 and set(polygons) == {cerf_polygon(f)}, f
+
+
+@pytest.mark.parametrize("text, error", [
+    ("(1 + x + 2*x*y)*y^3 - x^5", NotUnitary),
+    ("y^2 - x^3 + O(x^9)", PrecisionInsufficient),
+])
+def test_discriminant_polygon_keeps_the_resultant_contract(text, error):
+    # g must be exact and unitary, as for the Sylvester resultant
+    with pytest.raises(error):
+        discriminant_polygon(P(text))
 
 
 class TestMilnor:

@@ -233,6 +233,47 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == f"parse error: singularity {chunk!r} is not of the form mu_n,mu_n1\n"
 
+    @pytest.mark.parametrize("argv, value", [
+        (["curve", "dual-degree", "\u0663"], "\u0663"),
+        (["curve", "dual-degree", "3", "2_0"], "2_0"),
+        (["curve", "dual-degree", "3", "--singularities", "\u0662,1"], "\u0662,1"),
+        (["curve", "dual-degree", "3", "--dimension", "\u0662"], "\u0662"),
+        (["curve", "dual-degree", "--degree", "\u0663"], "\u0663"),
+        (["curve", "bs-example", "\u0664"], "\u0664"),
+        (["curve", "bs-example", "--beta", "\u0664"], "\u0664"),
+        (["curve", "jacobian", "y^2 - x^3", "--seed", "\u0667"], "\u0667"),
+        (["verify", "dual-degree", "--seed", "\u0667"], "\u0667"),
+        (["polyhedron", "mixed", POLYHEDRON, POLYHEDRON, "--alpha", "\u0661,1"], "\u0661"),
+        (["puiseux", "expand", "y^2 - x^3", "--precision", "\u0664"], "\u0664"),
+    ], ids=["dual-degree-operand", "underscore", "singularities", "dimension", "degree",
+            "bs-example-operand", "beta", "curve-seed", "verify-seed", "alpha", "precision"])
+    def test_integers_are_ascii_digits_exit_2(self, capsys, argv, value):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's type check
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and repr(value) in err
+
+    def test_precision_env_is_ascii_digits_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEWTONPOLY_PRECISION", "\u0664")
+        code, out, err = run_cli(capsys, "puiseux", "expand", "y^2 - x^3")
+        assert (code, out) == (2, "")
+        assert err == "parse error: '\u0664' is not an integer in ASCII digits\n"
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["curve", "dual-degree", " 3 ", "2", "--singularities", "2, 1"], "3"),
+        (["curve", "dual-degree", "-3"], None),
+        (["curve", "bs-example", "--beta", "+4"], "special fibre: {8/2}+{48/6}"),
+        (["puiseux", "expand", "y^2 - x^3", "--precision", "6"], "x = t^2; y = t^3"),
+    ])
+    def test_signed_and_spaced_ascii_integers_are_read(self, capsys, argv, first_line):
+        code, out, err = run_cli(capsys, *argv)
+        if first_line is None:  # read, then out of range
+            assert (code, out) == (1, "") and err.startswith("ParameterOutOfRange")
+        else:
+            assert code == 0 and out.splitlines()[0].startswith(first_line)
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "decompose", "{1/inf}")
         assert code == 1

@@ -110,6 +110,19 @@ class TestOneField:
         with pytest.raises(ValueError):
             YPolynomial.make([s, t])
 
+    @pytest.mark.parametrize("op, expected", [
+        (operator.add, "y + 1"), (operator.sub, "-y + 1 + 2*x"),
+        (operator.mul, "(1 + x)*y - x - x^2"),
+    ], ids=["add", "sub", "mul"])
+    def test_series_defers_to_a_polynomial(self, op, expected):
+        s, f = parse_series("1 + x"), P("y - x")
+        assert op(s, f) == P(expected)
+        assert op(f, s) == (P(expected) if op is not operator.sub else -P(expected))
+        with pytest.raises(TypeError):
+            op(s, "1 + x")
+        with pytest.raises(ValueError, match="different fields"):
+            op(s, P("adjoin a: a^2 - 2; y - x"))
+
     @pytest.mark.parametrize("argv, out", [
         (["resultant", "adjoin a: a^2 - 2; y - a*x", "y + x"], "(1 + a)*x"),
         (["resultant", "y + x", "adjoin a: a^2 - 2; y - a*x"], "(-1 - a)*x"),
@@ -856,6 +869,46 @@ class TestTowerShiftedResultant:
                 assert value_at(r, t0) == shifted_by_bareiss(p1, p2, t0), (t1, t2, t0)
             checked.add((kind, p1.field.level))
         assert {("unitary", 1), ("unitary", 2), ("qq", 1)} <= checked
+
+
+class TestLevelResultant:
+    """Res_y(f - T, g) in one packed resultant against the Sylvester
+    resultants of f - k and g, one value of T at a time."""
+
+    @pytest.mark.parametrize("text", [
+        "(y^2 - x^3)*(y - 2*x^2) + x^4*y",
+        "adjoin u: u^2 - 3; (y^2 - u*x^3)*(y - x)",
+        "adjoin a: a^2 - 2; adjoin b: b^3 - a - 1; (y^2 - b*x^3)*(y - a*x) + x^5",
+        "(1 + x)*y^2 - x^3",
+        "y - 1/2*x^2",
+    ], ids=["qq", "quadratic", "two-step", "unitary-non-monic", "y-degree-1"])
+    def test_values_are_sylvester_resultants(self, text):
+        g = P(text)
+        r = series.level_resultant(g, g.dy())
+        assert r.yvar == "T" and r.field == g.field
+        # deg_T is at most deg_y g - 1, so n + 1 values pin every coefficient
+        assert r.degree() <= max(g.degree() - 1, 0)
+        for k in range(g.degree() + 1):
+            assert value_at(r, k) == sylvester_resultant(g - k, g.dy()), (text, k)
+
+    def test_second_operand_not_unitary_over_nested_towers(self):
+        f = P("y^2 - x^3")
+        g = P("adjoin a: a^2 - 2; a*x*y + x^2")
+        r = series.level_resultant(f, g)
+        assert r.field == g.field
+        for k in range(3):
+            assert value_at(r, k) == sylvester_resultant(f - k, g), k
+
+    @pytest.mark.parametrize("text, error", [
+        ("(1 + x + 2*x*y)*y^3 - x^5", NotUnitary),
+        ("y^2 - x^3 + O(x^9)", PrecisionInsufficient),
+    ])
+    def test_contract_of_the_sylvester_resultant(self, text, error):
+        g = P(text)
+        with pytest.raises(error):
+            series.level_resultant(g, g.dy())
+        with pytest.raises(error):
+            sylvester_resultant(g, g.dy())
 
 
 class TestIntersection:

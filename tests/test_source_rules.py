@@ -14,13 +14,17 @@ determinants check.
 
 The package has one resultant kernel: ``series.py`` calls sympy's
 ``dup_resultant`` exactly once, no other module calls it, and no module
-calls sympy's symbolic ``resultant``.  Elsewhere ``sylvester_resultant``
-is called in one function per module, where nothing local does its job: in
-``invariants.py`` inside ``discriminant_polygon`` (the Cerf diagram), in
-``puiseux.py`` inside ``puiseux_expand`` (the square-free certificate), in
-``field.py`` inside ``_norm_to_qq`` (Trager's norm).  So a resultant that
-only bounds or certifies what mu or a local count already decides cannot
-come back unnoticed.
+calls sympy's symbolic ``resultant``.  Only the three public resultants of
+``series.py`` (``sylvester_resultant``, ``level_resultant`` and
+``shifted_resultant``) call that kernel, ``_packed_resultant``, once each.
+Elsewhere a public resultant is taken in one function per module, where
+nothing local does its job: ``level_resultant`` in ``invariants.py`` inside
+``discriminant_polygon`` (the Cerf diagram, one resultant for every value
+of v), ``sylvester_resultant`` in ``puiseux.py`` inside ``puiseux_expand``
+(the square-free certificate) and in ``field.py`` inside ``_norm_to_qq``
+(Trager's norm).  So a resultant that only bounds or certifies what mu or a
+local count already decides, or a loop of resultants that one resultant in
+a further variable gives, cannot come back unnoticed.
 
 ``polyhedra.py`` has one determinant kernel: it defines no ``_det`` and calls
 none, and its facet normals and simplex volumes all come from the
@@ -295,22 +299,47 @@ def test_polyhedra_has_one_determinant_kernel():
     assert not missing, f"{missing} do not take their normals or volumes from _cofactors"
 
 
-# the one function of each module that may call sylvester_resultant
+# the one function of each module that may take a resultant, and the public
+# resultant it takes
 RESULTANT_CALLERS = {"field.py": "_norm_to_qq", "invariants.py": "discriminant_polygon",
                      "puiseux.py": "puiseux_expand"}
+RESULTANT_TAKEN = {"field.py": "sylvester_resultant", "invariants.py": "level_resultant",
+                   "puiseux.py": "sylvester_resultant"}
+PUBLIC_RESULTANTS = ["sylvester_resultant", "level_resultant", "shifted_resultant"]
 
 
 @pytest.mark.parametrize("name, caller", sorted(RESULTANT_CALLERS.items()))
 def test_resultants_only_where_they_are_needed(name, caller):
     path = PACKAGE / name
     tree = ast.parse(path.read_text(), filename=str(path))
-    inside = _calls(_functions(tree)[caller], "sylvester_resultant")
-    stray = [c.lineno for c in _calls(tree, "sylvester_resultant") if c not in inside]
-    assert inside, f"{name} {caller} calls no sylvester_resultant"
+    taken = RESULTANT_TAKEN[name]
+    inside = _calls(_functions(tree)[caller], taken)
+    stray = [c.lineno for r in PUBLIC_RESULTANTS for c in _calls(tree, r) if c not in inside]
+    assert inside, f"{name} {caller} calls no {taken}"
     assert not stray, (
-        f"{name} calls sylvester_resultant on lines {stray}, outside {caller}; "
+        f"{name} takes a resultant on lines {stray}, outside the {taken} of {caller}; "
         "bound or certify from local data instead"
     )
+
+
+def test_packed_kernel_only_behind_the_public_resultants():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        known = []
+        if path.name == "series.py":
+            functions = _functions(tree)
+            inside = {name: _calls(functions[name], "_packed_resultant")
+                      for name in PUBLIC_RESULTANTS}
+            assert all(len(calls) == 1 for calls in inside.values()), (
+                "each public resultant takes one packed resultant: "
+                f"{ {name: len(calls) for name, calls in inside.items()} }"
+            )
+            known = [c for calls in inside.values() for c in calls]
+        stray = [c.lineno for c in _calls(tree, "_packed_resultant") if c not in known]
+        assert not stray, (
+            f"{path.name} calls _packed_resultant on lines {stray}; only "
+            f"{', '.join(PUBLIC_RESULTANTS)} call the kernel"
+        )
 
 
 # functions of polygon.py that every construction runs through
