@@ -5,11 +5,13 @@ tuples: a level-0 element is a Fraction, a level-k element is a tuple of d_k
 level-(k-1) elements (coefficients in the k-th generator).  All arithmetic is
 exact; inverses come from the extended Euclidean algorithm one level down.
 
-Univariate factorisation over Q clears denominators and hands the integer
-coefficients to sympy's dense factoriser (dup_factor_list); over a proper
+Univariate factorisation over Q is in closed form up to degree 2: a monic
+quadratic u^2 + bu + c splits exactly when its discriminant b^2 - 4c is the
+square of a rational.  From degree 3 the integer coefficients, denominators
+cleared, go to sympy's dense factoriser (dup_factor_list).  Over a proper
 tower it uses Trager's norm descent: the packed resultant kernel of
-newtonpoly.series eliminates the generators one step at a time, the dense
-factoriser splits the rational norm, and gcds over the tower lift the
+newtonpoly.series eliminates the generators one step at a time, the
+rational norm is factored as above, and gcds over the tower lift the
 factors.  The lifted factorisation is re-verified by multiplying back, so a
 badly chosen shift can only cause a retry, never a wrong answer.
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import isqrt, lcm
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
@@ -48,6 +51,12 @@ class GroundField:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroundField is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GroundField is immutable")
+
+    def __reduce__(self):
+        return GroundField, (self.steps,)
 
     def __eq__(self, other):
         return isinstance(other, GroundField) and self.steps == other.steps
@@ -207,8 +216,8 @@ def _gen_data(field: GroundField, index: int):
 
 
 def _data_is_zero(data) -> bool:
-    if isinstance(data, Fraction):
-        return data == 0
+    if data.__class__ is Fraction:
+        return not data
     return all(_data_is_zero(c) for c in data)
 
 
@@ -287,12 +296,29 @@ def _data_str(data, field: GroundField, level: int) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """Element of a GroundField tower; arithmetic is exact and immutable."""
+    """Element of a GroundField tower: an immutable slotted value, like
+    GroundField; arithmetic is exact.
 
-    field: GroundField
-    data: object
+    The operators take an int, a Fraction or an element of the same field.
+    An element over the identical field object takes the fast path; one over
+    an equal tower is accepted by _binary's structural check.
+    """
+
+    __slots__ = ("field", "data")
+
+    def __init__(self, field: GroundField, data):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.data)
 
     def is_zero(self) -> bool:
         return _data_is_zero(self.data)
@@ -320,6 +346,8 @@ class FieldElement:
         return FieldElement(self.field, op(self.field.level, self.data, other.data))
 
     def __add__(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return FieldElement(self.field, _dadd(self.field.level, self.data, other.data))
         return self._binary(other, _dadd)
 
     __radd__ = __add__
@@ -328,13 +356,18 @@ class FieldElement:
         return FieldElement(self.field, _dneg(self.field.level, self.data))
 
     def __sub__(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return FieldElement(self.field, _dsub(self.field.level, self.data, other.data))
         return self._binary(other, _dsub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        return self._binary(other, lambda level, a, b: _dmul(self.field, level, a, b))
+        field = self.field
+        if other.__class__ is FieldElement and other.field is field:
+            return FieldElement(field, _dmul(field, field.level, self.data, other.data))
+        return self._binary(other, partial(_dmul, field))
 
     __rmul__ = __mul__
 
@@ -384,11 +417,12 @@ class FieldElement:
 
     def __eq__(self, other):
         """Elements of different fields are unequal; a scalar equals its value."""
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not FieldElement:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.field.from_rational(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.data == other.data
+        same = other.field is self.field or other.field == self.field
+        return same and self.data == other.data
 
     def __hash__(self):
         q = self.rational_value()  # hashed like the int or Fraction it equals
@@ -514,7 +548,27 @@ def squarefree_decomposition(field, p):
 
 def _rational_factors(coeffs):
     """Monic irreducible factors over Q of a rational polynomial, as
-    ascending Fractions, with their multiplicities."""
+    ascending Fractions, with their multiplicities, in dup_factor_list's
+    order.
+
+    A quadratic, made monic u^2 + bu + c, splits exactly when b^2 - 4c is
+    the square of a rational, whose root is then the quotient of the integer
+    square roots of its reduced numerator and denominator; degree 3 and
+    above go to sympy.
+    """
+    if len(coeffs) == 3:
+        b, c = coeffs[1] / coeffs[2], coeffs[0] / coeffs[2]
+        disc = b * b - 4 * c
+        root = Fraction(isqrt(max(disc.numerator, 0)), isqrt(disc.denominator))
+        if root * root != disc:
+            return [([c, b, Fraction(1)], 1)]
+        if not root:
+            return [([b / 2, Fraction(1)], 2)]
+        # u + (b -+ root)/2, ordered as sympy orders the primitive integer
+        # factors den*u + num: by the denominator, then the numerator
+        consts = sorted(((b - root) / 2, (b + root) / 2),
+                        key=lambda q: (q.denominator, q.numerator))
+        return [([q, Fraction(1)], 1) for q in consts]
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in reversed(coeffs)]
     _, factors = dup_factor_list(ints, ZZ)
@@ -584,7 +638,9 @@ def factor_poly(field, p):
     """Monic irreducible factors with multiplicity, deterministically ordered.
 
     A polynomial of degree 1 is its own monic factor, returned without the
-    squarefree decomposition, the norms and the Trager shifts.
+    squarefree decomposition, the norms and the Trager shifts.  Over Q a
+    quadratic is split in closed form by its discriminant, and sympy's dense
+    factoriser takes degree 3 and above.
     """
     p = poly_monic(field, list(p))
     if poly_degree(p) < 1:

@@ -93,7 +93,8 @@ class TruncatedSeries:
         for exp, c in sorted(coeff_map.items()):
             if exp < 0:
                 raise ValueError("negative exponents are not supported")
-            c = field.coerce(c)
+            if c.__class__ is not FieldElement or c.field is not field:
+                c = field.coerce(c)
             if not c.is_zero() and exp < precision:
                 items.append((int(exp), c))
         return TruncatedSeries(field, var, tuple(items), precision)
@@ -312,7 +313,10 @@ class TruncatedSeries:
 
     def exact_div(self, other) -> "TruncatedSeries":
         """Exact polynomial division; both operands must be exact."""
-        a, b = self._coerce_pair(other)
+        pair = self._coerce_pair(other)
+        if pair is None:
+            raise TypeError(f"cannot divide a series by {type(other).__name__}")
+        a, b = pair
         if not (a.is_exact and b.is_exact):
             raise PrecisionInsufficient("exact division needs exact operands")
         if b.is_zero():
@@ -545,11 +549,14 @@ class YPolynomial:
         return YPolynomial(self.xvar, self.yvar, tuple(c.lift_field(new_field) for c in self.coeffs))
 
     def _coerce_pair(self, other):
-        """(self, other), a scalar or series other made a polynomial; other fields raise."""
+        """(self, other), a scalar or series other made a polynomial; other fields raise.
+        None for another type, for which the operators return NotImplemented."""
         if isinstance(other, (int, Fraction, FieldElement)):
             other = self.coeffs[0]._coerce_pair(other)[1]
         if isinstance(other, TruncatedSeries):
             other = YPolynomial.make([other], self.xvar, self.yvar)
+        if not isinstance(other, YPolynomial):
+            return None
         if (other.xvar, other.yvar) != (self.xvar, self.yvar):
             raise ValueError("variable mismatch")
         if other.field != self.field:
@@ -557,7 +564,10 @@ class YPolynomial:
         return self, other
 
     def __add__(self, other):
-        a, b = self._coerce_pair(other)
+        pair = self._coerce_pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         z = TruncatedSeries.zero(a.field, a.xvar)
         sums = [c + d for c, d in zip_longest(a.coeffs, b.coeffs, fillvalue=z)]
         return YPolynomial.make(sums, a.xvar, a.yvar)
@@ -574,7 +584,10 @@ class YPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._coerce_pair(other)
+        pair = self._coerce_pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         z = TruncatedSeries.zero(a.field, a.xvar)
         out = [z] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, ca in enumerate(a.coeffs):

@@ -1,22 +1,29 @@
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from newtonpoly import field
 from newtonpoly.errors import ReducibleExtension
 from newtonpoly.field import (
     QQ,
+    GroundField,
     factor_poly,
     poly_degree,
     poly_gcd,
     poly_mul,
     squarefree_decomposition,
 )
+from newtonpoly.series import parse_polynomial
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -108,6 +115,59 @@ class TestArithmetic:
             assert (x / y) * y == x
 
 
+class TestValueType:
+    def test_attributes_cannot_be_set(self, qq_sqrt2):
+        e = qq_sqrt2.generator()
+        for name, value in [("field", QQ), ("data", Fraction(1)), ("other", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(e, name, value)
+        for obj, name in [(e, "data"), (qq_sqrt2, "steps")]:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert e.field == qq_sqrt2 and e == qq_sqrt2.generator()
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                     lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_values(self, tower, how):
+        e = tower.generator() + tower.generator_named("r2")
+        for value in (tower, e, QQ.from_rational(Fraction(3, 4))):
+            assert how(value) == value and hash(how(value)) == hash(value)
+
+    def test_dict_and_set_keys(self, qq_sqrt2, tower):
+        r2, s = qq_sqrt2.generator(), tower.generator()
+        table = {r2: "r2", s: "s", r2 + 1: "r2 + 1", QQ.from_rational(3): "three"}
+        assert table[qq_sqrt2.generator()] == "r2" and table[tower.generator()] == "s"
+        assert table[qq_sqrt2.one() + r2] == "r2 + 1" and table[3] == "three"
+        assert tower.lift(r2) not in table and len({r2, tower.lift(r2), s, s * 1}) == 3
+        # an equal tower built again is the same key
+        again = GroundField(qq_sqrt2.steps)
+        assert again is not qq_sqrt2 and table[again.generator()] == "r2"
+        assert hash(again.generator() + 1) == hash(r2 + 1)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.eq])
+    def test_an_equal_tower_object_is_the_same_field(self, tower, op):
+        again = GroundField(tower.steps)
+        a, b = tower.generator() + 2, again.generator_named("r2") - 1
+        expected = op(a, tower.lift(tower.generator_named("r2")) - 1)
+        assert op(a, b) == expected and op(b, a) == op(tower.generator_named("r2") - 1, a)
+        if op is not operator.eq:
+            assert op(a, b).field is tower and op(b, a).field is again
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_elements_of_different_towers_raise(self, op):
+        k2 = QQ.extend([-2, 0, 1], name="a")
+        k3 = QQ.extend([-3, 0, 1], name="a")
+        for u, v in [(k2.generator(), k3.generator()), (k2.one(), k3.one())]:
+            with pytest.raises(ValueError, match="different fields"):
+                op(u, v)
+            with pytest.raises(ValueError, match="different fields"):
+                op(v, u)
+        assert k2.generator() != k3.generator() and k2.one() != k3.one()
+
+
 class TestTowerInverse:
     def test_zero_raises(self, qq_sqrt2, tower):
         with pytest.raises(ZeroDivisionError):
@@ -142,6 +202,17 @@ class TestExtensions:
     def test_reducible_rejected(self):
         with pytest.raises(ReducibleExtension):
             QQ.extend([-4, 0, 1], name="bad", verify=True)  # u^2 - 4 = (u-2)(u+2)
+
+    @pytest.mark.parametrize("text, reducible", [
+        ("adjoin u: u^2 - 4; y - u*x", True), ("adjoin u: u^2 - 3; y - u*x", False),
+        ("adjoin u: u^2 + 2*u + 1; y", True), ("adjoin u: 3*u^2 - 4; y - u*x", False),
+    ])
+    def test_quadratic_extensions_from_the_text_format(self, text, reducible):
+        if reducible:
+            with pytest.raises(ReducibleExtension):
+                parse_polynomial(text)
+        else:
+            assert parse_polynomial(text).field.degree() == 2
 
     def test_name_collision(self, qq_sqrt2):
         with pytest.raises(ValueError):
@@ -242,6 +313,100 @@ class TestFactorisation:
         b = poly_mul(qq_sqrt2, [-r2, qq_sqrt2.one()], [qq_sqrt2.from_rational(3), qq_sqrt2.one()])
         g = poly_gcd(qq_sqrt2, a, b)
         assert g == [-r2, qq_sqrt2.one()]
+
+
+# -- closed-form quadratics against the dense factoriser --------------------------
+
+
+def rational_factors_by_sympy(coeffs):
+    """sympy's dense factoriser on the integer polynomial, denominators
+    cleared, made monic: the route field._rational_factors takes from degree
+    3, used here as the reference for its closed-form quadratics."""
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in reversed(coeffs)]
+    _, factors = dup_factor_list(ints, ZZ)
+    return [([Fraction(int(c), int(fac[0])) for c in reversed(fac)], mult)
+            for fac, mult in factors]
+
+
+def _seeded_quadratics(count, seed=2):
+    """Ascending Fraction coefficients of seeded quadratics: products of two
+    rational roots (double and zero roots among them) and random
+    coefficients, each times a random nonzero rational."""
+    rng = random.Random(seed)
+
+    def rational(bound=12, dens=6):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, dens))
+
+    out = []
+    for i in range(count):
+        lead = rational() or Fraction(1)
+        kind = i % 4
+        if kind == 3:
+            out.append([rational(), rational(), lead])
+            continue
+        r1 = rational()
+        r2 = r1 if kind == 1 else (Fraction(0) if kind == 2 else rational())
+        out.append([lead * r1 * r2, -lead * (r1 + r2), lead])
+    return out
+
+
+# (ascending coefficients, what they test)
+QUADRATIC_CASES = [
+    ([Fraction(-6), Fraction(1), Fraction(1)], "roots 2 and -3"),
+    ([Fraction(1, 9), Fraction(-2, 3), Fraction(1)], "double root 1/3"),
+    ([Fraction(0), Fraction(5, 2), Fraction(1)], "zero constant term"),
+    ([Fraction(0), Fraction(0), Fraction(7)], "u^2, non-monic"),
+    ([Fraction(3, 2), Fraction(-7, 4), Fraction(1, 2)], "non-monic, rational roots 2 and 3/2"),
+    ([Fraction(2), Fraction(1), Fraction(3)], "negative discriminant"),
+    ([Fraction(-4, 3), Fraction(0), Fraction(1)], "discriminant 16/3"),
+    ([Fraction(-3, 16), Fraction(0), Fraction(1)], "discriminant 3/4"),
+    ([Fraction(-3), Fraction(0), Fraction(1)], "discriminant 12"),
+    ([Fraction(-1, 4), Fraction(0), Fraction(1)], "roots 1/2 and -1/2"),
+]
+
+
+class TestClosedFormQuadratics:
+    @pytest.mark.parametrize("coeffs", [c for c, _ in QUADRATIC_CASES],
+                             ids=[name for _, name in QUADRATIC_CASES])
+    def test_named_cases(self, coeffs):
+        assert field._rational_factors(coeffs) == rational_factors_by_sympy(coeffs)
+
+    def test_seeded_quadratics_match_the_dense_factoriser(self):
+        cases = _seeded_quadratics(2400)
+        split = 0
+        for coeffs in cases:
+            got = field._rational_factors(coeffs)
+            assert got == rational_factors_by_sympy(coeffs), coeffs
+            split += len(got) > 1 or got[0][1] == 2
+        # every kind of answer is drawn: split, double, irreducible
+        assert 1200 < split < 2400
+
+    def test_factor_poly_gives_the_same_list(self, monkeypatch):
+        cases = [c for c, _ in QUADRATIC_CASES] + _seeded_quadratics(200, seed=3)
+        polys = [[QQ.from_rational(c) for c in coeffs] for coeffs in cases]
+        closed = [factor_poly(QQ, p) for p in polys]
+        monkeypatch.setattr(field, "_rational_factors", rational_factors_by_sympy)
+        for p, got in zip(polys, closed):
+            want = factor_poly(QQ, p)
+            assert got == want
+            assert [[repr(c) for c in f] for f, _ in got] == [[repr(c) for c in f] for f, _ in want]
+
+    def test_cubics_still_go_to_the_dense_factoriser(self, monkeypatch):
+        calls = []
+
+        def counting(ints, domain):
+            calls.append(len(ints) - 1)
+            return dup_factor_list(ints, domain)
+
+        monkeypatch.setattr(field, "dup_factor_list", counting)
+        u_minus_1 = [QQ.from_rational(-1), QQ.one()]
+        quadratic = [QQ.from_rational(-2), QQ.zero(), QQ.one()]
+        factor_poly(QQ, quadratic)
+        assert calls == []
+        assert [(poly_degree(f), m) for f, m in factor_poly(
+            QQ, poly_mul(QQ, quadratic, u_minus_1))] == [(1, 1), (2, 1)]
+        assert calls == [3]
 
 
 # -- the norm against an independent symbolic elimination ------------------------

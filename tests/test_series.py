@@ -123,6 +123,18 @@ class TestOneField:
         with pytest.raises(ValueError, match="different fields"):
             op(s, P("adjoin a: a^2 - 2; y - x"))
 
+    @pytest.mark.parametrize("op", [
+        lambda p: p + "a", lambda p: "a" + p, lambda p: p - "a", lambda p: p * 1.5,
+        lambda p: p * None, lambda p: None * p,
+    ], ids=["add-str", "str-add", "sub-str", "mul-float", "mul-none", "none-mul"])
+    def test_polynomials_return_not_implemented_for_other_types(self, op):
+        with pytest.raises(TypeError):
+            op(P("y"))
+
+    def test_exact_div_names_an_unknown_operand_type(self):
+        with pytest.raises(TypeError, match="str"):
+            parse_series("1 + x").exact_div("a")
+
     @pytest.mark.parametrize("argv, out", [
         (["resultant", "adjoin a: a^2 - 2; y - a*x", "y + x"], "(1 + a)*x"),
         (["resultant", "y + x", "adjoin a: a^2 - 2; y - a*x"], "(-1 - a)*x"),

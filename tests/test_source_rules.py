@@ -12,6 +12,10 @@ fan reuse of the mixed covolumes it checks, and none of
 ``newtonpoly.series``, whose packed resultant kernel its rational Sylvester
 determinants check.
 
+The package has one factoriser over Q: only ``field._rational_factors``
+calls sympy's ``dup_factor_list``, after the closed-form quadratics, so
+``_factor_over_qq`` and the Trager norms both reach sympy through it.
+
 The package has one resultant kernel: ``series.py`` calls sympy's
 ``dup_resultant`` exactly once, no other module calls it, and no module
 calls sympy's symbolic ``resultant``.  Only the three public resultants of
@@ -44,8 +48,10 @@ through dense integer lists: no module imports anything from sympy outside
 ``sympy.simplify`` fallback of its symbolic comparisons.
 
 Arithmetic stays inside one field.  The operand checks of the operators
-(``FieldElement._binary``, ``TruncatedSeries._coerce_pair``,
-``YPolynomial._coerce_pair``) and ``YPolynomial.make`` call none of
+(``FieldElement._binary`` and the same-field fast paths of
+``FieldElement.__add__``, ``__sub__``, ``__mul__`` and ``__eq__``,
+``TruncatedSeries._coerce_pair``, ``YPolynomial._coerce_pair``) and
+``YPolynomial.make`` call none of
 ``join_fields``, ``lift`` and ``lift_field``: operands over different
 towers raise, and towers are joined only where they grow (the Newton steps
 of ``puiseux``) or where a public function takes operands over nested
@@ -206,6 +212,20 @@ def test_series_has_one_resultant_kernel():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_dense_factoriser_only_in_rational_factors(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    known = (_calls(_functions(tree)["_rational_factors"], "dup_factor_list")
+             if path.name == "field.py" else [])
+    stray = [c.lineno for c in _calls(tree, "dup_factor_list") if c not in known]
+    assert not stray, (
+        f"{path.name} calls dup_factor_list on lines {stray}; every factorisation over Q "
+        "goes through field._rational_factors"
+    )
+    if path.name == "field.py":
+        assert len(known) == 1, "field._rational_factors calls dup_factor_list once"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_resultant_outside_the_kernel(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     stray = [c.lineno for c in _calls(tree, "resultant")]
@@ -260,6 +280,10 @@ def test_sympy_only_through_polys(path):
 
 # the operand checks of the operators, which keep arithmetic inside one field
 ONE_FIELD_FUNCTIONS = [("field.py", "FieldElement._binary"),
+                       ("field.py", "FieldElement.__add__"),
+                       ("field.py", "FieldElement.__sub__"),
+                       ("field.py", "FieldElement.__mul__"),
+                       ("field.py", "FieldElement.__eq__"),
                        ("series.py", "TruncatedSeries._coerce_pair"),
                        ("series.py", "YPolynomial._coerce_pair"),
                        ("series.py", "YPolynomial.make")]
