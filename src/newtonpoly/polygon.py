@@ -419,16 +419,29 @@ def to_json_dict(p: NewtonPolygon) -> dict:
     }
 
 
+def _check_keys(data, keys, required, what):
+    """ValueError naming the first key of the JSON object ``data`` outside
+    ``keys``, or the first of ``required`` that it lacks."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing key {key!r} in {what}")
+
+
 def from_json_dict(data) -> NewtonPolygon:
     """Parse the JSON encoding (docs/polygon.schema.json); unordered edges are
-    normalised, and data of any other shape raises ValueError."""
+    normalised, and data of any other shape, an unknown key or a missing
+    "edges" among them, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError('a polygon is a JSON object {"x_offset": n, "y_offset": n, "edges": [...]}')
-    items = data.get("edges", [])
-    if not (isinstance(items, list) and all(
-        isinstance(item, dict) and "l" in item and "h" in item for item in items
-    )):
+    _check_keys(data, ("x_offset", "y_offset", "edges"), ("edges",), "a polygon")
+    items = data["edges"]
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
         raise ValueError('"edges" must be a list of objects {"l": ..., "h": ...}')
+    for item in items:
+        _check_keys(item, ("l", "h"), ("l", "h"), 'an item of "edges"')
     edges = tuple(
         ElementaryPolygon(_extent_from_json(item["l"]), _extent_from_json(item["h"]))
         for item in items

@@ -3,14 +3,16 @@
 The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  Its compact
 facets are enumerated exactly: every d-subset of generators that spans a
 supporting hyperplane with strictly positive inward normal gives one.  A
-d-subset lying on a hyperplane already found is skipped unexamined, which
-changes no answer: d affinely independent points of a hyperplane span it,
-and dependent points span none.  Covolume (the volume of the complement
-inside the positive orthant) is the cone sum from the origin over those
-facets, ``(1/d!) sum |N . p_0|`` over the simplices (p_0, ...) triangulating
-each facet, in exact integers.  N, the closed-form cofactor vector of
-``_cofactors``, is also the normal of the facet hyperplanes.  A facet with
-exactly d points is its own simplex; the other d = 4 facets are
+d-subset on a hyperplane already found (its points' bitmasks of known
+hyperplanes AND to nonzero) is skipped unexamined, which changes no answer:
+d affinely independent points of a hyperplane span it, and dependent points
+span none.  The others are side-tested in one pass, with the raw cofactor
+vector made primitive only on acceptance.  Covolume (the volume of the
+complement inside the positive orthant) is the cone sum from the origin over
+those facets, ``(1/d!) sum |N . p_0|`` over the simplices (p_0, ...)
+triangulating each facet, in exact integers.  N, the closed-form cofactor
+vector of ``_cofactors``, is also the normal of the facet hyperplanes.  A
+facet with exactly d points is its own simplex; the other d = 4 facets are
 tetrahedralised with the same facet enumerator, applied to their
 3-dimensional projections.
 
@@ -31,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
-from operator import mul
+from operator import le, mul
 
 from .errors import (
     DimensionMismatch,
@@ -105,37 +107,50 @@ def _facets(points):
     on one hyperplane it supports them from both sides, and both
     orientations are returned.
 
-    A d-subset that lies inside the on-points of a hyperplane already found
-    is skipped before its normal is computed: d affinely independent points
-    of a hyperplane span that hyperplane, so the subset would give a facet
-    already listed, and dependent points give none.  Each supporting
-    hyperplane is therefore tested in full once.  The side test of any
-    other stops at the first pair of points strictly on opposite sides.
+    ``masks[i]`` has bit h set when point i lies on the h-th supporting
+    hyperplane found, so a d-subset whose masks AND to nonzero lies on a
+    known hyperplane and is skipped before its normal is computed: d
+    affinely independent points of a hyperplane span that hyperplane, so
+    the subset would give a facet already listed, and dependent points give
+    none.  The side test of any other subset takes the raw cofactor vector,
+    as the signs need no primitive normal, collects the on-points in the
+    same pass and stops at the first pair of points strictly on opposite
+    sides.  Only an accepted hyperplane is divided by its gcd.
     """
     d = len(points[0])
     found = {}
-    on_sets = []
-    for subset in itertools.combinations(points, d):
-        if any(on.issuperset(subset) for on in on_sets):
+    masks = [0] * len(points)
+    bit = 1
+    for index in itertools.combinations(range(len(points)), d):
+        known = -1
+        for i in index:
+            known &= masks[i]
+        if known:
             continue
-        normal = _facet_normal(subset)
-        if normal is None:
+        normal = _cofactors([points[i] for i in index])
+        if not any(normal):
             continue
-        off = _dot(normal, subset[0])
+        off = sum(map(mul, normal, points[index[0]]))
         above = below = False
-        for p in points:
-            v = _dot(normal, p)
+        on = []
+        for i, p in enumerate(points):
+            v = sum(map(mul, normal, p))
             if v > off:
                 above = True
             elif v < off:
                 below = True
             else:
+                on.append(i)
                 continue
             if above and below:
                 break
         else:
-            on = tuple(p for p in points if _dot(normal, p) == off)
-            on_sets.append(frozenset(on))
+            for i in on:
+                masks[i] |= bit
+            bit <<= 1
+            g = gcd(*normal)
+            normal, off = tuple(c // g for c in normal), off // g
+            on = tuple(points[i] for i in on)
             if not below:
                 found[(normal, off)] = on
             if not above:
@@ -220,12 +235,17 @@ def _minimal(points):
     """The componentwise-minimal points of a sorted list, in its order.
 
     A point h <= g with h != g precedes g lexicographically, so each point
-    is compared only with the points before it.
+    is compared only with the points kept before it: a dropped point is
+    dominated by an earlier kept one, which then dominates g too.
     """
-    return tuple(
-        g for k, g in enumerate(points)
-        if not any(all(hc <= gc for hc, gc in zip(h, g)) for h in points[:k])
-    )
+    kept = []
+    for g in points:
+        for h in kept:
+            if all(map(le, h, g)):
+                break
+        else:
+            kept.append(g)
+    return tuple(kept)
 
 
 # -- the polyhedron type -----------------------------------------------------
@@ -324,10 +344,16 @@ class NewtonPolyhedron:
     @classmethod
     def from_json_dict(cls, data) -> "NewtonPolyhedron":
         """Read {"dim": d, "generators": [[...], ...]} (docs/polyhedron.schema.json);
-        anything else raises ValueError."""
+        anything else, an unknown or a missing key among them, raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError('a polyhedron is a JSON object {"dim": d, "generators": [...]}')
-        dim, gens = data.get("dim"), data.get("generators")
+        for key in data:
+            if key not in ("dim", "generators"):
+                raise ValueError(f"unknown key {key!r} in a polyhedron")
+        for key in ("dim", "generators"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r} in a polyhedron")
+        dim, gens = data["dim"], data["generators"]
         if not _is_int(dim):
             raise ValueError('"dim" must be an integer')
         if not (isinstance(gens, list) and all(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonpoly import polygon as pg
-from newtonpoly.errors import EmptySupport, NotFiniteVolume, ZeroDimension
+from newtonpoly.errors import DomainError, EmptySupport, NotFiniteVolume, ZeroDimension
 from newtonpoly.polygon import (
     EMPTY,
     INF,
@@ -387,6 +387,57 @@ class TestJson:
         )
         p = polygon_sum(make_elementary(2, 1), make_elementary(1, INF))
         jsonschema.validate(pg.to_json_dict(p), schema)
+
+    @pytest.mark.parametrize("data", [
+        {"edges": []},
+        {"edges": [{"l": 2, "h": 1}, {"l": 1, "h": 2}]},
+        {"x_offset": 1, "y_offset": 0, "edges": [{"l": "inf", "h": 2}]},
+        {"edges": [{"l": 1, "h": 1, "w": 3}], "bogus": 1},
+        {"edges": [{"l": 1, "h": 1}], "bogus": 1},
+        {"edges": [{"l": 1, "h": 1, "w": 3}]},
+        {"x_offset": 1},
+        {},
+        [],
+        {"edges": [{"l": 2}]},
+        {"edges": [{"h": 2}]},
+        {"edges": [{"l": 0, "h": 1}]},
+        {"edges": [{"l": 1, "h": -2}]},
+        {"edges": [{"l": "Inf", "h": 1}]},
+        {"edges": [{"l": 1.5, "h": 1}]},
+        {"edges": [{"l": True, "h": 1}]},
+        {"edges": [[2, 1]]},
+        {"edges": None},
+        {"x_offset": -1, "edges": []},
+        {"y_offset": "3", "edges": []},
+    ])
+    def test_reader_refuses_what_the_schema_refuses(self, data):
+        jsonschema = pytest.importorskip("jsonschema")
+        import pathlib
+
+        schema = json.loads(
+            (pathlib.Path(__file__).parent.parent / "docs" / "polygon.schema.json").read_text()
+        )
+        try:
+            jsonschema.validate(data, schema)
+            valid = True
+        except jsonschema.ValidationError:
+            valid = False
+        try:
+            pg.from_json_dict(data)
+            read = True
+        except (ValueError, DomainError):
+            read = False
+        assert read == valid
+
+    @pytest.mark.parametrize("data, key", [
+        ({"edges": [], "bogus": 1}, "unknown key 'bogus' in a polygon"),
+        ({"x_offset": 1}, "missing key 'edges' in a polygon"),
+        ({"edges": [{"l": 1, "h": 1, "w": 3}]}, "unknown key 'w' in an item of \"edges\""),
+        ({"edges": [{"h": 1}]}, "missing key 'l' in an item of \"edges\""),
+    ])
+    def test_unknown_or_missing_keys_are_named(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            pg.from_json_dict(data)
 
 
 class TestTranspose:

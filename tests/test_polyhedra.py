@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -14,6 +15,7 @@ from newtonpoly import polyhedra
 from newtonpoly.errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    DomainError,
     EmptySupport,
     InfiniteVolume,
 )
@@ -23,11 +25,13 @@ from newtonpoly.polyhedra import (
     NewtonPolyhedron,
     _cofactors,
     _combo,
+    _combo_points,
     _dot,
     _facet_normal,
     _facet_triangulation,
     _facets,
     _fan_covolume,
+    _minimal,
     _node_covolume,
     colength_growth_oracle,
     covolume,
@@ -368,6 +372,49 @@ class TestJson:
         n = from_support_d(3, M2_D3)
         assert NewtonPolyhedron.from_json_dict(n.to_json_dict()) == n
 
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "generators": [[2, 0], [0, 2]]},
+        {"dim": 2, "generators": [[1, 0]]},
+        {"dim": 4, "generators": [[0, 0, 0, 0]]},
+        {"dim": 2, "generators": [[2, 0], [0, 2]], "extra": 1},
+        {"dim": 2},
+        {"generators": [[2, 0], [0, 2]]},
+        {},
+        [],
+        {"dim": 0, "generators": [[]]},
+        {"dim": 5, "generators": [[1, 0, 0, 0, 0]]},
+        {"dim": 2, "generators": []},
+        {"dim": 2, "generators": [[-1, 0], [0, 2]]},
+        {"dim": 2, "generators": [[1.5, 0], [0, 2]]},
+        {"dim": True, "generators": [[1]]},
+        {"dim": "2", "generators": [[2, 0], [0, 2]]},
+        {"dim": 2, "generators": [[2, 0], "0 2"]},
+    ])
+    def test_reader_refuses_what_the_schema_refuses(self, data):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((Path(__file__).parent.parent / "docs"
+                             / "polyhedron.schema.json").read_text())
+        try:
+            jsonschema.validate(data, schema)
+            valid = True
+        except jsonschema.ValidationError:
+            valid = False
+        try:
+            NewtonPolyhedron.from_json_dict(data)
+            read = True
+        except (ValueError, DomainError):
+            read = False
+        assert read == valid
+
+    @pytest.mark.parametrize("data, key", [
+        ({"dim": 2, "generators": [[2, 0], [0, 2]], "extra": 1}, "unknown key 'extra'"),
+        ({"dim": 2}, "missing key 'generators'"),
+        ({"generators": [[2, 0], [0, 2]]}, "missing key 'dim'"),
+    ])
+    def test_unknown_or_missing_keys_are_named(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            NewtonPolyhedron.from_json_dict(data)
+
 
 def _facets_reference(points):
     """The unpruned facet enumerator, the reference for ``_facets``: every
@@ -413,9 +460,48 @@ def _random_point_sets(d):
         yield pts
 
 
+def _antichain(rng, d, extras, hi=4):
+    """A support of d axis powers and ``extras`` more points, no point
+    dominating another."""
+    while True:
+        gens = {tuple(rng.randint(hi - 1, hi) if i == a else 0 for i in range(d))
+                for a in range(d)}
+        while len(gens) < d + extras:
+            gens.add(tuple(rng.randint(0, hi - 1) for _ in range(d)))
+        gens = sorted(gens)
+        if len(_minimal_reference(gens)) == len(gens):
+            return gens
+
+
+def _generator_sums(rng, d, extras, low, high):
+    """Shuffled generator sums of two seeded supports, all of them, the
+    dominated ones included, with between low and high points."""
+    while True:
+        pair = [NewtonPolyhedron(d, _antichain(rng, d, extras)) for _ in range(2)]
+        pts = sorted(_combo_points(pair, (1, 1)))
+        if low <= len(pts) <= high:
+            rng.shuffle(pts)
+            return pts
+
+
 class TestFacetEnumerator:
     """The pruned enumerator returns the reference's lists: normals,
     offsets, on-points and their order."""
+
+    def test_d3_generator_sums(self):
+        # many points on few hyperplanes, so most subsets are skipped by
+        # their masks
+        rng = random.Random(94)
+        for _ in range(8):
+            pts = _generator_sums(rng, 3, 1, 12, 16)
+            assert _facets(pts) == _facets_reference(pts)
+
+    def test_d4_generator_sums_of_d_plus_2_generators(self):
+        # up to 36 points: C(36, 4) = 58,905 subsets
+        rng = random.Random(95)
+        for _ in range(3):
+            pts = _generator_sums(rng, 4, 2, 30, 36)
+            assert _facets(pts) == _facets_reference(pts)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_point_sets(self, d):
@@ -453,6 +539,48 @@ class TestFacetEnumerator:
         rng = random.Random(len(points))
         rng.shuffle(points)
         assert _facets(points) == _facets_reference(points)
+
+
+def _minimal_reference(points):
+    """The all-pairs minimal filter, the reference for ``_minimal``: each
+    point is compared with every point before it, dropped or kept."""
+    return tuple(
+        g for k, g in enumerate(points)
+        if not any(all(hc <= gc for hc, gc in zip(h, g)) for h in points[:k])
+    )
+
+
+class TestMinimal:
+    """``_minimal`` compares each point with the kept points only, and
+    returns the reference's points in their order."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_chains_of_dominated_points(self, d):
+        rng = random.Random(61 + d)
+        for _ in range(30):
+            pts = {tuple(rng.randint(0, 5) for _ in range(d)) for _ in range(rng.randint(1, 6))}
+            for start in list(pts):
+                point = list(start)
+                for _ in range(rng.randint(1, 4)):  # each link dominated by the last
+                    point[rng.randrange(d)] += rng.randint(1, 2)
+                    pts.add(tuple(point))
+            pts = sorted(pts)  # duplicates removed as the constructor removes them
+            assert _minimal(pts) == _minimal_reference(pts)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_generator_sums_of_two_supports(self, d):
+        rng = random.Random(67 + d)
+        for _ in range(20):
+            pair = [random_finite_polyhedron(rng, d) for _ in range(2)]
+            lam = (rng.randint(1, 3), rng.randint(1, 3))
+            pts = sorted(_combo_points(pair, lam))
+            kept = _minimal(pts)
+            assert kept == _minimal_reference(pts)
+            assert kept == _combo(pair, lam).generators
+
+    def test_keeps_the_order_of_the_list(self):
+        pts = [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 0)]
+        assert _minimal(pts) == ((0, 3), (1, 1), (2, 0))
 
 
 def _ipow(lam, exp) -> int:

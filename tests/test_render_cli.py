@@ -199,6 +199,20 @@ class TestCli:
         code, out, err = run_cli(capsys, "polygon", "product", text, "{1/1}")
         assert code == 2 and out == "" and err.startswith("parse error") and '"edges"' in err
 
+    def test_unknown_polyhedron_key_exit_2(self, capsys):
+        text = '{"dim":2,"generators":[[2,0],[0,2]],"extra":1}'
+        code, out, err = run_cli(capsys, "polyhedron", "covolume", text)
+        assert (code, out) == (2, "") and err == "parse error: unknown key 'extra' in a polyhedron\n"
+
+    @pytest.mark.parametrize("first, second, message", [
+        ('{"edges":[{"l":1,"h":1}],"bogus":1}', "{1/1}", "unknown key 'bogus' in a polygon"),
+        ('{"edges":[{"l":1,"h":1}]}', '{"x_offset":1}', "missing key 'edges' in a polygon"),
+        ('{"edges":[{"l":1,"h":1,"w":3}]}', "{1/1}", "unknown key 'w' in an item of \"edges\""),
+    ])
+    def test_polygon_keys_outside_the_schema_exit_2(self, capsys, first, second, message):
+        code, out, err = run_cli(capsys, "polygon", "sum", first, second)
+        assert (code, out) == (2, "") and err == f"parse error: {message}\n"
+
     @pytest.mark.parametrize("text", ["{1_0/2}", "{\u0663/1}"])
     def test_non_ascii_compact_extent_exit_2(self, capsys, text):
         code, out, err = run_cli(capsys, "polygon", "sum", text, "{}")

@@ -304,7 +304,7 @@ def test_operators_join_no_towers(name, function):
 
 # the functions of polyhedra.py that take a hyperplane normal or a simplex
 # determinant, each from the one cofactor kernel
-COFACTOR_CALLERS = ["_facet_normal", "_cone_volume", "face_identity_check"]
+COFACTOR_CALLERS = ["_facets", "_facet_normal", "_cone_volume", "face_identity_check"]
 
 
 def test_polyhedra_has_one_determinant_kernel():
