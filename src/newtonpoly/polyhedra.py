@@ -85,14 +85,6 @@ def _cofactors(points):
     )
 
 
-def _facet_normal(points):
-    """Primitive integer normal of the hyperplane through d points, or None
-    when they are affinely dependent."""
-    normal = _cofactors(points)
-    g = gcd(*normal)
-    return tuple(c // g for c in normal) if g else None
-
-
 def _dot(n, p):
     return sum(map(mul, n, p))
 
@@ -435,8 +427,9 @@ def _fan_covolume(generators, normals) -> Fraction:
     normals are known to be ``normals``.
 
     The face of each normal w is the set of generators minimising w . p.
-    It is certified to be a facet: d of its points must span the hyperplane
-    of w, else ``ArithmeticError`` is raised.  That the normals are all of
+    It is certified to be a facet: d of its points must be affinely
+    independent, else ``ArithmeticError`` is raised.  They lie on the
+    hyperplane w . p = min, so they span it.  That the normals are all of
     the compact ones is the caller's claim, and is not checked here.
     """
     d = len(generators[0])
@@ -445,8 +438,7 @@ def _fan_covolume(generators, normals) -> Fraction:
         values = [_dot(w, p) for p in generators]
         low = min(values)
         on = tuple(p for p, v in zip(generators, values) if v == low)
-        spans = (w, tuple(-c for c in w))
-        if not any(_facet_normal(s) in spans for s in itertools.combinations(on, d)):
+        if not any(any(_cofactors(s)) for s in itertools.combinations(on, d)):
             raise ArithmeticError(f"the face of {w} is not a facet of {list(generators)}")
         faces.append((w, on))
     return _cone_volume(d, faces)
@@ -517,23 +509,18 @@ def mixed_covolume(polys, index: MixedVolumeIndex) -> Fraction:
 def face_identity_check(n: NewtonPolyhedron):
     """Return (d*Vol(N), sum h_i * Vol(sigma_i)) over compact facets.
 
-    Each product h_i * Vol_{d-1}(sigma_i) equals d times the volume of the
-    cone over sigma_i from the origin, so the right-hand side is the exact
-    rational sum of |N . p_0| / (d-1)! over the simplices (p_0, ...) of a
-    triangulation of each facet, N their ``_cofactors``; no square roots
-    appear.  The covolume is that same cone sum, so both sides share the
-    facets, triangulation and kernel; the covolume is checked independently
-    against the slicing oracle in ``newtonpoly.verify`` (criterion 8).
+    Each product h_i * Vol_{d-1}(sigma_i) is d times the volume of the cone
+    over sigma_i from the origin, so the right-hand side is d times the cone
+    sum of ``_cone_volume`` over the compact facets.  Both sides are the
+    same cone sum, taken once for the covolume and once here, so they agree
+    by construction; the independent check is criterion 8's slicing oracle
+    in ``newtonpoly.verify``, which the covolume must match.
     """
     if not n.is_finite_volume:
         raise InfiniteVolume("face identity needs a finite-volume polyhedron")
     d = n.dim
-    lhs = d * covolume(n)
-    rhs = Fraction(0)
-    for normal, b, pts in n._hull_facets:
-        for simplex in _facet_triangulation(pts, normal):
-            rhs += Fraction(abs(_dot(_cofactors(simplex), simplex[0])), factorial(d - 1))
-    return lhs, rhs
+    facets = ((normal, pts) for normal, b, pts in n._hull_facets)
+    return d * covolume(n), d * _cone_volume(d, facets)
 
 
 def monomial_multiplicity(n: NewtonPolyhedron) -> int:

@@ -10,35 +10,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Unrenderable
-from .polygon import NewtonPolygon, boundary_at, is_inf
+from .polygon import NewtonPolygon, _wall_floor_chain, boundary_at, is_inf
 
 
 def _finite_geometry(p: NewtonPolygon):
     """Vertex chain plus ray markers; rejects doubly-infinite polygons."""
-    vray = None
-    floor = 0
-    finite = []
-    infinite = [e for e in p.edges if not e.is_finite]
-    if len(infinite) > 1:
+    if sum(not e.is_finite for e in p.edges) > 1:
         raise Unrenderable("polygon has two infinite directions")
-    x = p.x_offset
-    for e in p.edges:
-        if is_inf(e.h):
-            x += e.ell
-            vray = x
-        elif is_inf(e.ell):
-            floor = e.h
-        else:
-            finite.append(e)
-    if p.x_offset and vray is None and (finite or floor or p.y_offset):
-        vray = p.x_offset
-    top_y = p.y_offset + floor + sum(e.h for e in finite)
-    chain = [(x, top_y)]
-    for e in finite:
+    wall, floor, edges = _wall_floor_chain(p)
+    x, y = wall, floor + sum(e.h for e in edges)
+    chain = [(x, y)]
+    for e in edges:
         x += e.ell
-        top_y -= e.h
-        chain.append((x, top_y))
-    return chain, vray, floor + p.y_offset if floor else None
+        y -= e.h
+        chain.append((x, y))
+    vray = wall if wall != p.x_offset or (wall and (edges or floor)) else None
+    return chain, vray, floor if floor != p.y_offset else None
 
 
 def render_ascii(p: NewtonPolygon) -> str:

@@ -154,8 +154,12 @@ class TruncatedSeries:
                 return c
         return self.field.zero()
 
-    def as_dict(self) -> dict:
-        return {e: c for e, c in self.coeffs}
+    def _dense(self) -> list:
+        """Coefficients of exponents 0 to the top one, constant first."""
+        out = [self.field.zero()] * (self.coeffs[-1][0] + 1 if self.coeffs else 0)
+        for e, c in self.coeffs:
+            out[e] = c
+        return out
 
     # -- field/precision management ---------------------------------------
 
@@ -321,25 +325,10 @@ class TruncatedSeries:
             raise PrecisionInsufficient("exact division needs exact operands")
         if b.is_zero():
             raise ZeroDivisionError("division by the zero series")
-        num = dict(a.coeffs)
-        den = b.as_dict()
-        dlead = max(den)
-        dlc_inv = den[dlead].inverse()
-        out = {}
-        while num:
-            nlead = max(num)
-            if nlead < dlead:
-                raise ArithmeticError("exact division has a remainder")
-            q = num[nlead] * dlc_inv
-            out[nlead - dlead] = q
-            for e, c in den.items():
-                tgt = nlead - dlead + e
-                v = num.get(tgt, a.field.zero()) - q * c
-                if v.is_zero():
-                    num.pop(tgt, None)
-                else:
-                    num[tgt] = v
-        return TruncatedSeries.make(a.field, a.var, out, INF)
+        q, r = fld.poly_divmod(a.field, a._dense(), b._dense())
+        if r:
+            raise ArithmeticError("exact division has a remainder")
+        return TruncatedSeries.make(a.field, a.var, dict(enumerate(q)), INF)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -11,9 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
-
-import sympy
+from math import comb, gcd, lcm
 
 from . import polygon as pg
 from .product import is_special, mixed_height, product, product_elementary
@@ -699,36 +697,19 @@ def _box_hull_covolume(n: ph.NewtonPolyhedron) -> Fraction:
 # -- criterion 8: monomial multiplicities ------------------------------------------
 
 
-def _int_nth_root(n: int, d: int) -> int:
-    """floor(n^(1/d)) exactly, for any size of n: Newton's iteration in
-    integers falls monotonically onto the floor from any start above it."""
-    if n < 0:
-        raise ValueError("no real root of a negative number")
-    if d == 2 or n == 0:
-        return isqrt(n)
-    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits / d) > n^(1/d)
-    while True:
-        y = ((d - 1) * x + n // x ** (d - 1)) // d
-        if y >= x:
-            return x
-        x = y
-
-
 def _minkowski_holds(a: int, b: int, c: int, d: int) -> bool:
-    """Decide a^(1/d) <= b^(1/d) + c^(1/d) exactly."""
-    scale = 10**12
-    for _ in range(4):
-        ra = _int_nth_root(a * scale**d, d)
-        rb = _int_nth_root(b * scale**d, d)
-        rc = _int_nth_root(c * scale**d, d)
-        if ra + 1 <= rb + rc:
-            return True
-        if ra > rb + rc + 2:
-            return False
-        scale *= 10**6
-    lhs = sympy.Integer(a) ** sympy.Rational(1, d)
-    rhs = sympy.Integer(b) ** sympy.Rational(1, d) + sympy.Integer(c) ** sympy.Rational(1, d)
-    return bool(sympy.simplify(rhs - lhs) >= 0)
+    """Decide a^(1/d) <= b^(1/d) + c^(1/d) exactly, in integers, at d = 2, 3.
+
+    With k = a - b - c: at d = 2 squaring gives k <= 2 sqrt(bc).  At d = 3,
+    s^3 - 3 (bc)^(1/3) s - b - c = (s - b^(1/3) - c^(1/3)) Q(s) with Q > 0
+    for s > 0, so at s = a^(1/3) the inequality is k <= 3 (abc)^(1/3).
+    """
+    k = a - b - c
+    if d == 2:
+        return k <= 0 or k * k <= 4 * b * c
+    if d == 3:
+        return k <= 0 or k**3 <= 27 * a * b * c
+    raise ValueError(f"the Minkowski test is decided at d = 2 and 3, not {d}")
 
 
 def _random_monomial_ideal(rng, d):

@@ -409,6 +409,9 @@ class TestJson:
         {"edges": None},
         {"x_offset": -1, "edges": []},
         {"y_offset": "3", "edges": []},
+        {"edges": [{"l": "inf", "h": "inf"}]},
+        {"x_offset": 1, "edges": [{"l": 2, "h": 1}, {"l": "inf", "h": "inf"}]},
+        {"edges": [{"l": "inf", "h": 3}, {"l": 2, "h": "inf"}]},
     ])
     def test_reader_refuses_what_the_schema_refuses(self, data):
         jsonschema = pytest.importorskip("jsonschema")

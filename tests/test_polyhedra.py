@@ -27,7 +27,6 @@ from newtonpoly.polyhedra import (
     _combo,
     _combo_points,
     _dot,
-    _facet_normal,
     _facet_triangulation,
     _facets,
     _fan_covolume,
@@ -46,7 +45,6 @@ from newtonpoly.product import mixed_height
 from newtonpoly.verify import (
     _box_hull_covolume,
     _det as _oracle_det,
-    _int_nth_root,
     _minkowski_holds,
 )
 
@@ -226,6 +224,32 @@ class TestBoxHullOracle:
             _box_hull_covolume(NewtonPolyhedron(3, gens))
 
 
+def _int_nth_root(n: int, d: int) -> int:
+    """floor(n^(1/d)) exactly, for any size of n: Newton's iteration in
+    integers falls monotonically onto the floor from any start above it."""
+    if n < 0:
+        raise ValueError("no real root of a negative number")
+    if d == 2 or n == 0:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits / d) > n^(1/d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
+def _minkowski_by_roots(a, b, c, d, scale=10**30):
+    """The reference decider of a^(1/d) <= b^(1/d) + c^(1/d): floors of the
+    scaled roots, each within 1 of the root; None when too close to call."""
+    ra, rb, rc = (_int_nth_root(v * scale**d, d) for v in (a, b, c))
+    if ra + 1 <= rb + rc:
+        return True
+    if ra >= rb + rc + 2:
+        return False
+    return None
+
+
 class TestMinkowskiCheck:
     # past 2^53 a root taken from a float start would land below the floor
     @pytest.mark.parametrize("r", [10**18 + 12345, 3 * 10**24 + 7])
@@ -238,12 +262,39 @@ class TestMinkowskiCheck:
     def test_small_roots(self):
         assert [_int_nth_root(n, 3) for n in (0, 1, 7, 8, 26, 27)] == [0, 1, 1, 2, 2, 3]
 
-    @pytest.mark.parametrize("e1, e2, d", [(4, 16, 2), (8, 64, 3), (16, 1296, 4)])
+    @pytest.mark.parametrize("e1, e2, d", [(4, 16, 2), (8, 64, 3)])
     def test_homothetic_pairs_meet_the_bound(self, e1, e2, d):
         # e of N1 + N2 for homothetic N1, N2 is (e1^(1/d) + e2^(1/d))^d
         e12 = round(e1 ** (1 / d) + e2 ** (1 / d)) ** d
         assert _minkowski_holds(e12, e1, e2, d)
         assert not _minkowski_holds(e12 + 1, e1, e2, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_homothetic_grid_is_equality(self, d):
+        # a = t (u + v)^d, b = t u^d, c = t v^d: a^(1/d) = b^(1/d) + c^(1/d)
+        for t, u, v in itertools.product(range(1, 8), range(6), range(6)):
+            a, b, c = t * (u + v) ** d, t * u**d, t * v**d
+            assert _minkowski_holds(a, b, c, d), (a, b, c)
+            assert _minkowski_holds(a - 1, b, c, d), (a - 1, b, c)
+            assert not _minkowski_holds(a + 1, b, c, d), (a + 1, b, c)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_agrees_with_the_root_decider_on_strict_cases(self, d):
+        rng = random.Random(80 + d)
+        outcomes = set()
+        for _ in range(2000):
+            b, c = rng.randint(0, 10**rng.randint(1, 12)), rng.randint(0, 10**rng.randint(1, 12))
+            near = round((b ** (1 / d) + c ** (1 / d)) ** d)
+            a = max(0, near + rng.randint(-3, 3)) if rng.random() < 0.7 else rng.randint(0, 2 * near)
+            expected = _minkowski_by_roots(a, b, c, d)
+            if expected is not None:
+                assert _minkowski_holds(a, b, c, d) == expected, (a, b, c)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_other_dimensions_are_refused(self):
+        with pytest.raises(ValueError):
+            _minkowski_holds(16 * 3**4, 16, 1296, 4)
 
 
 class TestMixedCovolume:
@@ -389,6 +440,12 @@ class TestJson:
         {"dim": True, "generators": [[1]]},
         {"dim": "2", "generators": [[2, 0], [0, 2]]},
         {"dim": 2, "generators": [[2, 0], "0 2"]},
+        {"dim": 1, "generators": [[3]]},
+        {"dim": 1, "generators": [[3], [1, 1]]},
+        {"dim": 2, "generators": [[1, 0, 0]]},
+        {"dim": 3, "generators": [[2, 0, 0], [0, 2]]},
+        {"dim": 4, "generators": [[1, 0, 0, 0], [0, 1, 0, 0, 0]]},
+        {"dim": 4, "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     ])
     def test_reader_refuses_what_the_schema_refuses(self, data):
         jsonschema = pytest.importorskip("jsonschema")
@@ -423,9 +480,11 @@ def _facets_reference(points):
     d = len(points[0])
     found = {}
     for subset in itertools.combinations(points, d):
-        normal = _facet_normal(subset)
-        if normal is None:
+        normal = _cofactors(subset)
+        g = math.gcd(*normal)
+        if not g:
             continue
+        normal = tuple(c // g for c in normal)
         off = _dot(normal, subset[0])
         flipped = (tuple(-c for c in normal), -off)
         if (normal, off) in found or flipped in found:

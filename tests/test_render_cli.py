@@ -57,6 +57,24 @@ class TestSvgRender:
         assert out == render_svg([special, generic], shade_between=True)
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
+
+
+# one polygon for each placement of the wall, the floor and the vertex chain
+@pytest.mark.parametrize("name, polygon", [
+    ("offset_wall_chain", {"x_offset": 2, "edges": [{"l": 2, "h": 1}, {"l": 1, "h": 2}]}),
+    ("offset_floor_only", {"x_offset": 3, "edges": [{"l": "inf", "h": 2}]}),
+    ("y_offset_only", {"y_offset": 2, "edges": [{"l": 2, "h": 1}]}),
+    ("ray_plus_offsets",
+     {"x_offset": 1, "y_offset": 1, "edges": [{"l": 2, "h": "inf"}, {"l": 3, "h": 1}]}),
+    ("floor_plus_y_offset", {"y_offset": 1, "edges": [{"l": 1, "h": 2}, {"l": "inf", "h": 3}]}),
+])
+@pytest.mark.parametrize("fmt, suffix", [("ascii", "txt"), ("svg", "svg")])
+def test_render_golden(capsys, name, polygon, fmt, suffix):
+    assert main(["polygon", "render", json.dumps(polygon), "--format", fmt]) == 0
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.{suffix}").read_text(), "")
+
+
 POLYHEDRON = '{"dim": 2, "generators": [[0, 1], [2, 0]]}'
 
 

@@ -72,6 +72,40 @@ class TestSeriesArithmetic:
         q = a.exact_div(b)
         assert q * b == a
 
+    def test_exact_div_of_zero_is_zero(self):
+        assert TruncatedSeries.zero(QQ, "x").exact_div(parse_series("1 + x")) == parse_series("0")
+
+    @pytest.mark.parametrize("num, den", [("x^2 + 1", "x + 1"), ("1", "1 + x"), ("x^3", "x^2 + x^5")])
+    def test_exact_div_with_a_remainder_raises(self, num, den):
+        with pytest.raises(ArithmeticError, match="remainder"):
+            parse_series(num).exact_div(parse_series(den))
+
+    def test_exact_div_by_zero_or_a_truncated_series_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_series("1 + x").exact_div(TruncatedSeries.zero(QQ, "x"))
+        with pytest.raises(ZeroDivisionError):
+            parse_series("1 + x").exact_div(0)
+        with pytest.raises(PrecisionInsufficient):
+            parse_series("1 + x").exact_div(parse_series("1 + O(x^3)"))
+
+    @pytest.mark.parametrize("scalar, quotient", [
+        (2, "3 - 6*x^7"), (Fraction(2, 3), "9 - 18*x^7"), (QQ.from_rational(-4), "-3/2 + 3*x^7"),
+    ], ids=["int", "fraction", "field-element"])
+    def test_exact_div_by_a_scalar(self, scalar, quotient):
+        assert parse_series("6 - 12*x^7").exact_div(scalar) == parse_series(quotient)
+
+    def test_exact_div_over_a_tower(self):
+        k = P("adjoin a: a^2 - 2; y").field
+        a = k.generator()
+        num = TruncatedSeries.make(k, "x", {0: -2, 2: 1})
+        q = num.exact_div(TruncatedSeries.make(k, "x", {0: -a, 1: 1}))
+        assert q == TruncatedSeries.make(k, "x", {0: a, 1: 1})
+
+    def test_exact_div_of_a_sparse_high_power(self):
+        q = parse_series("x^40 - 1").exact_div(parse_series("x - 1"))
+        assert q == TruncatedSeries.make(QQ, "x", {e: 1 for e in range(40)})
+        assert parse_series("x^40 - x^3").exact_div(parse_series("x^3")) == parse_series("x^37 - 1")
+
     def test_inverse_at_exact_precision(self):
         assert parse_series("2").inverse() == parse_series("1/2")
         with pytest.raises(PrecisionInsufficient):

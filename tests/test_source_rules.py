@@ -44,8 +44,8 @@ import ``random``.
 sympy is the only runtime dependency: no module imports ``scipy``, whose
 float hulls the exact oracles do not need.  The package talks to sympy
 through dense integer lists: no module imports anything from sympy outside
-``sympy.polys``, except that ``verify.py`` imports ``sympy`` for the
-``sympy.simplify`` fallback of its symbolic comparisons.
+``sympy.polys``, ``verify.py`` included, whose Minkowski test is decided in
+integers.
 
 Arithmetic stays inside one field.  The operand checks of the operators
 (``FieldElement._binary`` and the same-field fast paths of
@@ -262,8 +262,8 @@ def test_sympy_import_scan_sees_every_form():
         "sympy", "sympy.polys.factortools", "sympy.polys.domains", "sympy.core"}
 
 
-# modules that may import sympy outside sympy.polys, and what they import
-SYMPY_OUTSIDE_POLYS = {"verify.py": {"sympy"}}
+# modules that may import sympy outside sympy.polys, and what they import: none
+SYMPY_OUTSIDE_POLYS = {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -302,9 +302,9 @@ def test_operators_join_no_towers(name, function):
     )
 
 
-# the functions of polyhedra.py that take a hyperplane normal or a simplex
-# determinant, each from the one cofactor kernel
-COFACTOR_CALLERS = ["_facets", "_facet_normal", "_cone_volume", "face_identity_check"]
+# the functions of polyhedra.py that take a hyperplane normal, a simplex
+# determinant or a spanning certificate, each from the one cofactor kernel
+COFACTOR_CALLERS = ["_facets", "_cone_volume", "_fan_covolume"]
 
 
 def test_polyhedra_has_one_determinant_kernel():
