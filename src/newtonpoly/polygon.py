@@ -168,14 +168,7 @@ class NewtonPolygon:
         """Vertex chain of the finite part, top-left to bottom-right."""
         if any(not e.is_finite for e in self.edges):
             raise NotFiniteVolume("vertex chain undefined with infinite edges")
-        x = self.x_offset
-        y = self.y_offset + sum(e.h for e in self.edges)
-        chain = [(x, y)]
-        for e in self.edges:
-            x += e.ell
-            y -= e.h
-            chain.append((x, y))
-        return chain
+        return _corners(self.x_offset, self.y_offset, self.edges)
 
     def __repr__(self):
         if self.is_trivial:
@@ -271,6 +264,21 @@ def canonical_decomposition(p: NewtonPolygon):
     return list(p.edges)
 
 
+def _convex_chain(points):
+    """The points of a lexicographically sorted sequence (ascending or
+    descending) at which the path through them turns strictly left, with
+    both ends: the middle point of a non-strict turn is popped."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2:
+            o, a = chain[-2], chain[-1]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def from_support(points) -> NewtonPolygon:
     """Polygon of a monomial support: hull of the union of translated quadrants.
 
@@ -288,17 +296,7 @@ def from_support(points) -> NewtonPolygon:
     for p in sorted(pts):
         if not minimal or p[1] < minimal[-1][1]:
             minimal.append(p)
-    # lower-left convex chain; pop middle points on non-strict turns
-    chain: list[tuple[int, int]] = []
-    for p in minimal:
-        while len(chain) >= 2:
-            o, a = chain[-2], chain[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(p)
+    chain = _convex_chain(minimal)
     x_offset = chain[0][0]
     y_offset = chain[-1][1]
     edges = tuple(
@@ -319,13 +317,9 @@ def boundary_at(p: NewtonPolygon, x) -> object:
     wall, floor, chain = _wall_floor_chain(p)
     if x < wall:
         return INF
-    cur_x = wall
-    cur_y = floor + sum(e.h for e in chain)
-    for e in chain:
-        if x <= cur_x + e.ell:
-            return cur_y - Fraction(e.h, e.ell) * (x - cur_x)
-        cur_x += e.ell
-        cur_y -= e.h
+    for (cx, cy), e in zip(_corners(wall, floor, chain), chain):
+        if x <= cx + e.ell:
+            return cy - Fraction(e.h, e.ell) * (x - cx)
     return Fraction(floor)
 
 
@@ -343,6 +337,18 @@ def _wall_floor_chain(p: NewtonPolygon):
     return wall, floor, chain
 
 
+def _corners(x, floor, chain):
+    """Corners of the finite edges ``chain`` from (x, floor + their total
+    height) down to the floor, as ``_wall_floor_chain`` gives them."""
+    y = floor + sum(e.h for e in chain)
+    corners = [(x, y)]
+    for e in chain:
+        x += e.ell
+        y -= e.h
+        corners.append((x, y))
+    return corners
+
+
 def dominates(p: NewtonPolygon, q: NewtonPolygon) -> bool:
     """True iff the region bounded by p is contained in the region of q.
 
@@ -355,11 +361,9 @@ def dominates(p: NewtonPolygon, q: NewtonPolygon) -> bool:
     q_wall, q_floor, q_chain = _wall_floor_chain(q)
     if p_wall < q_wall or p_floor < q_floor:
         return False
-    x, y = p_wall, p_floor + sum(e.h for e in p_chain)
     cx, cy = q_wall, q_floor + sum(e.h for e in q_chain)
     i = 0
-    for dx, dy in [(0, 0)] + [(e.ell, e.h) for e in p_chain]:
-        x, y = x + dx, y - dy
+    for x, y in _corners(p_wall, p_floor, p_chain):
         while i < len(q_chain) and x > cx + q_chain[i].ell:
             cx, cy = cx + q_chain[i].ell, cy - q_chain[i].h
             i += 1

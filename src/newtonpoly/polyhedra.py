@@ -44,6 +44,7 @@ from .errors import (
     NonIntegralMultiplicity,
     NonPolynomialGrowth,
 )
+from .polygon import _check_keys, _convex_chain
 
 MAX_DIM = 4
 
@@ -155,23 +156,7 @@ def _ring_2d(points):
     pts = sorted(set(points))
     if len(pts) < 3:
         return pts
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    ring = lower[:-1] + upper[:-1]
-    return ring
+    return _convex_chain(pts)[:-1] + _convex_chain(pts[::-1])[:-1]
 
 
 def _project_facet(on, normal):
@@ -215,9 +200,9 @@ def _facet_triangulation(on, normal):
 
 def _cone_volume(d, facets) -> Fraction:
     """Volume of the union of the cones from the origin over the facets,
-    given as (normal, on-points) pairs, from their triangulations."""
+    given as (normal, offset, on-points) triples, from their triangulations."""
     total = 0
-    for normal, on in facets:
+    for normal, _, on in facets:
         for simplex in _facet_triangulation(on, normal):
             total += abs(_dot(_cofactors(simplex), simplex[0]))
     return Fraction(total, factorial(d))
@@ -318,7 +303,7 @@ class NewtonPolyhedron:
         the part of its boundary off the compact facets lies in coordinate
         hyperplanes, whose cones are flat.
         """
-        return _cone_volume(self.dim, ((normal, pts) for normal, b, pts in self._hull_facets))
+        return _cone_volume(self.dim, self._hull_facets)
 
     def _compute_region_facets(self):
         """Compact facets of the region as (normal, offset, points-on-facet).
@@ -339,12 +324,7 @@ class NewtonPolyhedron:
         anything else, an unknown or a missing key among them, raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError('a polyhedron is a JSON object {"dim": d, "generators": [...]}')
-        for key in data:
-            if key not in ("dim", "generators"):
-                raise ValueError(f"unknown key {key!r} in a polyhedron")
-        for key in ("dim", "generators"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r} in a polyhedron")
+        _check_keys(data, ("dim", "generators"), ("dim", "generators"), "a polyhedron")
         dim, gens = data["dim"], data["generators"]
         if not _is_int(dim):
             raise ValueError('"dim" must be an integer')
@@ -440,7 +420,7 @@ def _fan_covolume(generators, normals) -> Fraction:
         on = tuple(p for p, v in zip(generators, values) if v == low)
         if not any(any(_cofactors(s)) for s in itertools.combinations(on, d)):
             raise ArithmeticError(f"the face of {w} is not a facet of {list(generators)}")
-        faces.append((w, on))
+        faces.append((w, low, on))
     return _cone_volume(d, faces)
 
 
@@ -519,8 +499,7 @@ def face_identity_check(n: NewtonPolyhedron):
     if not n.is_finite_volume:
         raise InfiniteVolume("face identity needs a finite-volume polyhedron")
     d = n.dim
-    facets = ((normal, pts) for normal, b, pts in n._hull_facets)
-    return d * covolume(n), d * _cone_volume(d, facets)
+    return d * covolume(n), d * _cone_volume(d, n._hull_facets)
 
 
 def monomial_multiplicity(n: NewtonPolyhedron) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Unrenderable
-from .polygon import NewtonPolygon, _wall_floor_chain, boundary_at, is_inf
+from .polygon import NewtonPolygon, _corners, _wall_floor_chain, boundary_at, is_inf
 
 
 def _finite_geometry(p: NewtonPolygon):
@@ -18,34 +18,33 @@ def _finite_geometry(p: NewtonPolygon):
     if sum(not e.is_finite for e in p.edges) > 1:
         raise Unrenderable("polygon has two infinite directions")
     wall, floor, edges = _wall_floor_chain(p)
-    x, y = wall, floor + sum(e.h for e in edges)
-    chain = [(x, y)]
-    for e in edges:
-        x += e.ell
-        y -= e.h
-        chain.append((x, y))
+    chain = _corners(wall, floor, edges)
     vray = wall if wall != p.x_offset or (wall and (edges or floor)) else None
     return chain, vray, floor if floor != p.y_offset else None
 
 
 def render_ascii(p: NewtonPolygon) -> str:
-    """Lattice picture with '*' vertices and '+' edge lattice points."""
+    """Lattice picture with '*' vertices and '+' edge lattice points.
+
+    A vertical ray adds a row with '^' above the first vertex, and a
+    horizontal floor a column with '-' right of the last one.
+    """
     if p.is_trivial:
         return "exp y\n  0 | .\n    +----\n      0\n      (exp x)\nvertices: (none)\n"
     chain, vray, floor = _finite_geometry(p)
-    width = max(x for x, _ in chain) + 1
-    height = max(y for _, y in chain) + 1
+    width = chain[-1][0] + 1 + (floor is not None)
+    height = chain[0][1] + 1 + (vray is not None)
     marks = {}
     for x, y in chain:
         marks[(x, y)] = "*"
+    if vray is not None:
+        marks[(vray, height - 1)] = "^"
+    if floor is not None:
+        marks[(width - 1, floor)] = "-"
     for x in range(width):
         b = boundary_at(p, x)
         if not is_inf(b) and b.denominator == 1 and (x, int(b)) not in marks:
             marks[(x, int(b))] = "+"
-    if vray is not None:
-        marks[(vray, height - 1)] = "^"
-        for y in range(chain[0][1] + 1, height - 1):
-            marks.setdefault((vray, y), "|")
     lines = ["exp y"]
     for y in range(height - 1, -1, -1):
         row = [marks.get((x, y), ".") for x in range(width)]

@@ -723,10 +723,6 @@ class PolygonEdge:
     elem: ElementaryPolygon
     top: tuple  # (A, B + h)
 
-    @property
-    def bottom(self):
-        return (self.top[0] + self.elem.ell, self.top[1] - self.elem.h)
-
 
 def polygon_edges(f: YPolynomial):
     """Compact edges of N(f), steepest first."""
@@ -739,7 +735,10 @@ def polygon_edges(f: YPolynomial):
 
 
 def edge_polynomial(f: YPolynomial, edge) -> YPolynomial:
-    """Sub-sum of f's terms whose exponents lie on the given compact edge."""
+    """Sub-sum of f's terms whose exponents lie on the given compact edge,
+    read at the edge's lattice points (``edge_lattice_coefficients``), so
+    PrecisionInsufficient when one of them is beyond its coefficient's
+    precision."""
     edges = polygon_edges(f)
     if isinstance(edge, ElementaryPolygon):
         matches = [e for e in edges if e.elem == edge]
@@ -751,12 +750,10 @@ def edge_polynomial(f: YPolynomial, edge) -> YPolynomial:
             raise NotAnEdge(f"{edge!r} is not an edge of N(f)")
     else:
         raise TypeError("edge must be an ElementaryPolygon or PolygonEdge")
-    (ax, ay), (bx, by) = edge.top, edge.bottom
-    terms = {}
-    for (i, j), v in f.support().items():
-        # on segment iff cross product vanishes and within the x-range
-        if (bx - ax) * (j - ay) - (by - ay) * (i - ax) == 0 and ax <= i <= bx:
-            terms[(i, j)] = v
+    cs, q, p, _ = edge_lattice_coefficients(f, edge)
+    ax, ay = edge.top
+    # from_terms drops the zero coefficients
+    terms = {(ax + j * q, ay - j * p): c for j, c in enumerate(cs)}
     return YPolynomial.from_terms(terms, f.field, f.xvar, f.yvar)
 
 

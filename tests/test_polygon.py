@@ -190,6 +190,27 @@ class TestBoundary:
         assert boundary_at(p, 2) == 1
 
 
+class TestCorners:
+    @given(polygons(offsets=True))
+    def test_equal_the_vertices_of_finite_polygons(self, p):
+        assert pg._corners(*pg._wall_floor_chain(p)) == p.vertices()
+
+    def test_start_at_the_wall_and_end_on_the_floor(self):
+        p = NewtonPolygon(1, 1, (
+            ElementaryPolygon(2, INF), ElementaryPolygon(3, 1), ElementaryPolygon(INF, 2),
+        ))
+        assert pg._wall_floor_chain(p) == (3, 3, [ElementaryPolygon(3, 1)])
+        assert pg._corners(3, 3, [ElementaryPolygon(3, 1)]) == [(3, 4), (6, 3)]
+
+    @given(polygons(offsets=True, allow_infinite=True))
+    def test_walk_down_from_the_wall_to_the_floor(self, p):
+        wall, floor, chain = pg._wall_floor_chain(p)
+        corners = pg._corners(wall, floor, chain)
+        assert corners[0][0] == wall and corners[-1][1] == floor
+        assert len(corners) == len(chain) + 1
+        assert all(boundary_at(p, x) == y for x, y in corners)
+
+
 class TestDominates:
     def test_briancon_speder(self):
         special = polygon_sum(make_elementary(8, 2), make_elementary(48, 6))

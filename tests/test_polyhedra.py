@@ -32,6 +32,7 @@ from newtonpoly.polyhedra import (
     _fan_covolume,
     _minimal,
     _node_covolume,
+    _ring_2d,
     colength_growth_oracle,
     covolume,
     face_identity_check,
@@ -463,14 +464,19 @@ class TestJson:
             read = False
         assert read == valid
 
+    # an unknown key is named before a missing one, and "dim" before "generators"
     @pytest.mark.parametrize("data, key", [
         ({"dim": 2, "generators": [[2, 0], [0, 2]], "extra": 1}, "unknown key 'extra'"),
         ({"dim": 2}, "missing key 'generators'"),
         ({"generators": [[2, 0], [0, 2]]}, "missing key 'dim'"),
+        ({}, "missing key 'dim'"),
+        ({"extra": 1}, "unknown key 'extra'"),
+        ({"dim": 2, "b": 1, "a": 2}, "unknown key 'b'"),
     ])
     def test_unknown_or_missing_keys_are_named(self, data, key):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError) as raised:
             NewtonPolyhedron.from_json_dict(data)
+        assert str(raised.value) == f"{key} in a polyhedron"
 
 
 def _facets_reference(points):
@@ -598,6 +604,60 @@ class TestFacetEnumerator:
         rng = random.Random(len(points))
         rng.shuffle(points)
         assert _facets(points) == _facets_reference(points)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(p, a, b):
+    return _cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b)
+
+
+def _in_triangle(p, a, b, c):
+    signs = {(v > 0) - (v < 0) for v in (_cross(a, b, p), _cross(b, c, p), _cross(c, a, p))}
+    return _cross(a, b, c) != 0 and not {1, -1} <= signs
+
+
+def _hull_vertices_reference(points):
+    """The points outside the hull of the others: in the plane a point of
+    that hull lies in a triangle of three others or on a segment of two."""
+    pts = set(points)
+    return {
+        p for p in pts
+        if not any(_on_segment(p, a, b) for a, b in itertools.combinations(pts - {p}, 2))
+        and not any(_in_triangle(p, *t) for t in itertools.combinations(pts - {p}, 3))
+    }
+
+
+class TestRing2d:
+    """``_ring_2d`` keeps exactly the hull vertices, counterclockwise from
+    the lexicographically least one."""
+
+    def test_seeded_sets_with_collinear_and_repeated_points(self):
+        rng = random.Random(29)
+        rings = 0
+        for _ in range(300):
+            # a 5 x 5 grid makes collinear triples and repeats common
+            pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 10))]
+            ring = _ring_2d(pts)
+            assert len(set(ring)) == len(ring)
+            assert set(ring) == _hull_vertices_reference(pts)
+            assert ring[0] == min(pts)
+            if len(ring) >= 3:
+                rings += 1
+                # each step is a hull edge with every point on its left or on it
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    assert all(_cross(a, b, p) >= 0 for p in pts)
+        assert rings > 200
+
+    def test_collinear_points_keep_their_ends(self):
+        assert _ring_2d([(0, 0), (2, 2), (1, 1), (3, 3), (1, 1)]) == [(0, 0), (3, 3)]
+        assert _ring_2d([(1, 2), (1, 2)]) == [(1, 2)]
+
+    def test_square_with_edge_midpoints(self):
+        pts = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1), (1, 1)]
+        assert _ring_2d(pts) == [(0, 0), (2, 0), (2, 2), (0, 2)]
 
 
 def _minimal_reference(points):

@@ -6,7 +6,9 @@ import pytest
 
 from newtonpoly.cli import main
 from newtonpoly.errors import Unrenderable
-from newtonpoly.polygon import EMPTY, INF, make_elementary, polygon_sum
+from newtonpoly.polygon import (
+    EMPTY, INF, ElementaryPolygon, NewtonPolygon, make_elementary, polygon_sum,
+)
 from newtonpoly.render import render_ascii, render_svg
 
 
@@ -30,6 +32,18 @@ class TestAsciiRender:
     def test_vertical_ray(self):
         out = render_ascii(make_elementary(2, INF))
         assert "vertical ray at x = 2" in out
+
+    def test_ray_above_the_first_vertex_and_floor_right_of_the_last(self):
+        # the x-offset is a wall
+        p = NewtonPolygon(2, 0, (ElementaryPolygon(3, 1), ElementaryPolygon(INF, 2)))
+        rows = render_ascii(p).splitlines()
+        assert rows[:5] == [
+            "exp y",
+            "  4 | .  .  ^  .  .  .  .",
+            "  3 | .  .  *  .  .  .  .",
+            "  2 | .  .  .  .  .  *  -",
+            "  1 | .  .  .  .  .  .  .",
+        ]
 
     def test_deterministic(self):
         p = polygon_sum(make_elementary(1, 2), make_elementary(3, 1))

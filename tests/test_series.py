@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -505,6 +506,89 @@ class TestEdges:
         edges = polygon_edges(f)
         assert [(e.elem.ell, e.elem.h) for e in edges] == [(1, 1), (3, 2)]
         assert edges[0].top == (0, 3)
+
+    def test_matches_the_support_scan(self):
+        rng = random.Random(29)
+        compared = inner = truncated = refused = 0
+        for _ in range(300):
+            f = _seeded_edge_polynomial(rng)
+            try:
+                edges = polygon_edges(f)
+            except PrecisionInsufficient:
+                continue
+            for edge in edges:
+                try:
+                    got = edge_polynomial(f, edge)
+                except PrecisionInsufficient:
+                    # the scan reads an unknown coefficient on the edge as zero
+                    refused += 1
+                    assert any(f.coeffs[j].precision <= i for i, j in _lattice_points(edge))
+                    continue
+                assert got == _edge_polynomial_by_scan(f, edge)
+                compared += 1
+                inner += len(_lattice_points(edge)) > 2
+                truncated += not all(c.is_exact for c in f.coeffs)
+        assert compared > 300 and inner > 200 and truncated > 50 and refused > 0
+
+    def test_unknown_coefficient_on_the_edge_is_refused(self):
+        # y^2 + O(x)*y + x^2: the coefficient of x*y is unknown
+        f = YPolynomial.make([
+            TruncatedSeries.make(QQ, "x", {2: 1}),
+            TruncatedSeries.zero(QQ, "x", precision=1),
+            TruncatedSeries.make(QQ, "x", {0: 1}),
+        ])
+        (edge,) = polygon_edges(f)
+        with pytest.raises(PrecisionInsufficient):
+            edge_polynomial(f, edge)
+
+
+def _lattice_points(edge):
+    (ax, ay), g = edge.top, math.gcd(edge.elem.ell, edge.elem.h)
+    q, p = edge.elem.ell // g, edge.elem.h // g
+    return [(ax + j * q, ay - j * p) for j in range(g + 1)]
+
+
+def _edge_polynomial_by_scan(f, edge):
+    """The known terms of f on the segment from the edge's top to its
+    bottom, by a cross-product test over the whole support."""
+    (ax, ay) = edge.top
+    bx, by = ax + edge.elem.ell, ay - edge.elem.h
+    terms = {
+        (i, j): v for (i, j), v in f.support().items()
+        if (bx - ax) * (j - ay) - (by - ay) * (i - ax) == 0 and ax <= i <= bx
+    }
+    return YPolynomial.from_terms(terms, f.field, f.xvar, f.yvar)
+
+
+def _seeded_edge_polynomial(rng):
+    """Terms at the corners of a random chain of edges of gcd up to 3, at
+    some of their inner lattice points and at a few points above them;
+    every other polynomial has coefficients truncated at random precisions,
+    near their lowest known exponent."""
+    x, y = rng.randint(0, 1), rng.randint(0, 1)
+    edges = sorted(((rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))), key=lambda e: Fraction(-e[1], e[0]))
+    y += sum(g * p for q, p, g in edges)
+    terms = {(x, y): rng.choice([-2, -1, 1, 3])}
+    for q, p, g in edges:
+        for _ in range(g):
+            x, y = x + q, y - p
+            terms[(x, y)] = rng.choice([-2, 0, 0, 1, 5])
+        terms[(x, y)] = rng.choice([-1, 1, 2])
+    for _ in range(rng.randint(0, 3)):
+        (i, j), a = rng.choice(sorted(terms)), rng.randint(0, 3)
+        terms[(i + a, j + rng.randint(a == 0, 3))] = rng.randint(-3, 3)
+    top = max(j for _, j in terms)
+    cols = [{i: c for (i, j), c in terms.items() if j == k} for k in range(top + 1)]
+    precisions = [INF] * (top + 1)
+    if rng.random() < 0.5:
+        for k, col in enumerate(cols[:-1]):
+            if rng.random() < 0.5:
+                low = min((i for i, c in col.items() if c), default=rng.randint(0, 6))
+                precisions[k] = low + rng.randint(1, 3)
+    return YPolynomial.make([
+        TruncatedSeries.make(QQ, "x", col, prec) for col, prec in zip(cols, precisions)
+    ])
 
 
 class TestSubstitute:

@@ -35,7 +35,8 @@ none, and its facet normals and simplex volumes all come from the
 closed-form cofactor vector of ``_cofactors``.
 
 Polygons are built in integer arithmetic: ``product.py`` imports nothing
-from ``fractions``, and the construction path of ``polygon.py`` names
+from ``fractions``, and the construction path of ``polygon.py``, the
+support hull ``from_support`` and its ``_convex_chain`` included, names
 neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 
 No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
@@ -366,9 +367,10 @@ def test_packed_kernel_only_behind_the_public_resultants():
         )
 
 
-# functions of polygon.py that every construction runs through
+# functions of polygon.py that every construction runs through, and the
+# support hull
 CONSTRUCTION_PATH = ["_steeper", "_merge_edges", "_canonical", "NewtonPolygon.__post_init__",
-                     "polygon_sum"]
+                     "polygon_sum", "from_support", "_convex_chain"]
 
 
 def _functions(tree, prefix=""):
