@@ -4,7 +4,8 @@ One verb per concept: polygon arithmetic, polyhedron volumes, series
 resultants, Puiseux expansion, curve invariants, and the verification
 suites.  Machine-readable output with --json, human text otherwise; domain
 errors exit 1 with the error class name on stderr, parse errors and usage
-errors (such as a wrong number of operands) exit 2.
+errors (such as a wrong number of operands) exit 2.  Every integer of the
+command line, argparse's included, is read by polygon.ascii_int.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import polygon as pg
@@ -73,15 +73,6 @@ def _operands(args, fewest, most=None, stand_in=None):
     )
 
 
-def ascii_int(text: str, signed=True) -> int:
-    """int(text) of ASCII digits only, signed only when signed is set: every
-    integer of the command line is read here, argparse's included.  int()
-    alone also takes underscores and other digits, such as "\u0662"."""
-    if not re.fullmatch(r"\s*[-+]?[0-9]+\s*" if signed else r"\s*[0-9]+\s*", text):
-        raise ValueError(f"{text!r} is not an integer in ASCII digits")
-    return int(text)
-
-
 def _parse_polygon_arg(text: str) -> pg.NewtonPolygon:
     text = text.strip()
     if text.startswith("{") and '"' in text:
@@ -103,7 +94,7 @@ def _parse_semigroup_arg(text: str):
     if not (text.startswith("<") and text.endswith(">")):
         raise ValueError("semigroup format is <b0,b1,...>")
     try:
-        generators = [ascii_int(v, signed=False) for v in text[1:-1].split(",")]
+        generators = [pg.ascii_int(v, signed=False) for v in text[1:-1].split(",")]
     except ValueError:
         raise ValueError(f"semigroup entries must be ASCII digits, got {text!r}") from None
     return validate_semigroup(generators)
@@ -122,7 +113,7 @@ def _default_precision(args):
         env = os.environ.get(PRECISION_ENV)
         if not env:
             return None
-        precision = ascii_int(env)
+        precision = pg.ascii_int(env)
     if precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
     return precision
@@ -197,7 +188,7 @@ def _cmd_polyhedron(args):
         if not args.alpha:
             raise UsageError("polyhedron mixed requires --alpha, e.g. --alpha 1,1")
         ns = [ph.NewtonPolyhedron.from_json_dict(json.loads(t)) for t in _operands(args, 1)]
-        alpha = ph.MixedVolumeIndex(tuple(ascii_int(a) for a in args.alpha.split(",")))
+        alpha = ph.MixedVolumeIndex(tuple(pg.ascii_int(a) for a in args.alpha.split(",")))
         v = ph.mixed_covolume(ns, alpha)
         print(json.dumps(str(v)) if args.json else str(v))
     elif args.op == "multiplicity":
@@ -264,13 +255,13 @@ def _cmd_curve(args):
         j = _parse_pairs_arg(text)
         _print_report(j, args)
     elif args.op == "dual-degree":
-        degree, *dim = (ascii_int(v) for v in _operands(args, 1, 2, stand_in="degree"))
+        degree, *dim = (pg.ascii_int(v) for v in _operands(args, 1, 2, stand_in="degree"))
         dim = dim[0] if dim else args.dimension
         sings = []
         if args.singularities:
             for chunk in args.singularities.split(";"):
                 try:
-                    mu_n, mu_n1 = (ascii_int(v) for v in chunk.split(","))
+                    mu_n, mu_n1 = (pg.ascii_int(v) for v in chunk.split(","))
                 except ValueError:
                     raise ValueError(
                         f"singularity {chunk!r} is not of the form mu_n,mu_n1") from None
@@ -282,7 +273,7 @@ def _cmd_curve(args):
         print(milnor_number(parse_polynomial(text)))
     elif args.op == "bs-example":
         special, generic = briancon_speder_polygons(
-            ascii_int(*_operands(args, 1, 1, stand_in="beta")))
+            pg.ascii_int(*_operands(args, 1, 1, stand_in="beta")))
         if args.json:
             print(json.dumps({
                 "special": pg.to_json_dict(special.view),
@@ -345,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     puiseux_sub = p_puiseux.add_subparsers(dest="op", required=True)
     p_expand = puiseux_sub.add_parser("expand")
     p_expand.add_argument("polynomial")
-    p_expand.add_argument("--precision", type=ascii_int, default=None,
+    p_expand.add_argument("--precision", type=pg.ascii_int, default=None,
                           help=f"t-precision target (default: automatic, or ${PRECISION_ENV})")
     p_expand.add_argument("--json", action="store_true")
     p_expand.set_defaults(func=_cmd_puiseux)
@@ -355,20 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
                                         "dual-degree", "milnor", "bs-example"])
     p_curve.add_argument("operands", nargs="*")
     p_curve.add_argument("--report", action="store_true", help="print the invariant bundle")
-    p_curve.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED,
+    p_curve.add_argument("--seed", type=pg.ascii_int, default=DEFAULT_SEED,
                          help="accepted and ignored: no curve computation draws a random number")
     p_curve.add_argument("--json", action="store_true")
-    p_curve.add_argument("--degree", type=ascii_int, help="projective degree d for dual-degree")
-    p_curve.add_argument("--dimension", type=ascii_int, default=2,
+    p_curve.add_argument("--degree", type=pg.ascii_int, help="projective degree d for dual-degree")
+    p_curve.add_argument("--dimension", type=pg.ascii_int, default=2,
                          help="ambient n for dual-degree")
     p_curve.add_argument("--singularities", default="",
                          help="dual-degree singularity list 'mu_n,mu_n1;...'")
-    p_curve.add_argument("--beta", type=ascii_int, help="family parameter for bs-example")
+    p_curve.add_argument("--beta", type=pg.ascii_int, help="family parameter for bs-example")
     p_curve.set_defaults(func=_cmd_curve)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suites")
     p_verify.add_argument("suite", choices=["all"] + list(SUITES))
-    p_verify.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=pg.ascii_int, default=DEFAULT_SEED)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

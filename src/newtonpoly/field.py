@@ -4,6 +4,8 @@ An element of a tower with steps of degrees d_1, ..., d_m is stored as nested
 tuples: a level-0 element is a Fraction, a level-k element is a tuple of d_k
 level-(k-1) elements (coefficients in the k-th generator).  All arithmetic is
 exact; inverses come from the extended Euclidean algorithm one level down.
+Elements and minimal polynomials print through one term builder, which
+parenthesises a coefficient that is a sum, so a printed tower reads back.
 
 Univariate factorisation over Q is in closed form up to degree 2: a monic
 quadratic u^2 + bu + c splits exactly when its discriminant b^2 - 4c is the
@@ -29,6 +31,7 @@ from sympy.polys.factortools import dup_factor_list
 from .errors import ReducibleExtension
 
 _RESERVED_NAMES = {"x", "y", "t", "T", "U", "O", "inf"}
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -68,24 +71,10 @@ class GroundField:
         if not self.steps:
             return "QQ"
         parts = ", ".join(
-            f"{s.name}: {self._poly_str(s.minpoly, s.name, level)}"
+            f"{s.name}: {_sum_str(s.minpoly, s.name, self, level, range(s.degree, -1, -1))}"
             for level, s in enumerate(self.steps)
         )
         return f"QQ[{parts}]"
-
-    def _poly_str(self, coeffs, var, level):
-        terms = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if _data_is_zero(c):
-                continue
-            cs = _data_str(c, self, level)
-            if k == 0:
-                terms.append(cs)
-            else:
-                head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
-                terms.append(f"{head}{var}^{k}" if k > 1 else f"{head}{var}")
-        return " + ".join(terms).replace("+ -", "- ") or "0"
 
     # -- basic structure ---------------------------------------------------
 
@@ -105,13 +94,13 @@ class GroundField:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, _const(Fraction(0), self.level, self))
+        return FieldElement(self, _embed(_ZERO, 0, self.level, self))
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, _const(Fraction(1), self.level, self))
+        return FieldElement(self, _embed(Fraction(1), 0, self.level, self))
 
     def from_rational(self, q) -> "FieldElement":
-        return FieldElement(self, _const(Fraction(q), self.level, self))
+        return FieldElement(self, _embed(Fraction(q), 0, self.level, self))
 
     def generator(self, index=None) -> "FieldElement":
         """The top generator, or the one at the given step index."""
@@ -119,8 +108,14 @@ class GroundField:
             index = self.level - 1
         if not 0 <= index < self.level:
             raise ValueError("no such generator")
-        data = _gen_data(self, index)
-        return FieldElement(self, data)
+        step = self.steps[index]
+        zero = _embed(_ZERO, 0, index, self)
+        if step.degree == 1:
+            # degenerate degree-1 step: generator is a constant
+            data = (_dneg(index, step.minpoly[0]),)
+        else:
+            data = (zero, _embed(Fraction(1), 0, index, self)) + (zero,) * (step.degree - 2)
+        return FieldElement(self, _embed(data, index + 1, self.level, self))
 
     def generator_named(self, name: str) -> "FieldElement":
         for i, s in enumerate(self.steps):
@@ -134,12 +129,7 @@ class GroundField:
             return elem
         if not elem.field.is_prefix_of(self):
             raise ValueError("element does not live in a prefix of this field")
-        data = elem.data
-        for k in range(elem.field.level, self.level):
-            deg = self.steps[k].degree
-            pad = _const(Fraction(0), k, self)
-            data = (data,) + tuple(pad for _ in range(deg - 1))
-        return FieldElement(self, data)
+        return FieldElement(self, _embed(elem.data, elem.field.level, self.level, self))
 
     def extend(self, minpoly_coeffs, name=None, verify=False) -> "GroundField":
         """Adjoin a root of a monic polynomial over this field.
@@ -190,28 +180,14 @@ QQ = GroundField()
 # -- raw data helpers --------------------------------------------------------
 
 
-def _const(q: Fraction, level: int, field: GroundField):
-    data = q
-    for k in range(level):
-        deg = field.steps[k].degree
-        data = (data,) + tuple(_const(Fraction(0), k, field) for _ in range(deg - 1))
-    return data
-
-
-def _gen_data(field: GroundField, index: int):
-    deg = field.steps[index].degree
-    zero = _const(Fraction(0), index, field)
-    one = _const(Fraction(1), index, field)
-    if deg == 1:
-        # degenerate degree-1 step: generator is a constant
-        mp = field.steps[index].minpoly
-        data = (_dneg(index, mp[0]),)
-    else:
-        data = (zero, one) + tuple(zero for _ in range(deg - 2))
-    for k in range(index + 1, field.level):
-        d = field.steps[k].degree
-        pad = _const(Fraction(0), k, field)
-        data = (data,) + tuple(pad for _ in range(d - 1))
+def _embed(data, low: int, high: int, field: GroundField):
+    """The datum of an element at level ``low`` of the tower, as the same
+    element at level ``high``: each step in between pads it with zeros."""
+    zero = _ZERO
+    for k, step in enumerate(field.steps[:high]):
+        if k >= low:
+            data = (data,) + (zero,) * (step.degree - 1)
+        zero = (zero,) * step.degree
     return data
 
 
@@ -242,7 +218,7 @@ def _dmul(field, level, a, b):
         return a * b
     deg = len(a)
     lower = level - 1
-    zero = _const(Fraction(0), lower, field)
+    zero = _embed(_ZERO, 0, lower, field)
     prod = [zero] * (2 * deg - 1)
     for i, ai in enumerate(a):
         if _data_is_zero(ai):
@@ -273,27 +249,30 @@ def _dreduce(field, level, prod):
 
 
 def _data_str(data, field: GroundField, level: int) -> str:
+    """Text of a datum at ``level``, lowest power of its generator first."""
     if level == 0:
         return str(data)
-    name = field.steps[level - 1].name
+    return _sum_str(data, field.steps[level - 1].name, field, level - 1, range(len(data)))
+
+
+def _sum_str(coeffs, name: str, field: GroundField, level: int, powers) -> str:
+    """The sum of the terms c_k*name^k, k in the order of ``powers``, of
+    the nonzero data c_k at ``level``; a c_k that prints as a sum is
+    parenthesised, so the text reads back as the same value."""
     terms = []
-    for k, c in enumerate(data):
+    for k in powers:
+        c = coeffs[k]
         if _data_is_zero(c):
             continue
-        cs = _data_str(c, field, level - 1)
-        if any(op in cs[1:] for op in "+-") and level - 1 > 0:
+        cs = _data_str(c, field, level)
+        if level and any(op in cs[1:] for op in "+-"):
             cs = f"({cs})"
         if k == 0:
             terms.append(cs)
-        elif cs == "1":
-            terms.append(name if k == 1 else f"{name}^{k}")
-        elif cs == "-1":
-            terms.append(f"-{name}" if k == 1 else f"-{name}^{k}")
-        else:
-            terms.append(f"{cs}*{name}" if k == 1 else f"{cs}*{name}^{k}")
-    if not terms:
-        return "0"
-    return " + ".join(terms).replace("+ -", "- ")
+            continue
+        power = name if k == 1 else f"{name}^{k}"
+        terms.append(power if cs == "1" else f"-{power}" if cs == "-1" else f"{cs}*{power}")
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 class FieldElement:
@@ -392,7 +371,7 @@ class FieldElement:
             raise ArithmeticError("Bezout coefficient exceeded the extension degree")
         c_inv = r1[0].inverse()
         data = [(c_inv * c).data for c in s1]
-        zero = _const(Fraction(0), base.level, base)
+        zero = _embed(_ZERO, 0, base.level, base)
         return FieldElement(field, tuple(data + [zero] * (deg - len(data))))
 
     def __truediv__(self, other):

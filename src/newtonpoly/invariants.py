@@ -38,8 +38,7 @@ from .errors import (
     ParameterOutOfRange,
     PrecisionInsufficient,
 )
-from .polygon import INF, ElementaryPolygon, NewtonPolygon, from_support
-from .polyhedra import _integral
+from .polygon import INF, ElementaryPolygon, NewtonPolygon, _integral, from_support
 from .puiseux import branch_multiplicity, order_along_branch, puiseux_expand
 from .series import (
     YPolynomial,
@@ -78,7 +77,7 @@ def _monoid_contains(gens, value) -> bool:
 
 def validate_semigroup(generators) -> SemigroupType:
     """Check the gcd chain, minimality and plane-branch realizability."""
-    gens = tuple(int(b) for b in generators)
+    gens = tuple(map(_integral, generators))
     if not gens or any(b <= 0 for b in gens):
         raise GcdChainInvalid("generators must be positive")
     if any(b1 >= b2 for b1, b2 in zip(gens, gens[1:])):
@@ -468,9 +467,10 @@ def invariants_from_polygon(j: JacobianPolygon) -> InvariantReport:
 
 def dual_degree(d: int, n: int, singularities) -> int:
     """Degree of the dual hypersurface: d(d-1)^(n-1) - sum(mu^n + mu^(n-1))."""
+    d, n = _integral(d), _integral(n)
     if d < 2 or n < 2:
         raise ParameterOutOfRange("need degree >= 2 and ambient dimension >= 2")
-    return d * (d - 1) ** (n - 1) - sum(mn + mn1 for mn, mn1 in singularities)
+    return d * (d - 1) ** (n - 1) - sum(_integral(a) + _integral(b) for a, b in singularities)
 
 
 def briancon_speder_polygons(beta: int):
@@ -480,6 +480,7 @@ def briancon_speder_polygons(beta: int):
     Returns (special fibre, generic fibre); equal lengths and heights b and
     b-1 scaled by 2, with the special polygon dominating the generic one.
     """
+    beta = _integral(beta)
     if beta < 4 or (2 * beta + 1) % 3:
         raise ParameterOutOfRange(
             "need beta >= 4 with 2*beta + 1 divisible by 3"

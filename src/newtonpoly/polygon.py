@@ -51,11 +51,36 @@ def ext_mul(a, b):
     return a * b
 
 
+def _integral(value) -> int:
+    """value as a plain int when int() keeps it exactly (True, 2.0 and
+    Fraction(4, 2) among them); anything else, such as 1.5, INF or "3",
+    raises ValueError."""
+    if type(value) is int:
+        return value
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def ascii_int(text: str, signed=True) -> int:
+    """int(text) of ASCII digits, after an optional sign when signed is set,
+    with surrounding spaces; int() alone also takes underscores and other
+    digits, such as "\u0662"."""
+    digits = text.strip()
+    if signed and digits[:1] in ("-", "+"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _check_extent(v, name):
     if is_inf(v):
         return INF
-    if not isinstance(v, int):
-        raise TypeError(f"{name} must be an integer or INF, got {v!r}")
+    v = _integral(v)
     if v == 0:
         raise ZeroDimension(f"{name} = 0; represent monomial factors via offsets")
     if v < 0:
@@ -143,6 +168,9 @@ class NewtonPolygon:
     edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if type(self.x_offset) is not int or type(self.y_offset) is not int:
+            object.__setattr__(self, "x_offset", _integral(self.x_offset))
+            object.__setattr__(self, "y_offset", _integral(self.y_offset))
         if self.x_offset < 0 or self.y_offset < 0:
             raise ValueError("offsets must be nonnegative")
         # vertical rays coalesce into one steepest edge, floors into one last edge
@@ -246,6 +274,7 @@ def polygon_sum(p: NewtonPolygon, q: NewtonPolygon) -> NewtonPolygon:
 
 def scale(p: NewtonPolygon, k: int) -> NewtonPolygon:
     """Sum of k copies of p: offsets and extents multiply by k."""
+    k = _integral(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -285,7 +314,7 @@ def from_support(points) -> NewtonPolygon:
     Offsets are the componentwise minima; the edge chain is the strictly
     convex lower-left hull of the Pareto-minimal points.
     """
-    pts = {(int(a), int(b)) for a, b in points}
+    pts = {(_integral(a), _integral(b)) for a, b in points}
     if not pts:
         raise EmptySupport("support is empty")
     if any(a < 0 or b < 0 for a, b in pts):
@@ -403,8 +432,13 @@ def _extent_to_json(v):
     return "inf" if is_inf(v) else v
 
 
+def _is_json_int(v) -> bool:
+    """JSON's integer rule, stricter than _integral: no true, no 2.0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_from_json(v, expected):
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_json_int(v):
         raise ValueError(f"{expected}, got {v!r}")
     return v
 
@@ -466,14 +500,13 @@ def loads(text: str) -> NewtonPolygon:
 
 
 def _extent_from_compact(text: str):
-    """ASCII digits or 'inf'; ``int()`` alone would also take underscores,
-    signs and non-ASCII digits."""
-    text = text.strip()
-    if text == "inf":
-        return INF
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"extent must be ASCII digits or 'inf', got {text!r}")
-    return int(text)
+    """ASCII digits or 'inf', without a sign."""
+    try:
+        return ascii_int(text, False)
+    except ValueError:
+        if text.strip() == "inf":
+            return INF
+        raise ValueError(f"extent must be ASCII digits or 'inf', got {text.strip()!r}") from None
 
 
 def parse_compact(text: str) -> NewtonPolygon:
@@ -488,7 +521,7 @@ def parse_compact(text: str) -> NewtonPolygon:
             raise ValueError(f"bad elementary polygon {part!r}")
         ell_s, _, h_s = part[1:-1].partition("/")
         edges.append(ElementaryPolygon(_extent_from_compact(ell_s), _extent_from_compact(h_s)))
-    return NewtonPolygon(edges=tuple(edges))
+    return _canonical(0, 0, _merge_edges(edges))
 
 
 def format_compact(p: NewtonPolygon) -> str:

@@ -44,7 +44,7 @@ from .errors import (
     NonIntegralMultiplicity,
     NonPolynomialGrowth,
 )
-from .polygon import _check_keys, _convex_chain
+from .polygon import _check_keys, _convex_chain, _integral, _is_json_int
 
 MAX_DIM = 4
 
@@ -326,29 +326,13 @@ class NewtonPolyhedron:
             raise ValueError('a polyhedron is a JSON object {"dim": d, "generators": [...]}')
         _check_keys(data, ("dim", "generators"), ("dim", "generators"), "a polyhedron")
         dim, gens = data["dim"], data["generators"]
-        if not _is_int(dim):
+        if not _is_json_int(dim):
             raise ValueError('"dim" must be an integer')
         if not (isinstance(gens, list) and all(
-            isinstance(g, list) and all(_is_int(c) for c in g) for g in gens
+            isinstance(g, list) and all(_is_json_int(c) for c in g) for g in gens
         )):
             raise ValueError('"generators" must be a list of lists of integers')
         return cls(dim, gens)
-
-
-def _integral(value) -> int:
-    """value as an int; ValueError when int() would truncate it, or when it
-    is infinite (where int() raises OverflowError)."""
-    try:
-        n = int(value)
-    except OverflowError:
-        n = None
-    if n != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return n
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_support_d(dim, points) -> NewtonPolyhedron:
@@ -370,6 +354,7 @@ def sum_d(n1: NewtonPolyhedron, n2: NewtonPolyhedron) -> NewtonPolyhedron:
 
 def scale_d(n: NewtonPolyhedron, k: int) -> NewtonPolyhedron:
     """Dilation by a nonnegative integer; k = 0 gives the full orthant."""
+    k = _integral(k)
     if k < 0:
         raise ValueError("scale factor must be nonnegative")
     if k == 0:

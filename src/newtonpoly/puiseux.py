@@ -27,7 +27,7 @@ from .errors import (
     YDivisible,
 )
 from .field import QQ, FieldElement, GroundField
-from .polygon import INF, is_inf
+from .polygon import INF, ascii_int, is_inf
 from .series import (
     TruncatedSeries,
     YPolynomial,
@@ -283,10 +283,10 @@ def parse_branch(text: str) -> PuiseuxBranch:
     head, ytext, conj_text, field_text = segments[0], segments[1], segments[2], ";".join(segments[3:])
     if not head.replace(" ", "").startswith("x=t^"):
         raise ValueError("branch must start with x = t^e")
-    e = int(head.split("^", 1)[1])
+    e = ascii_int(head.split("^", 1)[1], signed=False)
     if not conj_text.replace(" ", "").startswith("conj="):
         raise ValueError("missing conj section")
-    conj = int(conj_text.split("=", 1)[1])
+    conj = ascii_int(conj_text.split("=", 1)[1], signed=False)
     field = _parse_field_description(field_text)
     if not ytext.replace(" ", "").startswith("y="):
         raise ValueError("missing y section")

@@ -447,7 +447,7 @@ def _unflatten(field, level, values, slot, strides, den):
         _unflatten(field, level - 1, values, slot + i * stride, strides, den)
         for i in range(strides[level] // stride)
     ]
-    prod += [fld._const(_ZERO, level - 1, field)] * (field.steps[level - 1].degree - len(prod))
+    prod += [fld._embed(_ZERO, 0, level - 1, field)] * (field.steps[level - 1].degree - len(prod))
     return fld._dreduce(field, level, prod)
 
 

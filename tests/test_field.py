@@ -23,6 +23,7 @@ from newtonpoly.field import (
     poly_mul,
     squarefree_decomposition,
 )
+from newtonpoly.puiseux import _parse_field_description
 from newtonpoly.series import parse_polynomial
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
@@ -475,3 +476,88 @@ class TestNorm:
             norm = field._norm_to_qq(k, p)
             assert len(norm) == (len(p) - 1) * k.degree() + 1
             assert norm == norm_by_symbolic_resultants(k, p)
+
+
+def _four_step_tower():
+    """QQ[r2, s, d, w]: s^2 = 1 + r2, a degree-1 step d = 1 + s, and
+    w^3 = 2 + r2*s; returns the tower and its steps' fields."""
+    k1 = QQ.extend([-2, 0, 1], name="r2")
+    k2 = k1.extend([-(1 + k1.generator()), 0, 1], name="s")
+    k3 = k2.extend([-(1 + k2.generator()), 1], name="d")
+    r2s = k3.lift(k2.generator() * k2.lift(k1.generator()))
+    return k3.extend([-(2 + r2s), 0, 0, 1], name="w"), (k1, k2, k3)
+
+
+def _compound_towers(count, seed=3):
+    """Seeded towers QQ(sqrt p_1, ..., sqrt p_m) of distinct primes, m = 2
+    or 3, whose step i is (u - c)^2 - p_i with c a rational plus positive
+    multiples of the generators below it, so that every minimal polynomial
+    above the first has coefficients that print as sums.  The multiples are
+    positive because the norm shifts of factor_poly, which reading a field
+    back runs, are multiples of the sum of the generators, and that sum must
+    generate the tower."""
+    rng = random.Random(seed)
+    towers = []
+    for i in range(count):
+        k = QQ
+        for p in rng.sample((2, 3, 5, 7, 11, 13), 3 if i % 10 == 0 else 2):
+            c = k.from_rational(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)))
+            for j in range(k.level):
+                c = c + k.generator(j) * rng.randint(1, 2)
+            k = k.extend([c * c - p, -2 * c, 1])
+        towers.append(k)
+    return towers
+
+
+# the zero of the four-step tower at the level below w
+_Z3 = (((0, 0), (0, 0)),)
+
+
+class TestTowerText:
+    @pytest.mark.parametrize("make, text", [
+        (lambda g: (1 + g[0]) + (2 - g[0]) * g[1], "(((1 + r2) + (2 - r2)*s))"),
+        (lambda g: ((1 + g[0]) * g[1] + 3) * g[3] + (g[0] - g[1]) * g[3] ** 2,
+         "((3 + (1 + r2)*s))*w + ((r2 - s))*w^2"),
+        (lambda g: g[3] ** 3, "((2 + r2*s))"),
+        (lambda g: g[2] * g[3] + g[0] * g[3] ** 2 - Fraction(1, 2),
+         "-1/2 + ((1 + s))*w + r2*w^2"),
+    ])
+    def test_element_reprs_with_compound_coefficients(self, make, text):
+        k, _ = _four_step_tower()
+        assert repr(make([k.generator(i) for i in range(4)])) == text
+
+    def test_field_repr_parenthesises_compound_coefficients(self):
+        k, (_, _, k3) = _four_step_tower()
+        assert repr(k) == (
+            "QQ[r2: r2^2 - 2, s: s^2 + (-1 - r2), d: d + (-1 - s), w: w^3 + ((-2 - r2*s))]")
+        assert repr(k3.generator() + k3.lift(k3.generator(0))) == "((1 + r2) + s)"
+
+    def test_seeded_towers_read_back(self):
+        towers = _compound_towers(300)
+        # the top step of each has a coefficient that prints as a sum
+        assert all("(" in repr(k).rsplit(", ", 1)[1] for k in towers)
+        for k in towers:
+            assert _parse_field_description("field = " + repr(k)) == k, repr(k)
+
+    def test_embeddings_up_the_tower(self):
+        k, (k1, k2, _) = _four_step_tower()
+        r2, s = k1.generator(), k2.generator()
+        assert k.lift(r2).data == ((((0, 1), (0, 0)),), _Z3, _Z3)
+        assert k.lift(s + 1 - k2.lift(r2)).data == ((((1, -1), (1, 0)),), _Z3, _Z3)
+        q = Fraction(-3, 4)
+        assert k.from_rational(q).data == ((((q, 0), (0, 0)),), _Z3, _Z3)
+        assert [k.generator(i).data for i in range(4)] == [
+            ((((0, 1), (0, 0)),), _Z3, _Z3),
+            ((((0, 0), (1, 0)),), _Z3, _Z3),
+            ((((1, 0), (1, 0)),), _Z3, _Z3),  # the degree-1 step d = 1 + s
+            (_Z3, (((1, 0), (0, 0)),), _Z3),
+        ]
+        assert k.zero().data == (_Z3, _Z3, _Z3) and k.lift(k1.one()) == k.one()
+
+    def test_seeded_embeddings_agree(self):
+        for k in _compound_towers(20, seed=4):
+            for level in range(k.level + 1):
+                low = GroundField(k.steps[:level])
+                for i in range(level):
+                    assert k.lift(low.generator(i)) == k.generator(i)
+                assert k.lift(low.from_rational(Fraction(5, 3))) == k.from_rational(Fraction(5, 3))

@@ -22,6 +22,13 @@ from newtonpoly.polygon import (
     scale,
     transpose,
 )
+from newtonpoly.invariants import (
+    JacobianPolygon,
+    briancon_speder_polygons,
+    dual_degree,
+    validate_semigroup,
+)
+from newtonpoly.polyhedra import MixedVolumeIndex, NewtonPolyhedron, scale_d
 from newtonpoly.product import product, product_elementary
 
 from strategies import elementary, finite_polygons, polygons
@@ -51,22 +58,90 @@ class TestElementary:
             ElementaryPolygon(INF, INF)
 
     def test_extents_off_the_plain_int_path(self):
-        # values that are not two positive plain ints keep the checked path
-        assert ElementaryPolygon(True, 2).ell is True
+        # values that are not two positive plain ints keep the checked path,
+        # which takes what int() keeps exactly and returns a plain int
+        assert type(ElementaryPolygon(True, 2).ell) is int
         assert ElementaryPolygon(INF, 2).ell == INF
         with pytest.raises(ZeroDimension):
             ElementaryPolygon(2, False)
         with pytest.raises(ZeroDimension):
             ElementaryPolygon(-1, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not an integer"):
             ElementaryPolygon(2, 1.5)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not an integer"):
             ElementaryPolygon("2", 1)
 
     def test_slopes(self):
         assert ElementaryPolygon(2, 1).slope == Fraction(1, 2)
         assert ElementaryPolygon(1, INF).slope == INF
         assert ElementaryPolygon(INF, 3).slope == Fraction(0)
+
+
+def _flat(pairs):
+    return tuple(n for pair in pairs for n in pair)
+
+
+PLAIN = (True, 2.0, Fraction(4, 2))
+
+# (name, a function of one integer-valued argument returning the integers
+# it produced, the integral values of other types to try)
+INTEGER_TAKERS = [
+    ("ElementaryPolygon", lambda v: (ElementaryPolygon(v, 1).ell,), PLAIN),
+    ("NewtonPolygon offsets",
+     lambda v: (NewtonPolygon(v, 0).x_offset, NewtonPolygon(0, v).y_offset), PLAIN),
+    ("from_support", lambda v: _flat((e.ell, e.h) for e in from_support([(v, 0), (0, v)]).edges),
+     PLAIN),
+    ("scale", lambda v: _flat((e.ell, e.h) for e in scale(make_elementary(2, 2), v).edges), PLAIN),
+    ("NewtonPolyhedron", lambda v: _flat(NewtonPolyhedron(2, [(v, 0), (0, v)]).generators), PLAIN),
+    ("MixedVolumeIndex", lambda v: MixedVolumeIndex((v, 1)).alpha, PLAIN),
+    ("scale_d", lambda v: _flat(scale_d(NewtonPolyhedron(2, [(1, 0), (0, 1)]), v).generators),
+     PLAIN),
+    ("JacobianPolygon", lambda v: _flat(JacobianPolygon(((3, v),)).pairs), PLAIN),
+    ("validate_semigroup", lambda v: validate_semigroup([2, v]).generators,
+     (3.0, Fraction(6, 2))),
+    ("dual_degree d", lambda v: (dual_degree(v, 2, []),), (3.0, Fraction(6, 2))),
+    ("dual_degree n", lambda v: (dual_degree(3, v, []),), (2.0, Fraction(4, 2))),
+    ("dual_degree mu", lambda v: (dual_degree(3, 2, [(v, v)]),), PLAIN),
+    ("briancon_speder_polygons", lambda v: _flat(briancon_speder_polygons(v)[1].pairs),
+     (4.0, Fraction(8, 2))),
+]
+
+
+class TestIntegerRule:
+    """Every integer a public constructor or function takes is read by one
+    rule: a value that int() keeps exactly, returned as a plain int."""
+
+    @pytest.mark.parametrize("make, value", [
+        pytest.param(make, value, id=f"{name}-{value!r}")
+        for name, make, values in INTEGER_TAKERS for value in values
+    ])
+    def test_integral_values_come_back_as_plain_ints(self, make, value):
+        got = make(value)
+        assert got == make(int(value)) and all(type(n) is int for n in got)
+
+    # an extent of an elementary polygon may be INF
+    @pytest.mark.parametrize("make, value", [
+        pytest.param(make, value, id=f"{name}-{value!r}")
+        for name, make, _ in INTEGER_TAKERS for value in (1.5, "3", INF)
+        if not (name == "ElementaryPolygon" and value == INF)
+    ])
+    def test_other_values_are_refused(self, make, value):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make(value)
+
+    def test_truncating_values_are_refused(self):
+        # each of these was truncated or carried along as it was
+        with pytest.raises(ValueError):
+            from_support([(1.5, 0), (0, 2.7)])
+        with pytest.raises(ValueError):
+            validate_semigroup([4, 6.9, 13])
+        with pytest.raises(ValueError):
+            NewtonPolygon(1.5, 0, (ElementaryPolygon(1, 1),))
+        with pytest.raises(ValueError):
+            dual_degree(3.5, 2, [])
+        with pytest.raises(ValueError):
+            scale(make_elementary(2, 2), 1.5)
+        assert repr(ElementaryPolygon(True, 1)) == "{1/1}"
 
 
 class TestSum:

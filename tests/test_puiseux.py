@@ -302,6 +302,33 @@ class TestBranchFormat:
         assert main(["puiseux", "expand", text]) == 0
         assert "field = QQ[a2: a2^2 - 2, a3: a3^2 - a2]" in capsys.readouterr().out
 
+    def test_round_trip_over_a_compound_minimal_polynomial(self, capsys):
+        # the step a2 has the coefficient 1 + a, printed in parentheses
+        text = "adjoin a: a^2 - 2; y^2 + (a + 1)*x*y + x^2"
+        branches = puiseux_expand(P(text), t_precision=6)
+        assert branches
+        for b in branches:
+            assert parse_branch(format_branch(b)) == b
+        assert main(["puiseux", "expand", text, "--precision", "6"]) == 0
+        assert capsys.readouterr().out == (
+            "x = t^1; y = (a2)*t + O(t^7); conj = 2;"
+            " field = QQ[a: a^2 - 2, a2: a2^2 + (1 + a)*a2 + 1]\n"
+        )
+
+    @pytest.mark.parametrize("text", [
+        "x = t^\u0662; y = t; conj = 1; field = QQ",
+        "x = t^1; y = t; conj = 1_0; field = QQ",
+        "x = t^-1; y = t; conj = 1; field = QQ",
+        "x = t^1; y = t; conj = +1; field = QQ",
+    ])
+    def test_integers_are_unsigned_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_branch(text)
+
+    def test_integers_may_be_spaced(self):
+        b = parse_branch("x = t^ 2 ; y = t^3; conj =  1 ; field = QQ")
+        assert (b.ramification, b.conjugacy_size) == (2, 1)
+
     def test_defining_polynomial_with_y_rejected(self):
         with pytest.raises(ValueError):
             parse_branch("x = t^1; y = t; conj = 1; field = QQ[u: u^2 - 2*_unused_y]")
