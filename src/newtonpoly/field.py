@@ -1,11 +1,19 @@
 """Exact ground fields: towers of simple algebraic extensions over Q.
 
-An element of a tower with steps of degrees d_1, ..., d_m is stored as nested
-tuples: a level-0 element is a Fraction, a level-k element is a tuple of d_k
-level-(k-1) elements (coefficients in the k-th generator).  All arithmetic is
-exact; inverses come from the extended Euclidean algorithm one level down.
-Elements and minimal polynomials print through one term builder, which
-parenthesises a coefficient that is a sum, so a printed tower reads back.
+A level-0 element is a Fraction.  An element of a tower with steps of
+degrees d_1, ..., d_k (k >= 1) is stored as one flat tuple of integer
+numerators over one positive integer denominator: the coefficient of
+a_1^i1 ... a_k^ik is numerator i1 + d1*(i2 + d2*(...)), the slot order of
+the packed kernels of newtonpoly.series.  The form is canonical (the gcd of
+the denominator and the numerators is 1, and zero is all zeros over 1), so
+equal elements have equal data.  Each step stores its monic minimal
+polynomial times the lcm L of its denominators, as integer numerator
+vectors one level down, so a product is an integer convolution reduced
+modulo the minimal polynomials in integers (_dreduce), with no Fraction
+built per term.  Inverses come from the extended Euclidean algorithm one
+level down.  Elements and minimal polynomials print through one term
+builder, which parenthesises a coefficient that is a sum, so a printed
+tower reads back.
 
 Univariate factorisation over Q is in closed form up to degree 2: a monic
 quadratic u^2 + bu + c splits exactly when its discriminant b^2 - 4c is the
@@ -14,16 +22,19 @@ cleared, go to sympy's dense factoriser (dup_factor_list).  Over a proper
 tower it uses Trager's norm descent: the packed resultant kernel of
 newtonpoly.series eliminates the generators one step at a time, the
 rational norm is factored as above, and gcds over the tower lift the
-factors.  The lifted factorisation is re-verified by multiplying back, so a
-badly chosen shift can only cause a retry, never a wrong answer.
+factors.  The shift must be by a primitive element, so shifts by multiples
+of several sums c_1*a_1 + ... + c_k*a_k are tried in turn.  The lifted
+factorisation is re-verified by multiplying back, so a badly chosen shift
+can only cause a retry, never a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import isqrt, lcm
+from functools import lru_cache, partial
+from itertools import product
+from math import gcd, isqrt, lcm
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
@@ -37,7 +48,10 @@ _ZERO = Fraction(0)
 @dataclass(frozen=True)
 class ExtensionStep:
     name: str
-    minpoly: tuple  # monic coefficients over the previous level, ascending
+    # the monic minimal polynomial over the previous level, ascending, times
+    # the lcm L of its denominators: tuples of integer numerators in the
+    # previous level's layout, the last one (L, 0, ..., 0)
+    minpoly: tuple
 
     @property
     def degree(self) -> int:
@@ -47,10 +61,12 @@ class ExtensionStep:
 class GroundField:
     """Immutable tower of simple extensions of the rationals."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_layouts")
 
     def __init__(self, steps=()):
-        object.__setattr__(self, "steps", tuple(steps))
+        steps = tuple(steps)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_layouts", _product_layouts(tuple(s.degree for s in steps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroundField is immutable")
@@ -71,7 +87,7 @@ class GroundField:
         if not self.steps:
             return "QQ"
         parts = ", ".join(
-            f"{s.name}: {_sum_str(s.minpoly, s.name, self, level, range(s.degree, -1, -1))}"
+            f"{s.name}: {_sum_str(_minpoly_data(s, level), s.name, self, level, range(s.degree, -1, -1))}"
             for level, s in enumerate(self.steps)
         )
         return f"QQ[{parts}]"
@@ -109,12 +125,12 @@ class GroundField:
         if not 0 <= index < self.level:
             raise ValueError("no such generator")
         step = self.steps[index]
-        zero = _embed(_ZERO, 0, index, self)
         if step.degree == 1:
             # degenerate degree-1 step: generator is a constant
-            data = (_dneg(index, step.minpoly[0]),)
+            data = _embed(_dneg(index, _minpoly_data(step, index)[0]), index, index + 1, self)
         else:
-            data = (zero, _embed(Fraction(1), 0, index, self)) + (zero,) * (step.degree - 2)
+            size = _size(self, index)
+            data = ((0,) * size + (1,) + (0,) * (size * (step.degree - 1) - 1), 1)
         return FieldElement(self, _embed(data, index + 1, self.level, self))
 
     def generator_named(self, name: str) -> "FieldElement":
@@ -154,7 +170,7 @@ class GroundField:
                 raise ReducibleExtension(
                     f"defining polynomial for {name} is reducible over {self!r}"
                 )
-        step = ExtensionStep(name, tuple(c.data for c in coeffs))
+        step = ExtensionStep(name, tuple(_common([c.data for c in coeffs])[1]))
         return GroundField(self.steps + (step,))
 
     def free_name(self, prefix: str) -> str:
@@ -174,39 +190,119 @@ class GroundField:
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
 
-QQ = GroundField()
-
-
 # -- raw data helpers --------------------------------------------------------
+# A datum at level k >= 1 is (nums, den), integer numerators over den > 0 in
+# lowest terms; see the module docstring for their order.
+
+
+def _slot_strides(spans):
+    """Strides of packed variables with the given spans, innermost first:
+    the first stride is 1, and each further one is the product of the
+    spans below it; the last is the number of slots."""
+    strides = [1]
+    for span in spans:
+        strides.append(strides[-1] * span)
+    return strides
+
+
+def _positions(degrees, strides):
+    """The slot of each numerator index of a datum in a packed layout with
+    these strides: a_1^i1 ... a_k^ik goes to i1*strides[0] + ... + ik*strides[k - 1]."""
+    positions = (0,)
+    for d, stride in zip(degrees, strides):
+        positions = tuple(p + i * stride for i in range(d) for p in positions)
+    return positions
+
+
+@lru_cache(maxsize=None)
+def _product_layouts(degrees):
+    """Per level k of a tower with these step degrees, the strides and the
+    numerator slots of the product of two numerator vectors: spans 2d_i - 1,
+    so that no exponent of a product overflows into the next slot."""
+    layouts = []
+    for k in range(len(degrees) + 1):
+        strides = _slot_strides([2 * d - 1 for d in degrees[:k]])
+        layouts.append((strides, _positions(degrees[:k], strides)))
+    return tuple(layouts)
+
+
+def _size(field, level) -> int:
+    """The number of numerators of a datum at level."""
+    return len(field._layouts[level][1])
+
+
+def _canonical(nums, den):
+    """The datum nums / den, den nonzero, in lowest terms."""
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([n // g for n in nums]), den // g
+    return tuple(nums), den
+
+
+def _datum(level, nums, den):
+    """The datum at level of integer numerators over den; a Fraction at level 0."""
+    return Fraction(nums[0], den) if level == 0 else _canonical(nums, den)
+
+
+def _vector(data):
+    """(nums, den) of a datum; a Fraction is one numerator over its denominator."""
+    return ((data.numerator,), data.denominator) if data.__class__ is Fraction else data
+
+
+def _common(data):
+    """(L, numerators): the data at one level over the lcm L of their denominators."""
+    vectors = [_vector(d) for d in data]
+    den = lcm(*[d for _, d in vectors])
+    return den, [tuple(n * (den // d) for n in nums) for nums, d in vectors]
+
+
+def _coefficients(field, level, data):
+    """The coefficients of a datum at level >= 1 in the level's generator,
+    as data one level down."""
+    nums, den = data
+    size = _size(field, level - 1)
+    return [_datum(level - 1, nums[i:i + size], den) for i in range(0, len(nums), size)]
+
+
+def _minpoly_data(step, level):
+    """The monic minimal polynomial of a step over level, as data at level."""
+    return [_datum(level, c, step.minpoly[-1][0]) for c in step.minpoly]
 
 
 def _embed(data, low: int, high: int, field: GroundField):
     """The datum of an element at level ``low`` of the tower, as the same
-    element at level ``high``: each step in between pads it with zeros."""
-    zero = _ZERO
-    for k, step in enumerate(field.steps[:high]):
-        if k >= low:
-            data = (data,) + (zero,) * (step.degree - 1)
-        zero = (zero,) * step.degree
-    return data
+    element at level ``high``: zero numerators for the powers of the
+    generators above low."""
+    if low == high:
+        return data
+    nums, den = _vector(data)
+    return nums + (0,) * (_size(field, high) - len(nums)), den
 
 
 def _data_is_zero(data) -> bool:
     if data.__class__ is Fraction:
         return not data
-    return all(_data_is_zero(c) for c in data)
+    return not any(data[0])
 
 
 def _dadd(level, a, b):
     if level == 0:
         return a + b
-    return tuple(_dadd(level - 1, x, y) for x, y in zip(a, b))
+    (na, da), (nb, db) = a, b
+    if da == db:
+        return _canonical([x + y for x, y in zip(na, nb)], da)
+    g = gcd(da, db)
+    ma, mb = db // g, da // g
+    return _canonical([x * ma + y * mb for x, y in zip(na, nb)], da * ma)
 
 
 def _dneg(level, a):
     if level == 0:
         return -a
-    return tuple(_dneg(level - 1, x) for x in a)
+    return tuple([-x for x in a[0]]), a[1]
 
 
 def _dsub(level, a, b):
@@ -216,43 +312,83 @@ def _dsub(level, a, b):
 def _dmul(field, level, a, b):
     if level == 0:
         return a * b
-    deg = len(a)
-    lower = level - 1
-    zero = _embed(_ZERO, 0, lower, field)
-    prod = [zero] * (2 * deg - 1)
-    for i, ai in enumerate(a):
-        if _data_is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            if _data_is_zero(bj):
+    nums, den = _dproduct(field, level, a[0], b[0])
+    return _canonical(nums, den * a[1] * b[1])
+
+
+def _dproduct(field, level, a, b):
+    """(nums, den) of the product of two numerator vectors at level >= 1:
+    their convolution in the product layout, reduced by _dreduce."""
+    strides, positions = field._layouts[level]
+    raw = [0] * strides[-1]
+    for i, x in enumerate(a):
+        if x:
+            p = positions[i]
+            for j, y in enumerate(b):
+                if y:
+                    raw[p + positions[j]] += x * y
+    return _dreduce(field, level, raw, 0, strides)
+
+
+def _dreduce(field, level, values, start, strides):
+    """(nums, den): the polynomial in a_1, ..., a_level whose integer
+    coefficients are values[start:start + strides[level]], a_i^e at offset
+    e * strides[i - 1], reduced modulo the minimal polynomials to the
+    numerators of a datum at level over den > 0, not in lowest terms.
+
+    The coefficient of each power of the top generator a is reduced one
+    level down, all over one denominator.  Then, from the top power down to
+    the degree d, the top coefficient c is replaced through
+    L*a^d = -(C_0 + ... + C_(d-1)*a^(d-1)), the cleared minimal
+    polynomial: the products c*C_i, one level down over their lcm h, are
+    subtracted from the numerators below, first multiplied by L*h.  At
+    level 1 the coefficients and their products are integers, and h is 1.
+    """
+    step = field.steps[level - 1]
+    mp, deg, lead = step.minpoly, step.degree, step.minpoly[-1][0]
+    stride = strides[level - 1]
+    span = strides[level] // stride
+    size = _size(field, level - 1)
+    if level == 1:
+        flat, den = values[start:start + span], 1
+        for e in range(span - 1, deg - 1, -1):
+            top = flat[e]
+            if top:
+                if lead != 1:
+                    flat[:e] = [n * lead for n in flat[:e]]
+                    den *= lead
+                for i, c in enumerate(mp[:deg], e - deg):
+                    flat[i] -= top * c[0]
+    else:
+        blocks = [_dreduce(field, level - 1, values, start + e * stride, strides)
+                  for e in range(span)]
+        den = lcm(*[f for _, f in blocks])
+        flat = [n * (den // f) for nums, f in blocks for n in nums]
+        for e in range(span - 1, deg - 1, -1):
+            top = flat[e * size:(e + 1) * size]
+            if not any(top):
                 continue
-            prod[i + j] = _dadd(lower, prod[i + j], _dmul(field, lower, ai, bj))
-    return _dreduce(field, level, prod)
-
-
-def _dreduce(field, level, prod):
-    """Reduce a polynomial in the level's generator modulo the level's monic
-    minimal polynomial; prod lists at least deg of its coefficients,
-    ascending, each reduced one level down.  Reuses prod as scratch."""
-    deg = field.steps[level - 1].degree
-    mp = field.steps[level - 1].minpoly
-    lower = level - 1
-    for k in range(len(prod) - 1, deg - 1, -1):
-        c = prod[k]
-        if _data_is_zero(c):
-            continue
-        for j in range(deg):
-            prod[k - deg + j] = _dsub(
-                lower, prod[k - deg + j], _dmul(field, lower, c, mp[j])
-            )
-    return tuple(prod[:deg])
+            products = [_dproduct(field, level - 1, top, c) for c in mp[:deg]]
+            h = lcm(*[f for _, f in products])
+            if lead * h != 1:
+                flat[:e * size] = [n * lead * h for n in flat[:e * size]]
+                den *= lead * h
+            lo = (e - deg) * size
+            for nums, f in products:
+                for i, n in enumerate(nums, lo):
+                    flat[i] -= n * (h // f)
+                lo += size
+    flat = flat[:deg * size]
+    return flat + [0] * (deg * size - len(flat)), den
 
 
 def _data_str(data, field: GroundField, level: int) -> str:
     """Text of a datum at ``level``, lowest power of its generator first."""
     if level == 0:
         return str(data)
-    return _sum_str(data, field.steps[level - 1].name, field, level - 1, range(len(data)))
+    step = field.steps[level - 1]
+    return _sum_str(_coefficients(field, level, data), step.name, field, level - 1,
+                    range(step.degree))
 
 
 def _sum_str(coeffs, name: str, field: GroundField, level: int, powers) -> str:
@@ -304,13 +440,10 @@ class FieldElement:
 
     def rational_value(self):
         data = self.data
-        level = self.field.level
-        while level > 0:
-            if any(not _data_is_zero(c) for c in data[1:]):
-                return None
-            data = data[0]
-            level -= 1
-        return data
+        if data.__class__ is Fraction:
+            return data
+        nums, den = data
+        return None if any(nums[1:]) else Fraction(nums[0], den)
 
     def _binary(self, other, op):
         """op(level, a, b) on the data of self and other, other an int, a
@@ -357,8 +490,9 @@ class FieldElement:
         if field.level == 0:
             return FieldElement(field, Fraction(1) / self.data)
         base = GroundField(field.steps[:-1])
-        r0 = [FieldElement(base, c) for c in field.steps[-1].minpoly]
-        r1 = _poly_strip(FieldElement(base, c) for c in self.data)
+        r0 = [FieldElement(base, c) for c in _minpoly_data(field.steps[-1], base.level)]
+        r1 = _poly_strip(FieldElement(base, c)
+                         for c in _coefficients(field, field.level, self.data))
         s0, s1 = [], [base.one()]
         while poly_degree(r1) > 0:
             q, r = poly_divmod(base, r0, r1)
@@ -370,9 +504,10 @@ class FieldElement:
         if len(s1) > deg:
             raise ArithmeticError("Bezout coefficient exceeded the extension degree")
         c_inv = r1[0].inverse()
-        data = [(c_inv * c).data for c in s1]
-        zero = _embed(_ZERO, 0, base.level, base)
-        return FieldElement(field, tuple(data + [zero] * (deg - len(data))))
+        den, vectors = _common([(c_inv * c).data for c in s1])
+        nums = [n for v in vectors for n in v]
+        nums += [0] * (_size(field, field.level) - len(nums))
+        return FieldElement(field, _canonical(nums, den))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -409,6 +544,9 @@ class FieldElement:
 
     def __repr__(self):
         return _data_str(self.data, self.field, self.field.level)
+
+
+QQ = GroundField()
 
 
 # -- polynomials over a field -------------------------------------------------
@@ -577,24 +715,38 @@ def _norm_to_qq(field, p):
     coeffs = [c.data for c in p]
     for level in range(field.level, 0, -1):
         base = GroundField(field.steps[: level - 1])
-        minpoly = field.steps[level - 1].minpoly
         m = YPolynomial.from_terms(
-            {(0, i): FieldElement(base, c) for i, c in enumerate(minpoly)}, base)
+            {(0, i): FieldElement(base, c)
+             for i, c in enumerate(_minpoly_data(field.steps[level - 1], level - 1))}, base)
         q = YPolynomial.from_terms({(e, i): FieldElement(base, ci)
-                                    for e, c in enumerate(coeffs) for i, ci in enumerate(c)}, base)
+                                    for e, c in enumerate(coeffs)
+                                    for i, ci in enumerate(_coefficients(field, level, c))}, base)
         norm = sylvester_resultant(m, q)
         terms, zero = dict(norm.coeffs), base.zero()
         coeffs = [terms.get(e, zero).data for e in range(norm.degree() + 1)]
     return coeffs
 
 
+def _trager_shifts(field):
+    """The shifts Trager's norm may take: zero, then s*gamma for each scale s
+    and each gamma = c_1*a_1 + ... + c_k*a_k with c_1 = 1 and the other c_i
+    in 1, 2, 3, the sum of the generators first.  The norm of a squarefree
+    polynomial is squarefree after all but finitely many shifts by a
+    primitive element, and the sum alone need not be one: with a^2 = 2 and
+    (b + a)^2 = 3 it is a square root of 3."""
+    yield field.zero()
+    gens = [field.generator(i) for i in range(field.level)]
+    for c in product((1, 2, 3), repeat=field.level - 1):
+        gamma = gens[0]
+        for ci, g in zip(c, gens[1:]):
+            gamma = gamma + g * ci
+        for s in (1, -1, 2, -2, 3, -3, 5, -5, 7):
+            yield gamma * s
+
+
 def _trager_factor(field, p):
     """Factor a monic squarefree p over a proper tower."""
-    gamma = field.generator(0)
-    for i in range(1, field.level):
-        gamma = gamma + field.generator(i)
-    for s in (0, 1, -1, 2, -2, 3, -3, 5, -5, 7):
-        shift = field.from_rational(s) * gamma
+    for shift in _trager_shifts(field):
         shifted = poly_compose_linear(field, p, field.one(), -shift)
         factors = _rational_factors(_norm_to_qq(field, shifted))
         if any(mult != 1 for _, mult in factors):
@@ -604,10 +756,10 @@ def _trager_factor(field, p):
             g = poly_gcd(field, shifted, [field.from_rational(c) for c in fc])
             if poly_degree(g) > 0:
                 pieces.append(poly_compose_linear(field, g, field.one(), shift))
-        product = [field.one()]
+        expanded = [field.one()]
         for piece in pieces:
-            product = poly_mul(field, product, piece)
-        if _poly_strip(poly_sub(field, product, list(p))):
+            expanded = poly_mul(field, expanded, piece)
+        if _poly_strip(poly_sub(field, expanded, list(p))):
             continue  # bad shift; the verification failed
         return [(piece, 1) for piece in pieces]
     raise ArithmeticError("no Trager shift produced a squarefree norm")

@@ -54,6 +54,11 @@ class PuiseuxBranch:
     y_series: TruncatedSeries
     conjugacy_size: int
 
+    def __post_init__(self):
+        if self.ramification < 1 or self.conjugacy_size < 1:
+            raise ValueError("a branch needs ramification and conjugacy size at least 1, got "
+                             f"{self.ramification} and {self.conjugacy_size}")
+
     @property
     def field(self) -> GroundField:
         return self.y_series.field

@@ -223,7 +223,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Product, known to min(p_a + v_b, p_b + v_a).
 
-        Terms that cannot land below that precision are dropped, and the
+        A one-term operand scales and shifts the other's terms.  Otherwise
+        terms that cannot land below that precision are dropped, and the
         rest are multiplied by the packed kernel, _packed_product, one pair
         of runs (see _runs) at a time.
         """
@@ -239,6 +240,14 @@ class TruncatedSeries:
             p = min(a.precision + vb, b.precision + va)
         if not (a.coeffs and b.coeffs):
             return TruncatedSeries(a.field, a.var, (), p)
+        if len(a.coeffs) == 1:
+            a, b = b, a
+        if len(b.coeffs) == 1:
+            # a one-term operand c0*x^e0 shifts and scales the other's terms;
+            # a product of nonzero field elements is nonzero
+            ((e0, c0),) = b.coeffs
+            return TruncatedSeries(
+                a.field, a.var, tuple((e + e0, c * c0) for e, c in a.coeffs if e + e0 < p), p)
         terms_a, terms_b = a.coeffs, b.coeffs
         if not is_inf(p):
             va, vb = terms_a[0][0], terms_b[0][0]
@@ -352,12 +361,19 @@ class TruncatedSeries:
 # (t, a_1, ..., a_k) with rational coefficients.  Its terms go to slots of
 # one integer: each packed variable gets a span of slots, and the term
 # t^e a_1^i_1 ... a_k^i_k (e counted from the valuation) takes slot
-# i_1 + s_1*(i_2 + s_2*(... + s_k*e)), where s_i is the span of a_i.  The
-# product kernel gives a_i the span 2d_i - 1, so that the exponents of a
-# product never overflow into the next slot; the resultant kernel reads its
-# spans off its operands.  Each slot is w bytes wide, enough for any
-# coefficient of the result with its sign, so one big-integer multiplication
-# (or one integer resultant) computes every coefficient at once.
+# i_1 + s_1*(i_2 + s_2*(... + s_k*e)), where s_i is the span of a_i.  A
+# tower element is already integer numerators over one denominator, in this
+# order with spans d_i (see newtonpoly.field), so packing reads each
+# numerator into its slot (field._positions), scaled to the lcm of the
+# elements' denominators; over Q a Fraction is one numerator.  The product
+# kernel gives a_i the span 2d_i - 1, the layout of field._dproduct, so that
+# the exponents of a product never overflow into the next slot; the
+# resultant kernel reads its spans off its operands.  Each slot is w bytes
+# wide, enough for any coefficient of the result with its sign, so one
+# big-integer multiplication (or one integer resultant) computes every
+# coefficient at once.  Unpacking reduces each block of integer slots
+# modulo the minimal polynomials by field._dreduce, the routine of the
+# element product, and builds no Fraction over a tower.
 
 
 def _runs(terms):
@@ -371,37 +387,24 @@ def _runs(terms):
     return [terms[i:j] for i, j in zip([0] + cuts, cuts + [n])]
 
 
-def _slot_strides(spans):
-    """Strides of packed variables with the given spans, innermost first:
-    the first stride is 1, and each further one is the product of the
-    spans below it; the last is the number of slots."""
-    strides = [1]
-    for span in spans:
-        strides.append(strides[-1] * span)
-    return strides
-
-
-def _flatten(data, level, strides, slot, slots, rationals):
-    """Append the slot and value of each nonzero rational of a field datum."""
-    if level == 0:
-        if data:
-            slots.append(slot)
-            rationals.append(data)
-        return
-    stride = strides[level - 1]
-    for i, c in enumerate(data):
-        _flatten(c, level - 1, strides, slot + i * stride, slots, rationals)
-
-
-def _integer_slots(terms, level, strides):
-    """(D, slots, integers): the nonzero rationals of the terms by slot,
-    times D, the lcm of their denominators."""
-    size, v = strides[-1], terms[0][0]
-    slots, rationals = [], []
-    for e, c in terms:
-        _flatten(c.data, level, strides, (e - v) * size, slots, rationals)
-    den = lcm(*[q.denominator for q in rationals])
-    return den, slots, [q.numerator * (den // q.denominator) for q in rationals]
+def _integer_slots(items, positions):
+    """(D, slots, integers) of (slot, FieldElement) items: each nonzero
+    numerator of an element's datum at the item's slot plus its index's
+    position, times D over the element's denominator, D the lcm of the
+    denominators."""
+    data = [c.data for _, c in items]
+    if data and data[0].__class__ is Fraction:
+        den = lcm(*[q.denominator for q in data])
+        return den, [slot for slot, _ in items], [q.numerator * (den // q.denominator) for q in data]
+    den = lcm(*[d for _, d in data])
+    slots, ints = [], []
+    for (slot, _), (nums, d) in zip(items, data):
+        scale = den // d
+        for i, n in enumerate(nums):
+            if n:
+                slots.append(slot + positions[i])
+                ints.append(n * scale)
+    return den, slots, ints
 
 
 def _slot_bias(nslots, width):
@@ -432,23 +435,14 @@ def _unpack(value, width, bias, nslots, count):
     ]
 
 
-_ZERO = Fraction(0)
-
-
 def _unflatten(field, level, values, slot, strides, den):
     """Field datum of the slots from slot on, divided by den and reduced
-    modulo the minimal polynomials, innermost level first.  The span of
-    each generator is read off the strides; one below the generator's
-    degree is padded with zeros."""
+    modulo the minimal polynomials by fld._dreduce, whose layout the
+    strides give."""
     if level == 0:
-        return Fraction(values[slot], den) if values[slot] else _ZERO
-    stride = strides[level - 1]
-    prod = [
-        _unflatten(field, level - 1, values, slot + i * stride, strides, den)
-        for i in range(strides[level] // stride)
-    ]
-    prod += [fld._embed(_ZERO, 0, level - 1, field)] * (field.steps[level - 1].degree - len(prod))
-    return fld._dreduce(field, level, prod)
+        return Fraction(values[slot], den)
+    nums, f = fld._dreduce(field, level, values, slot, strides)
+    return fld._canonical(nums, den * f)
 
 
 def _packed_product(field, terms_a, terms_b, p):
@@ -459,10 +453,13 @@ def _packed_product(field, terms_a, terms_b, p):
     integer bounded by max|A| * max|B| * min(#A, #B); the slot width leaves
     room for it and a sign, so _unpack reads every slot back.
     """
-    strides, level = _slot_strides([2 * step.degree - 1 for step in field.steps]), field.level
+    level = field.level
+    strides, positions = field._layouts[level]
     size = strides[-1]
-    den_a, slots_a, ints_a = _integer_slots(terms_a, level, strides)
-    den_b, slots_b, ints_b = _integer_slots(terms_b, level, strides)
+    den_a, slots_a, ints_a = _integer_slots(
+        [((e - terms_a[0][0]) * size, c) for e, c in terms_a], positions)
+    den_b, slots_b, ints_b = _integer_slots(
+        [((e - terms_b[0][0]) * size, c) for e, c in terms_b], positions)
     bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(ints_a), len(ints_b))
     width = (bound.bit_length() + 8) // 8
     v = terms_a[0][0] + terms_b[0][0]
@@ -840,14 +837,15 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     return TruncatedSeries(k, p1.xvar, terms, INF)
 
 
-def _generator_degrees(data, level, degrees):
-    """Raise degrees[i] to the degree of a field datum in the generator of
-    level i + 1, for each level up to level."""
-    if level:
-        for i, c in enumerate(data):
-            if not fld._data_is_zero(c):
-                degrees[level - 1] = max(degrees[level - 1], i)
-                _generator_degrees(c, level - 1, degrees)
+def _generator_degrees(nums, step_degrees, degrees):
+    """Raise degrees[i] to the degree of a datum's numerators in the
+    generator of level i + 1, for each level."""
+    for index, n in enumerate(nums):
+        if n:
+            for i, d in enumerate(step_degrees):
+                index, e = divmod(index, d)
+                if e > degrees[i]:
+                    degrees[i] = e
 
 
 def _packed_resultant(k, p1, p2):
@@ -860,7 +858,7 @@ def _packed_resultant(k, p1, p2):
     one nonzero; a y-coefficient lists (t, s) pairs, ascending in t, for
     its terms T^t * s with s an exact series in x.  Read every tower datum
     as a polynomial in the generators a_1, ..., a_l with rational
-    coefficients (see _flatten).  Clearing denominators, c1*p1 and c2*p2
+    coefficients (see _integer_slots).  Clearing denominators, c1*p1 and c2*p2
     are polynomials in y over ZZ[a, x, T] with integer l1 norms N1 and N2.
     With m = deg p1 and n = deg p2, their resultant R is a sum over
     permutations of products of n entries of p1's rows and m of p2's, so
@@ -881,6 +879,7 @@ def _packed_resultant(k, p1, p2):
     k.
     """
     level, m, n = k.level, len(p1) - 1, len(p2) - 1
+    step_degrees = [step.degree for step in k.steps]
     # degrees of each operand in the generators, innermost first, x and T
     degrees = [[0] * (level + 2), [0] * (level + 2)]
     for p, deg in zip((p1, p2), degrees):
@@ -893,27 +892,18 @@ def _packed_resultant(k, p1, p2):
                         deg[-2] = s.coeffs[-1][0]
                     if level:
                         for _, c in s.coeffs:
-                            _generator_degrees(c.data, level, deg)
+                            _generator_degrees(c.data[0], step_degrees, deg)
     spans = [max(n * d1 + m * d2, d1, d2) + 1 for d1, d2 in zip(*degrees)]
-    strides = _slot_strides(spans)
+    strides = fld._slot_strides(spans)
     x_stride, t_stride, nslots = strides[-3:]
+    positions = fld._positions(step_degrees, strides)
     packed = []
     for p in (p1, p2):
-        rows = []
-        for row in p:
-            slots, rationals = [], []
-            for t, s in row:
-                base = t * t_stride
-                for e, c in s.coeffs:
-                    if level:
-                        _flatten(c.data, level, strides, base + e * x_stride, slots, rationals)
-                    else:
-                        slots.append(base + e)
-                        rationals.append(c.data)
-            rows.append((slots, rationals))
-        den = lcm(*[q.denominator for _, rationals in rows for q in rationals])
-        rows = [(slots, [q.numerator * (den // q.denominator) for q in rationals])
-                for slots, rationals in rows]
+        rows = [_integer_slots([(t * t_stride + e * x_stride, c) for t, s in row for e, c in s.coeffs],
+                               positions) for row in p]
+        den = lcm(*[d for d, _, _ in rows])
+        rows = [(slots, ints if d == den else [i * (den // d) for i in ints])
+                for d, slots, ints in rows]
         packed.append((den, rows, sum(sum(map(abs, ints)) for _, ints in rows)))
     (c1, rows1, norm1), (c2, rows2, norm2) = packed
     width = (max(norm1 ** n * norm2 ** m, norm1, norm2).bit_length() + 8) // 8

@@ -3,7 +3,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -24,7 +24,7 @@ from newtonpoly.field import (
     squarefree_decomposition,
 )
 from newtonpoly.puiseux import _parse_field_description
-from newtonpoly.series import parse_polynomial
+from newtonpoly.series import TruncatedSeries, parse_polynomial
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -413,13 +413,32 @@ class TestClosedFormQuadratics:
 # -- the norm against an independent symbolic elimination ------------------------
 
 
-def _data_to_sympy(data, level, symbols):
-    if level == 0:
+def _numerators_to_sympy(nums, den, steps, symbols):
+    """The polynomial in the generators whose coefficient of
+    a_1^i1 ... a_k^ik is numerator i1 + d1*(i2 + d2*(...)) of nums, over den."""
+    expr = sympy.Integer(0)
+    for index, n in enumerate(nums):
+        term = sympy.Rational(n, den)
+        for step, a in zip(steps, symbols):
+            index, e = divmod(index, step.degree)
+            term *= a ** e
+        expr += term
+    return expr
+
+
+def _data_to_sympy(data, steps, symbols):
+    """A datum of the tower with these steps as a sympy expression."""
+    if isinstance(data, Fraction):
         return sympy.Rational(data.numerator, data.denominator)
-    return sympy.Add(*[
-        _data_to_sympy(c, level - 1, symbols) * symbols[level - 1] ** k
-        for k, c in enumerate(data)
-    ])
+    return _numerators_to_sympy(*data, steps, symbols)
+
+
+def _minpoly_to_sympy(k, level, symbols):
+    """The monic minimal polynomial of the step at level (1-based) of k."""
+    step = k.steps[level - 1]
+    lead = step.minpoly[-1][0]
+    return sympy.Add(*[_numerators_to_sympy(c, lead, k.steps[:level - 1], symbols)
+                       * symbols[level - 1] ** e for e, c in enumerate(step.minpoly)])
 
 
 def norm_by_symbolic_resultants(k, p):
@@ -428,12 +447,11 @@ def norm_by_symbolic_resultants(k, p):
     independent of the packed kernel."""
     u = sympy.Dummy("u")  # a generator may be named u
     symbols = [sympy.Symbol(s.name) for s in k.steps]
-    expr = sympy.Add(*[_data_to_sympy(c.data, k.level, symbols) * u ** e
+    expr = sympy.Add(*[_data_to_sympy(c.data, k.steps, symbols) * u ** e
                        for e, c in enumerate(p)])
     for level in range(k.level, 0, -1):
         a = symbols[level - 1]
-        mp = sympy.Add(*[_data_to_sympy(c, level - 1, symbols) * a ** e
-                         for e, c in enumerate(k.steps[level - 1].minpoly)])
+        mp = _minpoly_to_sympy(k, level, symbols)
         expr = sympy.resultant(sympy.expand(mp), sympy.expand(expr), a)
     coeffs = sympy.Poly(sympy.expand(expr), u).all_coeffs()
     return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
@@ -509,8 +527,10 @@ def _compound_towers(count, seed=3):
     return towers
 
 
-# the zero of the four-step tower at the level below w
-_Z3 = (((0, 0), (0, 0)),)
+def _numerators(entries):
+    """The 12 numerators of a datum of the four-step tower, zero but for
+    the given indices."""
+    return tuple(entries.get(i, 0) for i in range(12))
 
 
 class TestTowerText:
@@ -540,19 +560,24 @@ class TestTowerText:
             assert _parse_field_description("field = " + repr(k)) == k, repr(k)
 
     def test_embeddings_up_the_tower(self):
+        # 12 numerators: r2^i s^j d^0 w^l at index i + 2*j + 4*l
         k, (k1, k2, _) = _four_step_tower()
         r2, s = k1.generator(), k2.generator()
-        assert k.lift(r2).data == ((((0, 1), (0, 0)),), _Z3, _Z3)
-        assert k.lift(s + 1 - k2.lift(r2)).data == ((((1, -1), (1, 0)),), _Z3, _Z3)
-        q = Fraction(-3, 4)
-        assert k.from_rational(q).data == ((((q, 0), (0, 0)),), _Z3, _Z3)
+        assert k.lift(r2).data == (_numerators({1: 1}), 1)
+        assert k.lift(s + 1 - k2.lift(r2)).data == (_numerators({0: 1, 1: -1, 2: 1}), 1)
+        assert k.from_rational(Fraction(-3, 4)).data == (_numerators({0: -3}), 4)
         assert [k.generator(i).data for i in range(4)] == [
-            ((((0, 1), (0, 0)),), _Z3, _Z3),
-            ((((0, 0), (1, 0)),), _Z3, _Z3),
-            ((((1, 0), (1, 0)),), _Z3, _Z3),  # the degree-1 step d = 1 + s
-            (_Z3, (((1, 0), (0, 0)),), _Z3),
+            (_numerators({1: 1}), 1),
+            (_numerators({2: 1}), 1),
+            (_numerators({0: 1, 2: 1}), 1),  # the degree-1 step d = 1 + s
+            (_numerators({4: 1}), 1),
         ]
-        assert k.zero().data == (_Z3, _Z3, _Z3) and k.lift(k1.one()) == k.one()
+        assert k.zero().data == (_numerators({}), 1) and k.lift(k1.one()) == k.one()
+        # the embedded data are the polynomials in the generators they name
+        symbols = sympy.symbols("r2 s d w")
+        for e, text in [(k.lift(s + 1 - k2.lift(r2)), "s + 1 - r2"),
+                        (k.generator(2), "1 + s"), (k.generator(3) / 6, "w/6")]:
+            assert _data_to_sympy(e.data, k.steps, symbols) == sympy.sympify(text)
 
     def test_seeded_embeddings_agree(self):
         for k in _compound_towers(20, seed=4):
@@ -561,3 +586,143 @@ class TestTowerText:
                 for i in range(level):
                     assert k.lift(low.generator(i)) == k.generator(i)
                 assert k.lift(low.from_rational(Fraction(5, 3))) == k.from_rational(Fraction(5, 3))
+
+
+# -- tower arithmetic against an independent reduction -----------------------------
+
+
+def _reference_towers():
+    """Q(a) with a^2 = -10/9, and b^3 = a*b/2 + 1/3 over it, whose products
+    one level down have unequal denominators; a cubic step c^3 - c/2 - 1/3; a
+    degree-1 step u = 3/2 under r^2 = u; the two-step tower r2^2 = 2,
+    s^2 = 1 + r2; the four-step tower."""
+    neg = QQ.extend([Fraction(10, 9), 0, 1], name="a", verify=True)
+    over_neg = neg.extend([Fraction(-1, 3), -neg.generator() / 2, 0, 1], name="b",
+                          verify=True)
+    cubic = QQ.extend([Fraction(-1, 3), Fraction(-1, 2), 0, 1], name="c", verify=True)
+    flat = QQ.extend([Fraction(-3, 2), 1], name="u")
+    flat = flat.extend([-flat.generator(), 0, 1], name="r", verify=True)
+    r2 = QQ.extend([-2, 0, 1], name="r2", verify=True)
+    two_step = r2.extend([-(1 + r2.generator()), 0, 1], name="s", verify=True)
+    return {"a^2 = -10/9": neg, "b^3 = a*b/2 + 1/3": over_neg, "cubic": cubic,
+            "degree-1 step": flat,
+            "two-step": two_step, "four-step": _four_step_tower()[0]}
+
+
+REFERENCE_TOWERS = _reference_towers()
+
+
+class _Reference:
+    """Elements of a tower as sympy polynomials in its generators, reduced
+    by sympy's multivariate division modulo the minimal polynomials: a
+    reduction that shares no code with the integer one.  In the lex order
+    with the top generator first, the monic minimal polynomials have the
+    pairwise coprime leading terms a_i^d_i, so they are a Groebner basis and
+    the remainder is the unique reduced form."""
+
+    def __init__(self, k):
+        self.k = k
+        self.symbols = sympy.symbols([s.name for s in k.steps])
+        self.minpolys = [sympy.expand(_minpoly_to_sympy(k, level, self.symbols))
+                         for level in range(k.level, 0, -1)]
+
+    def of(self, e):
+        return _data_to_sympy(e.data, self.k.steps, self.symbols)
+
+    def reduce(self, expr):
+        gens = self.symbols[::-1]
+        return sympy.reduced(sympy.expand(expr), self.minpolys, *gens, order="lex")[1]
+
+    def agrees(self, e, expr):
+        return sympy.expand(self.of(e) - self.reduce(expr)) == 0
+
+
+def _random_element(k, rng):
+    e = k.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 4)):
+        term = k.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for i in range(k.level):
+            term = term * k.generator(i) ** rng.randint(0, k.steps[i].degree)
+        e = e + term
+    return e
+
+
+def _is_canonical(e):
+    nums, den = e.data
+    return den > 0 and gcd(den, *nums) == 1 and (any(nums) or den == 1)
+
+
+class TestSympyReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TOWERS))
+    def test_element_arithmetic(self, name):
+        k = REFERENCE_TOWERS[name]
+        ref, rng = _Reference(k), random.Random(f"reference {name}")
+        for _ in range(4):
+            x, y = _random_element(k, rng), _random_element(k, rng)
+            rx, ry = ref.of(x), ref.of(y)
+            n = rng.randint(2, 3)
+            for got, expr in [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                              (x ** n, rx ** n), (x - x, 0)]:
+                assert ref.agrees(got, expr), (x, y)
+                assert _is_canonical(got)
+            if not x.is_zero():
+                assert ref.agrees(k.one(), rx * ref.of(x.inverse()))
+                assert ref.agrees(k.one(), rx ** n * ref.of(x ** -n))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TOWERS))
+    def test_series_products_and_inverses(self, name):
+        k = REFERENCE_TOWERS[name]
+        ref, rng = _Reference(k), random.Random(f"reference series {name}")
+
+        def series(terms, precision):
+            exps = rng.sample(range(6), terms)
+            return TruncatedSeries.make(
+                k, "x", {e: _random_element(k, rng) for e in exps}, precision)
+
+        def convolution(sa, sb, e):
+            ca, cb = dict(sa.coeffs), dict(sb.coeffs)
+            return sum((ref.of(ca[i]) * ref.of(cb[e - i]) for i in ca if e - i in cb),
+                       sympy.Integer(0))
+
+        # one-term operands, the packed kernel, and a truncated product
+        for sa, sb in [(series(1, 9), series(3, 9)), (series(3, 12), series(4, 12)),
+                       (series(4, 7), series(2, 5))]:
+            prod = sa * sb
+            assert prod.precision == min(sa.precision + sb.order(), sb.precision + sa.order())
+            for e in range(prod.precision):
+                assert ref.agrees(prod.coefficient(e), convolution(sa, sb, e)), e
+        unit = TruncatedSeries.make(k, "x", {0: _random_element(k, rng) or k.one(), 2: 1,
+                                             3: _random_element(k, rng)}, 6)
+        inv = unit.inverse()
+        assert inv.precision == 6
+        for e in range(inv.precision):
+            assert ref.agrees(k.one() if e == 0 else k.zero(), convolution(unit, inv, e)), e
+
+
+class TestTragerShift:
+    def test_sum_of_generators_need_not_be_primitive(self):
+        # b = -a +- sqrt(3), so a + b is a square root of 3 and every shifted
+        # norm by a multiple of it is a square
+        k = parse_polynomial("adjoin a: a^2 - 2; adjoin b: b^2 + 2*a*b + a^2 - 3; y").field
+        gamma = k.generator(0) + k.generator(1)
+        assert gamma * gamma == 3
+        factors = factor_poly(k, [k.from_rational(-3), k.zero(), k.one()])
+        assert [poly_degree(f) for f, _ in factors] == [1, 1]
+        assert {f[0] for f, _ in factors} == {gamma, -gamma}
+        assert [poly_degree(f) for f, _ in factor_poly(
+            k, [k.from_rational(-5), k.zero(), k.one()])] == [2]
+        with pytest.raises(ReducibleExtension):
+            k.extend([-6, 0, 1], verify=True)
+
+    def test_seeded_tower_with_a_non_primitive_sum(self):
+        # a1 + a2 has degree 2 over Q: the norm of u - (a1 + a2) is a square
+        k1 = QQ.extend([Fraction(1, 2), Fraction(-1, 2), 1], name="a1")
+        a1 = k1.generator()
+        k = k1.extend([3 + a1, Fraction(1, 2) + 2 * a1, 1], name="a2")
+        assert repr(k) == "QQ[a1: a1^2 - 1/2*a1 + 1/2, a2: a2^2 + (1/2 + 2*a1)*a2 + (3 + a1)]"
+        gamma = k.lift(a1) + k.generator()
+        assert gamma * gamma + gamma / 2 == Fraction(-7, 2)
+        assert repr(k.extend([-5, 0, 1], verify=True)).endswith("a3: a3^2 - 5]")
+        # sqrt(-7) = 4*a1 - 1 lies in the tower
+        with pytest.raises(ReducibleExtension):
+            k.extend([7, 0, 1], verify=True)

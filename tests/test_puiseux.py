@@ -315,6 +315,22 @@ class TestBranchFormat:
             " field = QQ[a: a^2 - 2, a2: a2^2 + (1 + a)*a2 + 1]\n"
         )
 
+    def test_tower_whose_generator_sum_is_not_primitive(self, capsys):
+        # b = -a +- sqrt(3), so a + b is a square root of 3, and the Trager
+        # shifts must leave the multiples of a + b
+        tower = "adjoin a: a^2 - 2; adjoin b: b^2 + 2*a*b + a^2 - 3; "
+        field = "field = QQ[a: a^2 - 2, b: b^2 + 2*a*b - 1]"
+        assert main(["puiseux", "expand", tower + "y^2 - 3*x^2"]) == 0
+        assert capsys.readouterr().out == (
+            f"x = t^1; y = (-a - b)*t + O(t^17); conj = 1; {field}\n"
+            f"x = t^1; y = (a + b)*t + O(t^17); conj = 1; {field}\n"
+        )
+        assert main(["puiseux", "expand", tower + "y^2 - 5*x^2"]) == 0
+        assert capsys.readouterr().out == (
+            "x = t^1; y = (a3)*t + O(t^17); conj = 2;"
+            " field = QQ[a: a^2 - 2, b: b^2 + 2*a*b - 1, a3: a3^2 - 5]\n"
+        )
+
     @pytest.mark.parametrize("text", [
         "x = t^\u0662; y = t; conj = 1; field = QQ",
         "x = t^1; y = t; conj = 1_0; field = QQ",
@@ -324,6 +340,21 @@ class TestBranchFormat:
     def test_integers_are_unsigned_ascii_digits(self, text):
         with pytest.raises(ValueError, match="ASCII digits"):
             parse_branch(text)
+
+    @pytest.mark.parametrize("text", [
+        "x = t^0; y = t; conj = 0; field = QQ",
+        "x = t^0; y = t; conj = 1; field = QQ",
+        "x = t^1; y = t; conj = 0; field = QQ",
+    ])
+    def test_zero_ramification_or_conjugacy_rejected(self, text):
+        with pytest.raises(ValueError, match="at least 1"):
+            parse_branch(text)
+
+    def test_branch_needs_positive_ramification_and_conjugacy(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            PuiseuxBranch(0, TruncatedSeries.monomial(QQ, "t", 1), 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            PuiseuxBranch(1, TruncatedSeries.monomial(QQ, "t", 1), -1)
 
     def test_integers_may_be_spaced(self):
         b = parse_branch("x = t^ 2 ; y = t^3; conj =  1 ; field = QQ")

@@ -39,6 +39,11 @@ from ``fractions``, and the construction path of ``polygon.py``, the
 support hull ``from_support`` and its ``_convex_chain`` included, names
 neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 
+Tower arithmetic runs in integers: a tower element is integer numerators
+over one denominator, and field's reduction routine ``_dreduce``, the
+products ``_dproduct`` and ``_dmul`` and the tower branch of series'
+``_unflatten`` name no ``Fraction``.
+
 No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
 import ``random``.
 
@@ -457,6 +462,50 @@ def test_polygon_construction_path_has_no_fraction(name):
     funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
     assert name in funcs, f"polygon.py defines no {name}"
     assert not _uses_fraction(funcs[name]), f"polygon.py {name} refers to Fraction or .slope"
+
+
+# the integer tower arithmetic: field's reduction routine, the product of
+# numerator vectors and the element product, and series' unpacking, whose
+# level-0 branch alone reads a Fraction over Q
+TOWER_INTEGER_PATH = [("field.py", "_dreduce"), ("field.py", "_dproduct"),
+                      ("field.py", "_dmul"), ("series.py", "_unflatten")]
+
+
+def _tower_branch(func):
+    """The statements of func after its first ``if level == 0:`` branch,
+    or its whole body if it has none."""
+    for i, node in enumerate(func.body):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "level == 0":
+            return func.body[i + 1:]
+    return func.body
+
+
+def test_tower_branch_scan_sees_every_form():
+    source = (
+        "def f(level, v):\n"
+        "    if level == 0:\n"
+        "        return Fraction(v)\n"
+        "    return g(v)\n"
+        "def h(level, v):\n"
+        "    if level == 0:\n"
+        "        return v\n"
+        "    return fractions.Fraction(v)\n"
+        "def k(level, v):\n"
+        "    return Fraction(v)\n"
+    )
+    funcs = _functions(ast.parse(source))
+    assert [any(_uses_fraction(node) for node in _tower_branch(funcs[name]))
+            for name in "fhk"] == [False, True, True]
+
+
+@pytest.mark.parametrize("module, name", TOWER_INTEGER_PATH)
+def test_tower_arithmetic_builds_no_fraction(module, name):
+    path = PACKAGE / module
+    funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
+    assert name in funcs, f"{module} defines no {name}"
+    assert not any(_uses_fraction(node) for node in _tower_branch(funcs[name])), (
+        f"{module} {name} refers to Fraction on a tower level"
+    )
 
 
 CHARACTER_TESTS = {"isdigit", "isalpha", "isalnum", "isspace"}
