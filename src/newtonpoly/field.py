@@ -11,9 +11,9 @@ polynomial times the lcm L of its denominators, as integer numerator
 vectors one level down, so a product is an integer convolution reduced
 modulo the minimal polynomials in integers (_dreduce), with no Fraction
 built per term.  Inverses come from the extended Euclidean algorithm one
-level down.  Elements and minimal polynomials print through one term
-builder, which parenthesises a coefficient that is a sum, so a printed
-tower reads back.
+level down, by pseudo-division, in ints when that level is Q (_dinverse).
+Elements and minimal polynomials print through one term builder, which
+parenthesises a coefficient that is a sum, so a printed tower reads back.
 
 Univariate factorisation over Q is in closed form up to degree 2: a monic
 quadratic u^2 + bu + c splits exactly when its discriminant b^2 - 4c is the
@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import not_
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
@@ -382,6 +383,64 @@ def _dreduce(field, level, values, start, strides):
     return flat + [0] * (deg * size - len(flat)), den
 
 
+def _dinverse(field, level, data):
+    """The inverse of a datum at level, ZeroDivisionError for zero.  Above
+    level 0 it comes from an extended Euclid of the numerators, as a
+    polynomial in the level's generator, against the cleared minimal
+    polynomial, by pseudo-division one level down: with lc the leading
+    coefficient of the divisor r1, each step replaces r0 by
+    lc*r0 - t*a^k*r1, which cancels r0's top term t, and the Bezout
+    coefficient s0 (s0 times the numerators is r0 modulo the minimal
+    polynomial) likewise, so no inverse is taken until the last remainder
+    c, a constant.  At level 1 the coefficients are ints, and each
+    remainder is divided by its content with its Bezout coefficient; above,
+    they are data one level down, and only c is inverted there."""
+    if level == 0:
+        return 1 / data
+    base, step = level - 1, field.steps[level - 1]
+    nums, den = data
+    if base == 0:
+        zero, one, mul, sub, is_zero = 0, 1, int.__mul__, int.__sub__, not_
+        r0, r1 = [c[0] for c in step.minpoly], list(nums)
+    else:
+        size = _size(field, base)
+        zero, one = ((0,) * size, 1), ((1,) + (0,) * (size - 1), 1)
+        mul, sub, is_zero = partial(_dmul, field, base), partial(_dsub, base), _data_is_zero
+        r0 = [(c, 1) for c in step.minpoly]
+        r1 = [(nums[i:i + size], 1) for i in range(0, len(nums), size)]
+    while r1 and is_zero(r1[-1]):
+        r1.pop()
+    s0, s1 = [], [one]
+    while len(r1) > 1:
+        lc = r1[-1]
+        while len(r0) >= len(r1):
+            t, k = r0[-1], len(r0) - len(r1)
+            r0 = [mul(lc, c) for c in r0[:-1]]
+            for i, c in enumerate(r1[:-1], k):
+                r0[i] = sub(r0[i], mul(t, c))
+            s0 = [mul(lc, c) for c in s0] + [zero] * (len(s1) + k - len(s0))
+            for i, c in enumerate(s1, k):
+                s0[i] = sub(s0[i], mul(t, c))
+            for r in (r0, s0):
+                while r and is_zero(r[-1]):
+                    r.pop()
+        if base == 0:
+            g = gcd(*r0, *s0)
+            if g > 1:
+                r0, s0 = [c // g for c in r0], [c // g for c in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    if len(s1) > step.degree:
+        raise ArithmeticError("Bezout coefficient exceeded the extension degree")
+    if base == 0:
+        return _canonical([den * c for c in s1] + [0] * (step.degree - len(s1)), r1[0])
+    c_inv = _dinverse(field, base, r1[0])
+    common, vectors = _common([mul(c_inv, c) for c in s1])
+    flat = [den * n for v in vectors for n in v]
+    return _canonical(flat + [0] * (_size(field, level) - len(flat)), common)
+
+
 def _data_str(data, field: GroundField, level: int) -> str:
     """Text of a datum at ``level``, lowest power of its generator first."""
     if level == 0:
@@ -484,30 +543,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid of the element, as a polynomial in the top
-        generator, against the top minimal polynomial, one level down."""
-        field = self.field
-        if field.level == 0:
-            return FieldElement(field, Fraction(1) / self.data)
-        base = GroundField(field.steps[:-1])
-        r0 = [FieldElement(base, c) for c in _minpoly_data(field.steps[-1], base.level)]
-        r1 = _poly_strip(FieldElement(base, c)
-                         for c in _coefficients(field, field.level, self.data))
-        s0, s1 = [], [base.one()]
-        while poly_degree(r1) > 0:
-            q, r = poly_divmod(base, r0, r1)
-            s0, s1 = s1, poly_sub(base, s0, poly_mul(base, q, s1))
-            r0, r1 = r1, r
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        deg = field.steps[-1].degree
-        if len(s1) > deg:
-            raise ArithmeticError("Bezout coefficient exceeded the extension degree")
-        c_inv = r1[0].inverse()
-        den, vectors = _common([(c_inv * c).data for c in s1])
-        nums = [n for v in vectors for n in v]
-        nums += [0] * (_size(field, field.level) - len(nums))
-        return FieldElement(field, _canonical(nums, den))
+        """The inverse, by _dinverse's extended Euclid."""
+        return FieldElement(self.field, _dinverse(self.field, self.field.level, self.data))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -204,7 +204,7 @@ def _shears(f: YPolynomial):
     a, fewer than the (d + 1)^2 tried (d the total degree of f) when f is
     reduced and its critical points are isolated.
     """
-    d = max((i + j for i, j in f.support()), default=0)
+    d = max((i + j for i, j in f.support_points()), default=0)
     for a in range((d + 1) ** 2):
         g = f.substitute_linear(1, -a, 0, 1) if a else f
         if g.is_unitary():
@@ -280,7 +280,7 @@ def discriminant_polygon(g: YPolynomial) -> NewtonPolygon:
     """
     shift = g.multiplicity() - 1
     delta = level_resultant(g, g.dy())
-    return from_support([(i + j - shift, j) for i, j in delta.support()])
+    return from_support([(i + j - shift, j) for i, j in delta.support_points()])
 
 
 def cerf_polygon(f: YPolynomial) -> NewtonPolygon:

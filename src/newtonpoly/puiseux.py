@@ -71,7 +71,7 @@ class PuiseuxBranch:
         return Fraction(o, self.ramification)
 
     def passes_through_origin(self) -> bool:
-        return not self.y_series.coeffs or self.y_series.coeffs[0][0] >= 1
+        return not self.y_series.exps or self.y_series.exps[0] >= 1
 
     def __repr__(self):
         return format_branch(self)
@@ -135,24 +135,24 @@ def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
     s = TruncatedSeries.zero(k, f.xvar, precision=w)
     while True:
         v = f.eval_on_branch(1, s)
-        if v.coeffs:
-            o = v.coeffs[0][0]
+        if v.exps:
+            o = v.exps[0]
             if o < done:
                 raise ArithmeticError("Newton iteration failed to make progress")
             s = (s - v * df.eval_on_branch(1, s).inverse(w - o)).truncate(w)
         elif w >= prec:
             return s.rename(_BRANCH_VAR)
         done, w = w, min(2 * w, prec)
-        s = TruncatedSeries(k, f.xvar, s.coeffs, w)
+        s = s.with_precision(w)
 
 
 def _substitute_edge(f: YPolynomial, p: int, q: int, c0: FieldElement, w: int) -> YPolynomial:
     """f(x^p, x^q (c0 + y)) / x^w over the field of c0."""
     out = []
     for ser in f.substitute({(p, 0): 1}, {(q, 0): c0, (q, 1): 1}).coeffs:
-        if ser.coeffs and ser.coeffs[0][0] < w:
+        if ser.exps and ser.exps[0] < w:
             raise ArithmeticError("edge substitution order below predicted weight")
-        out.append(ser.shift(-w) if ser.coeffs else ser)
+        out.append(ser.shift(-w) if ser.exps else ser)
     return YPolynomial.make(out, f.xvar, f.yvar)
 
 
@@ -264,8 +264,8 @@ def order_along_branch(g: YPolynomial, b: PuiseuxBranch) -> int:
     raises PrecisionInsufficient with required=None.
     """
     val = g.eval_on_branch(b.ramification, b.y_series)
-    if val.coeffs:
-        return val.coeffs[0][0]
+    if val.exps:
+        return val.exps[0]
     if val.is_exact:
         raise IdenticallyZero("function vanishes exactly along the branch")
     raise PrecisionInsufficient(

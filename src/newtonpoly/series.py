@@ -3,15 +3,23 @@
 A :class:`TruncatedSeries` stores sparse exact coefficients below an explicit
 precision bound (INF for exact polynomials); every operation propagates the
 bound pessimistically, and polygon or valuation extraction refuses to answer
-when a hidden term could change the result.  Operators need operands over
-one field; only the functions that take two polynomials, or a polynomial
-and a branch or substitution, join nested towers (join_fields) first.
+when a hidden term could change the result.  Over Q the terms are one tuple
+of int exponents and one of int numerators over one positive denominator,
+in lowest terms, so sums, scales, shifts and products run on ints and build
+no Fraction; over a tower they are the exponents and the field elements,
+whose data are integers already.  The ``coeffs`` view of (exp, FieldElement)
+pairs is built on demand for the readers outside the arithmetic.
+Exponents enter through polygon._integral, so a non-integer one raises.
+Operators need operands over one field; only the functions that take two
+polynomials, or a polynomial and a branch or substitution, join nested
+towers (join_fields) first.
 
 Series products over every tower share one kernel (Kronecker substitution):
 each operand is read as a polynomial in t and the tower's generators, its
 denominators are cleared, and it is packed into one Python integer; one
-multiplication gives every coefficient of the product, which is unpacked
-and reduced modulo the minimal polynomials.  Series inverses run Newton
+multiplication gives every coefficient of the product, which is unpacked,
+divided by one gcd over Q and reduced modulo the minimal polynomials over a
+tower.  A one-term operand skips the kernel.  Series inverses run Newton
 iteration on that product.
 
 A :class:`YPolynomial` is a polynomial in a distinguished variable y whose
@@ -37,6 +45,7 @@ intersections on x = 0 whatever the second operand's leading coefficient.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -60,6 +69,7 @@ from .polygon import (
     INF,
     ElementaryPolygon,
     NewtonPolygon,
+    _integral,
     boundary_at,
     from_support,
     is_inf,
@@ -78,40 +88,79 @@ def join_fields(k1: GroundField, k2: GroundField) -> GroundField:
 # -- truncated series ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Sparse exact series; exponents >= precision are unknown."""
+    """Sparse exact series; exponents >= precision are unknown.
 
-    field: GroundField
-    var: str
-    coeffs: tuple  # ((exp, FieldElement), ...) sorted, nonzero, exp < precision
-    precision: object = INF
+    An immutable slotted value.  ``exps`` holds the ascending exponents of
+    the nonzero terms, each below ``precision``.  Over Q, ``values`` holds
+    their integer numerators over one positive denominator ``den``, in
+    lowest terms (the gcd of den and the numerators is 1, and zero is ()
+    over 1); over a tower, ``values`` holds the nonzero FieldElements and
+    den is 1.  The form is canonical, so equal series have equal data.
+    ``coeffs`` builds the (exp, FieldElement) pairs on demand.
+    """
+
+    __slots__ = ("field", "var", "exps", "values", "den", "precision")
+
+    def __new__(cls, field, var, coeffs=(), precision=INF):
+        """The series of the (exp, value) pairs coeffs, values coerced into
+        field; zero values and exponents from precision on are dropped."""
+        items, seen = {}, set()
+        for exp, c in coeffs:
+            exp = _integral(exp)
+            if exp < 0:
+                raise ValueError("negative exponents are not supported")
+            if exp in seen:
+                raise ValueError(f"exponent {exp} given twice")
+            seen.add(exp)
+            if c.__class__ is not FieldElement or c.field is not field:
+                c = field.coerce(c)
+            if exp < precision and not c.is_zero():
+                items[exp] = c
+        exps = tuple(sorted(items))
+        if field.level:
+            return _series(field, var, exps, tuple(items[e] for e in exps), 1, precision)
+        qs = [items[e].data for e in exps]
+        den = lcm(*[q.denominator for q in qs])
+        nums = tuple(q.numerator * (den // q.denominator) for q in qs)
+        return _series(field, var, exps, nums, den, precision)
 
     @staticmethod
     def make(field, var, coeff_map, precision=INF) -> "TruncatedSeries":
-        items = []
-        for exp, c in sorted(coeff_map.items()):
-            if exp < 0:
-                raise ValueError("negative exponents are not supported")
-            if c.__class__ is not FieldElement or c.field is not field:
-                c = field.coerce(c)
-            if not c.is_zero() and exp < precision:
-                items.append((int(exp), c))
-        return TruncatedSeries(field, var, tuple(items), precision)
+        return TruncatedSeries(field, var, coeff_map.items(), precision)
 
     @staticmethod
     def zero(field, var, precision=INF) -> "TruncatedSeries":
-        return TruncatedSeries(field, var, (), precision)
+        return _series(field, var, (), (), 1, precision)
 
     @staticmethod
     def constant(field, var, value, precision=INF) -> "TruncatedSeries":
-        return TruncatedSeries.make(field, var, {0: value}, precision)
+        return TruncatedSeries(field, var, ((0, value),), precision)
 
     @staticmethod
     def monomial(field, var, exp, value=1, precision=INF) -> "TruncatedSeries":
-        return TruncatedSeries.make(field, var, {exp: value}, precision)
+        return TruncatedSeries(field, var, ((exp, value),), precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.field, self.var, self.coeffs, self.precision)
 
     # -- structure -------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The terms as (exp, FieldElement) pairs, ascending, built on demand."""
+        field = self.field
+        if field.level:
+            return tuple(zip(self.exps, self.values))
+        den = self.den
+        return tuple((e, FieldElement(field, Fraction(n, den)))
+                     for e, n in zip(self.exps, self.values))
 
     @property
     def is_exact(self) -> bool:
@@ -119,7 +168,7 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         """Identically zero, certified (needs exact precision)."""
-        return not self.coeffs and self.is_exact
+        return not self.exps and self.is_exact
 
     def order(self):
         """Valuation; INF for the exact zero series.
@@ -127,8 +176,8 @@ class TruncatedSeries:
         Raises PrecisionInsufficient when the series vanishes to a finite
         precision bound, since a hidden term may exist.
         """
-        if self.coeffs:
-            return self.coeffs[0][0]
+        if self.exps:
+            return self.exps[0]
         if self.is_exact:
             return INF
         raise PrecisionInsufficient(
@@ -139,9 +188,9 @@ class TruncatedSeries:
     def degree(self) -> int:
         if not self.is_exact:
             raise PrecisionInsufficient("degree of a truncated series is unknown")
-        if not self.coeffs:
+        if not self.exps:
             raise ValueError("degree of the zero series")
-        return self.coeffs[-1][0]
+        return self.exps[-1]
 
     def coefficient(self, exp: int) -> FieldElement:
         if exp >= self.precision:
@@ -149,14 +198,17 @@ class TruncatedSeries:
                 f"coefficient of {self.var}^{exp} beyond precision {self.precision}",
                 required=exp + 1,
             )
-        for e, c in self.coeffs:
-            if e == exp:
-                return c
-        return self.field.zero()
+        exps = self.exps
+        i = bisect_left(exps, exp)
+        if i == len(exps) or exps[i] != exp:
+            return self.field.zero()
+        if self.field.level:
+            return self.values[i]
+        return FieldElement(self.field, Fraction(self.values[i], self.den))
 
     def _dense(self) -> list:
         """Coefficients of exponents 0 to the top one, constant first."""
-        out = [self.field.zero()] * (self.coeffs[-1][0] + 1 if self.coeffs else 0)
+        out = [self.field.zero()] * (self.exps[-1] + 1 if self.exps else 0)
         for e, c in self.coeffs:
             out[e] = c
         return out
@@ -164,24 +216,41 @@ class TruncatedSeries:
     # -- field/precision management ---------------------------------------
 
     def lift_field(self, new_field: GroundField) -> "TruncatedSeries":
-        if new_field == self.field:
+        if new_field is self.field or new_field == self.field:
             return self
-        return TruncatedSeries(
-            new_field,
-            self.var,
-            tuple((e, new_field.lift(c)) for e, c in self.coeffs),
-            self.precision,
-        )
+        values = tuple(new_field.lift(c) for _, c in self.coeffs)
+        return _series(new_field, self.var, self.exps, values, 1, self.precision)
 
     def truncate(self, precision) -> "TruncatedSeries":
         p = min(self.precision, precision)
-        return TruncatedSeries(
-            self.field, self.var, tuple((e, c) for e, c in self.coeffs if e < p), p
-        )
+        return self._between(0, p, p)
+
+    def with_precision(self, precision) -> "TruncatedSeries":
+        """The same terms, known to precision, which must exceed every
+        exponent: a higher precision asserts that the terms between the two
+        bounds vanish, as for a root lift checked there."""
+        if self.exps and self.exps[-1] >= precision:
+            raise ValueError(f"a term lies beyond precision {precision}")
+        return _series(self.field, self.var, self.exps, self.values, self.den, precision)
+
+    def _between(self, lo, hi, precision) -> "TruncatedSeries":
+        """The terms of exponent lo <= e < hi, known to precision."""
+        exps = self.exps
+        i, j = bisect_left(exps, lo), bisect_left(exps, hi)
+        if i == 0 and j == len(exps):
+            datum = exps, self.values, self.den
+        elif self.field.level:
+            datum = exps[i:j], self.values[i:j], 1
+        else:
+            datum = _rational_datum(exps[i:j], self.values[i:j], self.den)
+        return _series(self.field, self.var, *datum, precision)
 
     def _coerce_pair(self, other):
         """(self, other), a scalar other made a constant; other fields raise.
         None for another type, for which the operators return NotImplemented."""
+        if (other.__class__ is TruncatedSeries and other.field is self.field
+                and other.var == self.var):
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if isinstance(other, FieldElement):
@@ -202,17 +271,18 @@ class TruncatedSeries:
             return NotImplemented
         a, b = pair
         p = min(a.precision, b.precision)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs:
-            out[e] = out[e] + c if e in out else c
-        return TruncatedSeries.make(a.field, a.var, out, p)
+        if not a.exps:
+            a, b = b, a
+        if not b.exps:
+            return a if a.precision == p else a._between(0, p, p)
+        datum = _sum(a.field, ((a.exps, a.values, a.den), (b.exps, b.values, b.den)), p)
+        return _series(a.field, a.var, *datum, p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.field, self.var, tuple((e, -c) for e, c in self.coeffs), self.precision
-        )
+        values = tuple([-v for v in self.values])
+        return _series(self.field, self.var, self.exps, values, self.den, self.precision)
 
     def __sub__(self, other):
         return self + (-other)
@@ -232,70 +302,93 @@ class TruncatedSeries:
         if pair is None:
             return NotImplemented
         a, b = pair
+        ea, eb = a.exps, b.exps
         if is_inf(a.precision) and is_inf(b.precision):
             p = INF
         else:
-            va = a.coeffs[0][0] if a.coeffs else a.precision
-            vb = b.coeffs[0][0] if b.coeffs else b.precision
+            va = ea[0] if ea else a.precision
+            vb = eb[0] if eb else b.precision
             p = min(a.precision + vb, b.precision + va)
-        if not (a.coeffs and b.coeffs):
-            return TruncatedSeries(a.field, a.var, (), p)
-        if len(a.coeffs) == 1:
-            a, b = b, a
-        if len(b.coeffs) == 1:
+        field = a.field
+        if not (ea and eb):
+            return _series(field, a.var, (), (), 1, p)
+        if len(ea) == 1:
+            a, b, ea, eb = b, a, eb, ea
+        if len(eb) == 1:
             # a one-term operand c0*x^e0 shifts and scales the other's terms;
             # a product of nonzero field elements is nonzero
-            ((e0, c0),) = b.coeffs
-            return TruncatedSeries(
-                a.field, a.var, tuple((e + e0, c * c0) for e, c in a.coeffs if e + e0 < p), p)
-        terms_a, terms_b = a.coeffs, b.coeffs
-        if not is_inf(p):
-            va, vb = terms_a[0][0], terms_b[0][0]
-            terms_a = [t for t in terms_a if t[0] + vb < p]
-            terms_b = [t for t in terms_b if t[0] + va < p]
-        runs_a, runs_b = _runs(terms_a), _runs(terms_b)
-        parts = [_packed_product(a.field, ra, rb, p) for ra in runs_a for rb in runs_b]
-        if len(parts) == 1:
-            return TruncatedSeries(a.field, a.var, parts[0], p)
-        out: dict = {}
-        for part in parts:
-            for e, c in part:
-                out[e] = out[e] + c if e in out else c
-        return TruncatedSeries.make(a.field, a.var, out, p)
+            (e0,), (c0,) = eb, b.values
+            cut = bisect_left(ea, p - e0)
+            exps = tuple([e + e0 for e in ea[:cut]])
+            values = [v * c0 for v in a.values[:cut]]
+            if field.level:
+                return _series(field, a.var, exps, tuple(values), 1, p)
+            return _series(field, a.var, *_rational_datum(exps, values, a.den * b.den), p)
+        cut_a, cut_b = bisect_left(ea, p - eb[0]), bisect_left(eb, p - ea[0])
+        parts = [_packed_product(field, ra, rb, p)
+                 for ra in _runs(ea[:cut_a], a.values[:cut_a], a.den)
+                 for rb in _runs(eb[:cut_b], b.values[:cut_b], b.den)]
+        datum = parts[0] if len(parts) == 1 else _sum(field, parts, p)
+        return _series(field, a.var, *datum, p)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncatedSeries":
-        c = self.field.coerce(c)
-        return TruncatedSeries.make(
-            self.field, self.var, {e: v * c for e, v in self.coeffs}, self.precision
-        )
+        field = self.field
+        if field.level:
+            c = field.coerce(c)
+            values = () if c.is_zero() else tuple([v * c for v in self.values])
+            return _series(field, self.var, self.exps if values else (), values, 1, self.precision)
+        # an int is its own numerator over 1
+        q = c if c.__class__ is int else field.coerce(c).data
+        if not q:
+            return _series(field, self.var, (), (), 1, self.precision)
+        nums = [n * q.numerator for n in self.values]
+        datum = _rational_datum(self.exps, nums, self.den * q.denominator)
+        return _series(field, self.var, *datum, self.precision)
+
+    def derivative(self) -> "TruncatedSeries":
+        """d/dvar, known to one below the precision (0 at least)."""
+        exps = self.exps
+        i = 1 if exps and exps[0] == 0 else 0
+        lowered = tuple([e - 1 for e in exps[i:]])
+        values = [v * e for e, v in zip(exps[i:], self.values[i:])]
+        if self.field.level:
+            datum = lowered, tuple(values), 1
+        else:
+            datum = _rational_datum(lowered, values, self.den)
+        p = self.precision if is_inf(self.precision) else max(self.precision - 1, 0)
+        return _series(self.field, self.var, *datum, p)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by var^k; k may be negative if no exponent drops below 0."""
-        if self.coeffs and self.coeffs[0][0] + k < 0:
+        k = _integral(k)
+        if self.exps and self.exps[0] + k < 0:
             raise ValueError("shift would create negative exponents")
-        return TruncatedSeries(
+        return _series(
             self.field,
             self.var,
-            tuple((e + k, c) for e, c in self.coeffs),
+            tuple([e + k for e in self.exps]),
+            self.values,
+            self.den,
             self.precision if is_inf(self.precision) else self.precision + k,
         )
 
     def substitute_pow(self, e: int, new_var=None) -> "TruncatedSeries":
         """Replace var by new_var**e."""
+        e = _integral(e)
         if e < 1:
             raise ValueError("exponent must be positive")
+        if e == 1:
+            return self.rename(new_var or self.var)
         p = self.precision if is_inf(self.precision) else self.precision * e
-        return TruncatedSeries(
-            self.field,
-            new_var or self.var,
-            tuple((exp * e, c) for exp, c in self.coeffs),
-            p,
-        )
+        return _series(self.field, new_var or self.var, tuple([exp * e for exp in self.exps]),
+                       self.values, self.den, p)
 
     def rename(self, new_var: str) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, new_var, self.coeffs, self.precision)
+        if new_var == self.var:
+            return self
+        return _series(self.field, new_var, self.exps, self.values, self.den, self.precision)
 
     def inverse(self, target=None) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series, to the given precision.
@@ -307,21 +400,24 @@ class TruncatedSeries:
         so 1 - a*x is minus the terms of a*x from n on, and the correction
         x*(1 - a*x) has no term below n to add to x's.
         """
-        if not self.coeffs or self.coeffs[0][0] != 0:
+        if not self.exps or self.exps[0] != 0:
             raise NotUnitary("series inverse needs a unit (order-0) series")
         p = self.precision if target is None else min(self.precision, target)
         k, var = self.field, self.var
-        x = TruncatedSeries.constant(k, var, self.coeffs[0][1].inverse())
+        if k.level:
+            x = _series(k, var, (0,), (self.values[0].inverse(),), 1, INF)
+        else:
+            x = _series(k, var, *_rational_datum((0,), (self.den,), self.values[0]), INF)
         if is_inf(p):
-            if len(self.coeffs) == 1:
+            if len(self.exps) == 1:
                 return x
             raise PrecisionInsufficient("inverse of a non-constant unit needs a finite target")
         n = 1
         while n < p:
             n, low = min(2 * n, p), n
             ax = self.truncate(n) * x
-            err = TruncatedSeries(k, var, tuple((e, -c) for e, c in ax.coeffs if e >= low), n)
-            x = TruncatedSeries(k, var, x.coeffs + (x * err).coeffs, INF)
+            err = -ax._between(low, n, n)
+            x = (x + x * err).with_precision(INF)
         return x.truncate(p)
 
     def exact_div(self, other) -> "TruncatedSeries":
@@ -343,17 +439,73 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (
-            self.var == other.var
+            self.exps == other.exps
+            and self.den == other.den
+            and self.var == other.var
             and self.precision == other.precision
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.var, self.precision, self.field, self.coeffs))
+        return hash((self.var, self.precision, self.field, self.exps, self.values, self.den))
 
     def __repr__(self):
         return format_series(self)
+
+
+_setters = [TruncatedSeries.__dict__[name].__set__ for name in TruncatedSeries.__slots__]
+_set_field, _set_var, _set_exps, _set_values, _set_den, _set_precision = _setters
+_new = object.__new__
+
+
+def _series(field, var, exps, values, den, precision) -> TruncatedSeries:
+    """The series of a canonical datum, as TruncatedSeries describes it."""
+    s = _new(TruncatedSeries)
+    _set_field(s, field)
+    _set_var(s, var)
+    _set_exps(s, exps)
+    _set_values(s, values)
+    _set_den(s, den)
+    _set_precision(s, precision)
+    return s
+
+
+def _rational_datum(exps, nums, den):
+    """The datum (exps, nums, den) over Q of integer numerators nums over
+    den != 0, with the zero numerators and their exponents dropped, den
+    made positive and the whole in lowest terms."""
+    if 0 in nums:
+        kept = [(e, n) for e, n in zip(exps, nums) if n]
+        exps, nums = [e for e, _ in kept], [n for _, n in kept]
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+    return tuple(exps), tuple(nums), den
+
+
+def _sum(field, parts, p):
+    """The datum of the sum of the data (exps, values, den) over field,
+    terms from p on dropped; over Q over the lcm of the denominators."""
+    out = {}
+    if field.level:
+        for exps, values, _ in parts:
+            for e, c in zip(exps, values):
+                if e < p:
+                    out[e] = out[e] + c if e in out else c
+        exps = sorted(e for e, c in out.items() if not c.is_zero())
+        return tuple(exps), tuple([out[e] for e in exps]), 1
+    den = lcm(*[d for _, _, d in parts])
+    for exps, nums, d in parts:
+        m = den // d
+        for e, n in zip(exps, nums):
+            if e < p:
+                out[e] = out[e] + n * m if e in out else n * m
+    exps = sorted(out)
+    return _rational_datum(exps, [out[e] for e in exps], den)
 
 
 # -- the packed kernels ---------------------------------------------------------
@@ -362,43 +514,51 @@ class TruncatedSeries:
 # one integer: each packed variable gets a span of slots, and the term
 # t^e a_1^i_1 ... a_k^i_k (e counted from the valuation) takes slot
 # i_1 + s_1*(i_2 + s_2*(... + s_k*e)), where s_i is the span of a_i.  A
-# tower element is already integer numerators over one denominator, in this
-# order with spans d_i (see newtonpoly.field), so packing reads each
-# numerator into its slot (field._positions), scaled to the lcm of the
-# elements' denominators; over Q a Fraction is one numerator.  The product
-# kernel gives a_i the span 2d_i - 1, the layout of field._dproduct, so that
-# the exponents of a product never overflow into the next slot; the
-# resultant kernel reads its spans off its operands.  Each slot is w bytes
-# wide, enough for any coefficient of the result with its sign, so one
-# big-integer multiplication (or one integer resultant) computes every
-# coefficient at once.  Unpacking reduces each block of integer slots
-# modulo the minimal polynomials by field._dreduce, the routine of the
-# element product, and builds no Fraction over a tower.
+# series over Q is already integer numerators over one denominator, one
+# slot per power of t; a tower element is integer numerators over one
+# denominator in this order with spans d_i (see newtonpoly.field), so
+# packing reads each numerator into its slot (field._positions), scaled to
+# the lcm of the elements' denominators.  The product kernel gives a_i the
+# span 2d_i - 1, the layout of field._dproduct, so that the exponents of a
+# product never overflow into the next slot; the resultant kernel reads its
+# spans off its operands.  Each slot is w bytes wide, enough for any
+# coefficient of the result with its sign, so one big-integer
+# multiplication (or one integer resultant) computes every coefficient at
+# once.  Unpacking over Q divides the slots by one gcd against the product
+# of the denominators; over a tower it reduces each block of slots modulo
+# the minimal polynomials by field._dreduce, the routine of the element
+# product.  Neither builds a Fraction.
 
 
-def _runs(terms):
-    """Split terms where consecutive exponents lie more than len(terms)
-    apart, so that no run packs more than len(terms)**2 slots of each power
-    of t, however far apart the exponents of a sparse series are."""
-    n = len(terms)
-    if terms[-1][0] - terms[0][0] <= n:
-        return [terms]
-    cuts = [i for i in range(1, n) if terms[i][0] - terms[i - 1][0] > n]
-    return [terms[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+def _runs(exps, values, den):
+    """The datum (exps, values, den), split where consecutive exponents
+    lie more than len(exps) apart, so that no run packs more than
+    len(exps)**2 slots of each power of t, however far apart the exponents
+    of a sparse series are."""
+    n = len(exps)
+    if exps[-1] - exps[0] <= n:
+        return [(exps, values, den)]
+    cuts = [i for i in range(1, n) if exps[i] - exps[i - 1] > n]
+    return [(exps[i:j], values[i:j], den) for i, j in zip([0] + cuts, cuts + [n])]
 
 
-def _integer_slots(items, positions):
-    """(D, slots, integers) of (slot, FieldElement) items: each nonzero
-    numerator of an element's datum at the item's slot plus its index's
-    position, times D over the element's denominator, D the lcm of the
-    denominators."""
-    data = [c.data for _, c in items]
-    if data and data[0].__class__ is Fraction:
-        den = lcm(*[q.denominator for q in data])
-        return den, [slot for slot, _ in items], [q.numerator * (den // q.denominator) for q in data]
-    den = lcm(*[d for _, d in data])
+def _integer_slots(level, runs, positions):
+    """(D, slots, integers) of runs (offset, stride, (exps, values, den)):
+    the term of exponent e at slot offset + e * stride, times D over its
+    denominator, D the lcm of the denominators.  Over Q a value is one
+    numerator over the run's den; over a tower each nonzero numerator of an
+    element's datum goes to the slot plus its index's position."""
     slots, ints = [], []
-    for (slot, _), (nums, d) in zip(items, data):
+    if level == 0:
+        den = lcm(*[d for _, _, (_, _, d) in runs])
+        for offset, stride, (exps, nums, d) in runs:
+            slots += [offset + e * stride for e in exps]
+            ints += nums if d == den else [n * (den // d) for n in nums]
+        return den, slots, ints
+    items = [(offset + e * stride, c.data)
+             for offset, stride, (exps, values, _) in runs for e, c in zip(exps, values)]
+    den = lcm(*[d for _, (_, d) in items])
+    for slot, (nums, d) in items:
         scale = den // d
         for i, n in enumerate(nums):
             if n:
@@ -436,18 +596,16 @@ def _unpack(value, width, bias, nslots, count):
 
 
 def _unflatten(field, level, values, slot, strides, den):
-    """Field datum of the slots from slot on, divided by den and reduced
+    """Tower datum of the slots from slot on, divided by den and reduced
     modulo the minimal polynomials by fld._dreduce, whose layout the
     strides give."""
-    if level == 0:
-        return Fraction(values[slot], den)
     nums, f = fld._dreduce(field, level, values, slot, strides)
     return fld._canonical(nums, den * f)
 
 
-def _packed_product(field, terms_a, terms_b, p):
-    """Terms (exp, FieldElement) of the product below p, by one big-integer
-    multiplication (Kronecker substitution).
+def _packed_product(field, run_a, run_b, p):
+    """The datum of the product of two data (exps, values, den) below p,
+    by one big-integer multiplication (Kronecker substitution).
 
     Denominators are cleared first, so every slot of the product holds an
     integer bounded by max|A| * max|B| * min(#A, #B); the slot width leaves
@@ -456,26 +614,29 @@ def _packed_product(field, terms_a, terms_b, p):
     level = field.level
     strides, positions = field._layouts[level]
     size = strides[-1]
-    den_a, slots_a, ints_a = _integer_slots(
-        [((e - terms_a[0][0]) * size, c) for e, c in terms_a], positions)
-    den_b, slots_b, ints_b = _integer_slots(
-        [((e - terms_b[0][0]) * size, c) for e, c in terms_b], positions)
+    ea, eb = run_a[0], run_b[0]
+    den_a, slots_a, ints_a = _integer_slots(level, [(-ea[0] * size, size, run_a)], positions)
+    den_b, slots_b, ints_b = _integer_slots(level, [(-eb[0] * size, size, run_b)], positions)
     bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(ints_a), len(ints_b))
     width = (bound.bit_length() + 8) // 8
-    v = terms_a[0][0] + terms_b[0][0]
-    nslots = (terms_a[-1][0] + terms_b[-1][0] - v + 1) * size
+    v = ea[0] + eb[0]
+    nslots = (ea[-1] + eb[-1] - v + 1) * size
     bias = _slot_bias(nslots, width)
     product = _pack(slots_a, ints_a, width, bias) * _pack(slots_b, ints_b, width, bias)
     count = nslots if is_inf(p) else min(nslots, (p - v) * size)
     values = _unpack(product, width, bias, nslots, count)
-    den, out = den_a * den_b, []
+    den = den_a * den_b
+    if level == 0:
+        return _rational_datum(range(v, v + count), values, den)
+    exps, elements = [], []
     for lo in range(0, count, size):
         if any(values[lo:lo + size]):
             data = _unflatten(field, level, values, lo, strides, den)
-            # over a tower, a nonzero block can reduce to zero
-            if not (level and fld._data_is_zero(data)):
-                out.append((v + lo // size, FieldElement(field, data)))
-    return tuple(out)
+            # a nonzero block can reduce to zero
+            if not fld._data_is_zero(data):
+                exps.append(v + lo // size)
+                elements.append(FieldElement(field, data))
+    return tuple(exps), tuple(elements), 1
 
 
 # -- polynomials in y over series ----------------------------------------------
@@ -526,7 +687,7 @@ class YPolynomial:
     def is_unitary(self) -> bool:
         """Leading coefficient is a unit series (order 0)."""
         lead = self.coeffs[-1]
-        return bool(lead.coeffs) and lead.coeffs[0][0] == 0
+        return bool(lead.exps) and lead.exps[0] == 0
 
     def is_y_divisible(self) -> bool:
         return self.coeffs[0].is_zero()
@@ -597,25 +758,16 @@ class YPolynomial:
         )
 
     def dx(self) -> "YPolynomial":
-        out = []
-        for c in self.coeffs:
-            p = c.precision if is_inf(c.precision) else max(c.precision - 1, 0)
-            out.append(
-                TruncatedSeries.make(
-                    c.field, c.var, {e - 1: v * e for e, v in c.coeffs if e >= 1}, p
-                )
-            )
-        return YPolynomial.make(out, self.xvar, self.yvar)
+        return YPolynomial.make([c.derivative() for c in self.coeffs], self.xvar, self.yvar)
 
     def eval_on_branch(self, e: int, yseries: TruncatedSeries) -> TruncatedSeries:
         """Evaluate f(t^e, y(t)) for a branch parameterisation; with e = 1
         this is f(x, y(x)) for a series y in the x-variable."""
         k = join_fields(self.field, yseries.field)
         ys = yseries.lift_field(k)
-        acc = TruncatedSeries.zero(k, ys.var)
-        for c in reversed(self.coeffs):
-            cs = c.lift_field(k).substitute_pow(e, new_var=ys.var)
-            acc = acc * ys + cs
+        *low, acc = [c.lift_field(k).substitute_pow(e, new_var=ys.var) for c in self.coeffs]
+        for c in reversed(low):
+            acc = acc * ys + c
         return acc
 
     def substitute(self, xs, ys) -> "YPolynomial":
@@ -635,7 +787,7 @@ class YPolynomial:
         xs, ys = ({key: k.coerce(v) for key, v in m.items()} for m in (xs, ys))
         coeffs = self.lift_field(k).coeffs
         x_powers = [{(0, 0): k.one()}]
-        for _ in range(max((c.coeffs[-1][0] for c in coeffs if c.coeffs), default=0)):
+        for _ in range(max((c.exps[-1] for c in coeffs if c.exps), default=0)):
             x_powers.append(_mul_terms(x_powers[-1], xs))
         acc = {}
         for coeff in reversed(coeffs):
@@ -655,12 +807,17 @@ class YPolynomial:
                 out[(e, j)] = v
         return out
 
+    def support_points(self) -> list:
+        """The exponents (xexp, ydeg) of the known terms, in the order of
+        support(), without building their coefficients."""
+        return [(e, j) for j, c in enumerate(self.coeffs) for e in c.exps]
+
     def multiplicity(self) -> int:
         """Lowest total degree of a known term (order of the curve germ)."""
-        supp = self.support()
-        if not supp:
+        orders = [c.exps[0] + j for j, c in enumerate(self.coeffs) if c.exps]
+        if not orders:
             raise EmptySupport("zero polynomial")
-        return min(i + j for i, j in supp)
+        return min(orders)
 
     def coefficient(self, xexp: int, ydeg: int) -> FieldElement:
         if ydeg >= len(self.coeffs):
@@ -679,8 +836,8 @@ def newton_polygon_of(f: YPolynomial) -> NewtonPolygon:
     points = []
     hidden = []
     for j, c in enumerate(f.coeffs):
-        if c.coeffs:
-            points.append((c.coeffs[0][0], j))
+        if c.exps:
+            points.append((c.exps[0], j))
         elif not c.is_exact:
             hidden.append((c.precision, j))
     if not points:
@@ -807,11 +964,11 @@ def _require_exact(p1: YPolynomial, p2: YPolynomial, what: str, unitary=False):
     p1, p2 = p1.lift_field(k), p2.lift_field(k)
     for f, unit in ((p1, True), (p2, unitary)):
         lead = f.coeffs[-1]
-        if not lead.coeffs:
+        if not lead.exps:
             if lead.is_exact:
                 raise EmptySupport(f"{what}: zero polynomial")
             raise PrecisionInsufficient(f"{what}: leading coefficient vanishes to precision")
-        if unit and lead.coeffs[0][0] != 0:
+        if unit and lead.exps[0] != 0:
             raise NotUnitary(f"{what}: leading coefficient has positive order")
         if not all(c.is_exact for c in f.coeffs):
             raise PrecisionInsufficient(
@@ -833,8 +990,9 @@ def sylvester_resultant(p1: YPolynomial, p2: YPolynomial) -> TruncatedSeries:
     packed kernel (see _packed_resultant).
     """
     k, p1, p2 = _require_exact(p1, p2, "sylvester_resultant")
-    (terms,) = _packed_resultant(k, [[(0, c)] for c in p1.coeffs], [[(0, c)] for c in p2.coeffs])
-    return TruncatedSeries(k, p1.xvar, terms, INF)
+    (res,) = _packed_resultant(k, p1.xvar, [[(0, c)] for c in p1.coeffs],
+                               [[(0, c)] for c in p2.coeffs])
+    return res
 
 
 def _generator_degrees(nums, step_degrees, degrees):
@@ -848,11 +1006,11 @@ def _generator_degrees(nums, step_degrees, degrees):
                     degrees[i] = e
 
 
-def _packed_resultant(k, p1, p2):
+def _packed_resultant(k, xvar, p1, p2):
     """Sylvester determinant of two polynomials in y over k[T, x], with p1's
     coefficients in the top rows, by one integer resultant (Kronecker
     substitution).  Returns the coefficient of each power of T, ascending,
-    as the terms (exp, FieldElement) of an exact series in x.
+    as an exact series in xvar.
 
     Each operand lists its y-coefficients in ascending degree, the leading
     one nonzero; a y-coefficient lists (t, s) pairs, ascending in t, for
@@ -885,13 +1043,13 @@ def _packed_resultant(k, p1, p2):
     for p, deg in zip((p1, p2), degrees):
         for row in p:
             for t, s in row:
-                if s.coeffs:
+                if s.exps:
                     if t > deg[-1]:
                         deg[-1] = t
-                    if s.coeffs[-1][0] > deg[-2]:
-                        deg[-2] = s.coeffs[-1][0]
+                    if s.exps[-1] > deg[-2]:
+                        deg[-2] = s.exps[-1]
                     if level:
-                        for _, c in s.coeffs:
+                        for c in s.values:
                             _generator_degrees(c.data[0], step_degrees, deg)
     spans = [max(n * d1 + m * d2, d1, d2) + 1 for d1, d2 in zip(*degrees)]
     strides = fld._slot_strides(spans)
@@ -899,8 +1057,8 @@ def _packed_resultant(k, p1, p2):
     positions = fld._positions(step_degrees, strides)
     packed = []
     for p in (p1, p2):
-        rows = [_integer_slots([(t * t_stride + e * x_stride, c) for t, s in row for e, c in s.coeffs],
-                               positions) for row in p]
+        rows = [_integer_slots(level, [(t * t_stride, x_stride, (s.exps, s.values, s.den))
+                                       for t, s in row], positions) for row in p]
         den = lcm(*[d for d, _, _ in rows])
         rows = [(slots, ints if d == den else [i * (den // d) for i in ints])
                 for d, slots, ints in rows]
@@ -918,15 +1076,24 @@ def _packed_resultant(k, p1, p2):
     if m < n:
         f1, f2, scale = f2, f1, (-1) ** (m * n) * scale
     digits = _unpack(int(dup_resultant(f1, f2, ZZ)), width, bias, nslots, nslots)
-    out = [[] for _ in range(spans[-1])]
+    # the exponents and values of each power of T
+    out = [([], []) for _ in range(spans[-1])]
+    if level == 0:
+        for i, d in enumerate(digits):
+            if d:
+                exps, nums = out[i // spans[-2]]
+                exps.append(i % spans[-2])
+                nums.append(d)
+        return [_series(k, xvar, *_rational_datum(exps, nums, scale), INF) for exps, nums in out]
     # each block of x_stride slots holds one field datum
     for block in dict.fromkeys(i // x_stride for i, d in enumerate(digits) if d):
         data = _unflatten(k, level, digits, block * x_stride, strides, scale)
-        # over a tower, a nonzero block can reduce to zero
-        if not (level and fld._data_is_zero(data)):
-            t, e = divmod(block, spans[-2])
-            out[t].append((e, FieldElement(k, data)))
-    return [tuple(terms) for terms in out]
+        # a nonzero block can reduce to zero
+        if not fld._data_is_zero(data):
+            exps, elements = out[block // spans[-2]]
+            exps.append(block % spans[-2])
+            elements.append(FieldElement(k, data))
+    return [_series(k, xvar, tuple(exps), tuple(elements), 1, INF) for exps, elements in out]
 
 
 def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
@@ -948,14 +1115,12 @@ def shifted_resultant(p1: YPolynomial, p2: YPolynomial) -> YPolynomial:
         [(j - i, p1.coeffs[j].scale(comb(j, i))) for j in range(i, m + 1)]
         for i in range(m + 1)
     ]
-    coeffs = _packed_resultant(k, p1_in_u, [[(0, c)] for c in p2.coeffs])
-    res = YPolynomial.make(
-        [TruncatedSeries(k, p1.xvar, terms, INF) for terms in coeffs], p1.xvar, "T"
-    )
+    coeffs = _packed_resultant(k, p1.xvar, p1_in_u, [[(0, c)] for c in p2.coeffs])
+    res = YPolynomial.make(coeffs, p1.xvar, "T")
     if res.degree() != m * n:
         raise ArithmeticError("shifted resultant degree must be deg P1 * deg P2")
     lead = res.coeffs[-1]
-    if not lead.coeffs or lead.coeffs[0][0] != 0:
+    if not lead.exps or lead.exps[0] != 0:
         raise NotUnitary("shifted resultant leading coefficient is not a unit")
     # keep the raw P1-top-rows determinant: evaluating the same matrix at
     # T = 0 gives the plain resultant, so Res^V(0) = Res holds on the nose;
@@ -972,10 +1137,8 @@ def level_resultant(f: YPolynomial, g: YPolynomial) -> YPolynomial:
     k, f, g = _require_exact(f, g, "level_resultant")
     rows = [[(0, c)] for c in f.coeffs]
     rows[0].append((1, TruncatedSeries.constant(k, f.xvar, -1)))
-    coeffs = _packed_resultant(k, rows, [[(0, c)] for c in g.coeffs])
-    return YPolynomial.make(
-        [TruncatedSeries(k, f.xvar, terms, INF) for terms in coeffs], f.xvar, "T"
-    )
+    coeffs = _packed_resultant(k, f.xvar, rows, [[(0, c)] for c in g.coeffs])
+    return YPolynomial.make(coeffs, f.xvar, "T")
 
 
 def realization_polygon(f: YPolynomial) -> NewtonPolygon:
@@ -1260,7 +1423,7 @@ def format_polynomial(f: YPolynomial) -> str:
     precisions = {c.precision for c in f.coeffs}
     if len(precisions) > 1:
         raise ValueError("text format requires a uniform coefficient precision")
-    if f.degree() > 0 and not f.coeffs[-1].coeffs:
+    if f.degree() > 0 and not f.coeffs[-1].exps:
         raise ValueError("text format requires a known term in the top y-coefficient")
     prec = precisions.pop()
     items = []

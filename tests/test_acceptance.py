@@ -53,8 +53,8 @@ def test_product_realization_checks_the_kernel_on_its_own(monkeypatch):
 
     packed = series._packed_resultant
 
-    def doubled(k, p1, p2):
-        return [tuple((e, c * 2) for e, c in terms) for terms in packed(k, p1, p2)]
+    def doubled(k, xvar, p1, p2):
+        return [s.scale(2) for s in packed(k, xvar, p1, p2)]
 
     monkeypatch.setattr(series, "_packed_resultant", doubled)
     results = run_suite("product-realization", seed=SEED)

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -111,6 +113,47 @@ class TestSeriesArithmetic:
         assert parse_series("2").inverse() == parse_series("1/2")
         with pytest.raises(PrecisionInsufficient):
             parse_series("1 + x").inverse()
+
+
+class TestExponentBoundary:
+    """Exponents enter a series through polygon._integral: a value that int()
+    keeps exactly is read as that int, and anything else raises."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: TruncatedSeries.make(QQ, "x", {2.5: 1}),
+        lambda: TruncatedSeries.make(QQ, "x", {Fraction(3, 2): 1}),
+        lambda: TruncatedSeries.monomial(QQ, "x", 1.5),
+        lambda: TruncatedSeries(QQ, "x", [(Fraction(1, 2), 1)]),
+        lambda: parse_series("1 + x").shift(1.5),
+        lambda: parse_series("1 + x").substitute_pow(Fraction(5, 2)),
+    ], ids=["make-float", "make-fraction", "monomial", "constructor", "shift", "substitute_pow"])
+    def test_non_integer_exponents_raise(self, build):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+
+    def test_integral_values_are_read_as_ints(self):
+        s = TruncatedSeries.make(QQ, "x", {2.0: 1, Fraction(6, 2): 2})
+        assert s == parse_series("x^2 + 2*x^3")
+        assert [type(e) for e, _ in s.coeffs] == [int, int]
+        assert parse_series("x").shift(2.0) == parse_series("x^3")
+        assert repr(parse_series("1 + x").shift(True)) == "x + x^2"
+
+    def test_repeated_exponents_raise(self):
+        for pairs in ([(1, 1), (1, 2)], [(1, 0), (1, 2)]):
+            with pytest.raises(ValueError, match="given twice"):
+                TruncatedSeries(QQ, "x", pairs)
+
+
+@pytest.mark.parametrize("text", ["1/2 - 3*x^2 + O(x^5)", "adjoin a: a^2 - 2; 1 + a*x^3"])
+def test_series_are_immutable_values(text):
+    s = parse_series(text) if ";" not in text else parse_polynomial(text).coeffs[0]
+    for name in ("exps", "values", "den", "precision", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, ())
+    with pytest.raises(AttributeError):
+        del s.exps
+    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and hash(copied) == hash(s)
 
 
 class TestOneField:

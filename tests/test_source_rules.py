@@ -41,8 +41,12 @@ neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 
 Tower arithmetic runs in integers: a tower element is integer numerators
 over one denominator, and field's reduction routine ``_dreduce``, the
-products ``_dproduct`` and ``_dmul`` and the tower branch of series'
-``_unflatten`` name no ``Fraction``.
+products ``_dproduct`` and ``_dmul`` and series' ``_unflatten`` name no
+``Fraction``.  So does the arithmetic of series over Q, whose terms are
+integer numerators over one denominator: ``TruncatedSeries.__mul__``,
+``__add__`` and ``scale``, the sums and canonical form ``_sum`` and
+``_rational_datum``, and the packed product ``_packed_product`` with
+``_runs``, ``_integer_slots`` and ``_unflatten``, on every level.
 
 No jacobian polygon depends on a drawn seed: ``invariants.py`` does not
 import ``random``.
@@ -465,8 +469,7 @@ def test_polygon_construction_path_has_no_fraction(name):
 
 
 # the integer tower arithmetic: field's reduction routine, the product of
-# numerator vectors and the element product, and series' unpacking, whose
-# level-0 branch alone reads a Fraction over Q
+# numerator vectors and the element product, and series' unpacking
 TOWER_INTEGER_PATH = [("field.py", "_dreduce"), ("field.py", "_dproduct"),
                       ("field.py", "_dmul"), ("series.py", "_unflatten")]
 
@@ -505,6 +508,49 @@ def test_tower_arithmetic_builds_no_fraction(module, name):
     assert name in funcs, f"{module} defines no {name}"
     assert not any(_uses_fraction(node) for node in _tower_branch(funcs[name])), (
         f"{module} {name} refers to Fraction on a tower level"
+    )
+
+
+# the arithmetic of series over Q, which runs on integer numerators over one
+# denominator: the operators and scale, the sums and the canonical form of
+# the datum, and the packed product, its packing and its unpacking, on every
+# level, the level-0 branches included
+RATIONAL_SERIES_PATH = ["TruncatedSeries.__mul__", "TruncatedSeries.__add__",
+                        "TruncatedSeries.scale", "_sum", "_rational_datum", "_runs",
+                        "_integer_slots", "_packed_product", "_unflatten"]
+
+
+def test_rational_series_scan_sees_every_form():
+    source = (
+        "class S:\n"
+        "    def scale(self, c):\n"
+        "        if self.field.level:\n"
+        "            return c\n"
+        "        return [Fraction(n, self.den) for n in self.values]\n"
+        "    def __add__(self, other):\n"
+        "        return _sum(self, other)\n"
+        "def _sum(a, b):\n"
+        "    return {e: fractions.Fraction(n) for e, n in a}\n"
+        "def _unflatten(level, v):\n"
+        "    if level == 0:\n"
+        "        return Fraction(v)\n"
+        "    return v\n"
+    )
+    funcs = _functions(ast.parse(source))
+    names = ["S.scale", "S.__add__", "_sum", "_unflatten"]
+    assert [_uses_fraction(funcs[name]) for name in names] == [True, False, True, True]
+    # the tower rule exempts a level-0 branch, which this rule scans
+    assert not any(_uses_fraction(node) for node in _tower_branch(funcs["_unflatten"]))
+
+
+@pytest.mark.parametrize("name", RATIONAL_SERIES_PATH)
+def test_rational_series_arithmetic_builds_no_fraction(name):
+    path = PACKAGE / "series.py"
+    funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
+    assert name in funcs, f"series.py defines no {name}"
+    assert not _uses_fraction(funcs[name]), (
+        f"series.py {name} refers to Fraction; a series over Q is integer "
+        "numerators over one denominator"
     )
 
 
