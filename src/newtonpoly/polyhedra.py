@@ -1,30 +1,37 @@
 """Newton polyhedra of monomial supports in dimension d <= 4.
 
-The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  Its compact
-facets are enumerated exactly: every d-subset of generators that spans a
-supporting hyperplane with strictly positive inward normal gives one.  A
-d-subset on a hyperplane already found (its points' bitmasks of known
-hyperplanes AND to nonzero) is skipped unexamined, which changes no answer:
-d affinely independent points of a hyperplane span it, and dependent points
-span none.  The others are side-tested in one pass, with the raw cofactor
-vector made primitive only on acceptance.  Covolume (the volume of the
-complement inside the positive orthant) is the cone sum from the origin over
-those facets, ``(1/d!) sum |N . p_0|`` over the simplices (p_0, ...)
-triangulating each facet, in exact integers.  N, the closed-form cofactor
-vector of ``_cofactors``, is also the normal of the facet hyperplanes.  A
-facet with exactly d points is its own simplex; the other d = 4 facets are
-tetrahedralised with the same facet enumerator, applied to their
-3-dimensional projections.
+The region of a polyhedron is ``conv(generators) + R_{>=0}^d``.  At d = 1, 3
+and 4 its compact facets are enumerated exactly: every d-subset of
+generators that spans a supporting hyperplane with strictly positive inward
+normal gives one.  A d-subset on a hyperplane already found (its points'
+bitmasks of known hyperplanes AND to nonzero) is skipped unexamined, which
+changes no answer: d affinely independent points of a hyperplane span it,
+and dependent points span none.  The others are side-tested in one pass,
+with the raw cofactor vector made primitive only on acceptance.  Covolume
+(the volume of the complement inside the positive orthant) is the cone sum
+from the origin over those facets, ``(1/d!) sum |N . p_0|`` over the
+simplices (p_0, ...) triangulating each facet, in exact integers.  N, the
+closed-form cofactor vector of ``_cofactors``, is also the normal of the
+facet hyperplanes.  A facet with exactly d points is its own simplex; the
+other d = 4 facets are tetrahedralised with the same facet enumerator,
+applied to their 3-dimensional projections.
+
+At d = 2 the compact facets are the edges of the lower-left convex chain of
+``polygon._convex_chain``, the walk behind ``polygon.from_support``, read off
+in one pass over the sorted generators; the enumerator runs at d = 1, 3 and 4
+and on the 3-dimensional facet shadows of the d = 4 triangulation.
 
 Mixed covolumes are coefficients of the polynomial ``Vol(sum lambda_i N_i)``,
 their defining identity; the one of lambda^alpha is read off by the
 alpha-th mixed forward difference of that polynomial on the integer nodes
-0 <= j <= alpha, with no linear solve.  The normal fan of
-``sum lambda_i N_i`` is the common refinement of the fans of the N_i with
-lambda_i > 0, whatever those positive lambda_i are, so the nodes that share
-a support pattern share their compact facet normals: only the first node of
-each pattern runs the enumerator, and a node with one positive lambda_i is
-lambda_i^d times the covolume of N_i.
+0 <= j <= alpha, with no linear solve.  A combination ``sum lambda_i N_i``
+is generated by the sums of the operands' boundary generators, those on
+their compact facets (Kouchnirenko's Newton boundary), not by all of their
+sums.  The normal fan of ``sum lambda_i N_i`` is the common refinement of
+the fans of the N_i with lambda_i > 0, whatever those positive lambda_i
+are, so the nodes that share a support pattern share their compact facet
+normals: only the first node of each pattern runs the enumerator, and a
+node with one positive lambda_i is lambda_i^d times the covolume of N_i.
 """
 
 from __future__ import annotations
@@ -157,6 +164,31 @@ def _ring_2d(points):
     if len(pts) < 3:
         return pts
     return _convex_chain(pts)[:-1] + _convex_chain(pts[::-1])[:-1]
+
+
+def _chain_facets(gens):
+    """Compact facets of conv(gens) + R^2_+ for sorted minimal 2d generators,
+    as ``_facets`` lists them: (inward normal, offset, on-points) sorted by
+    normal and offset, the on-points in the order of ``gens``.
+
+    Minimal generators sorted by x have strictly falling y, so the edges of
+    their lower-left convex chain have strictly positive inward normals and
+    are the compact facets.  The points of an edge lie between its ends in
+    the sorted list, and those there on its line are its on-points.
+    """
+    facets = []
+    lo = 0
+    chain = _convex_chain(gens)
+    for a, b in zip(chain, chain[1:]):
+        hi = gens.index(b, lo)
+        u, v = a[1] - b[1], b[0] - a[0]
+        g = gcd(u, v)
+        normal = (u // g, v // g)
+        off = _dot(normal, a)
+        facets.append((normal, off, tuple(p for p in gens[lo:hi + 1] if _dot(normal, p) == off)))
+        lo = hi
+    facets.sort()
+    return tuple(facets)
 
 
 def _project_facet(on, normal):
@@ -310,7 +342,11 @@ class NewtonPolyhedron:
 
         A compact facet has a strictly positive inward normal; it is the
         convex hull of the generators lying on its supporting hyperplane.
+        At d = 2 they are the edges of the generators' convex chain
+        (``_chain_facets``), in the order the enumerator would give.
         """
+        if self.dim == 2:
+            return _chain_facets(self.generators)
         return tuple(f for f in _facets(self.generators) if all(c > 0 for c in f[0]))
 
     # -- serialisation ----------------------------------------------------
@@ -369,12 +405,37 @@ def covolume(n: NewtonPolyhedron) -> Fraction:
     return n._covolume
 
 
+def _boundary_generators(n: NewtonPolyhedron):
+    """The generators of n on its compact facets, in order; all of them when
+    it has none (the orthant, whose one generator is the origin) or when its
+    region is infinite."""
+    if not n._hull_facets:
+        return n.generators
+    on = set().union(*(pts for _, _, pts in n._hull_facets))
+    return [g for g in n.generators if g in on]
+
+
 def _combo_points(polys, lams):
-    """Generator sums of sum(lam_i * N_i): lam_i * g_i summed over one g_i
-    from each N_i with lam_i > 0, as a set."""
+    """Generators of sum(lam_i * N_i): lam_i * g_i summed over one boundary
+    generator g_i (``_boundary_generators``) of each N_i with lam_i > 0, as
+    a set.
+
+    The region they generate is sum(lam_i * N_i), with the same compact
+    facets and the same on-points on each.  A finite-volume N without the
+    origin has only coordinate hyperplanes as non-compact facets (each such
+    facet has an inward normal w >= 0 with a zero entry, meets an axis point
+    of N at w . p = 0, so it is {x_j = 0}), so a vertex of N, which lies on d
+    facets and is not the origin, lies on a compact one: N is conv(boundary
+    generators) + R^d_+.  For w > 0, face_w(sum lam_i N_i) = sum lam_i
+    face_w(N_i), every generator of N_i on face_w(N_i) lies on a compact
+    facet, and no point of a face with w > 0 dominates another, so every
+    generator sum on a compact facet of the sum is kept.
+    """
     d = polys[0].dim
     weights = [lam for lam in lams if lam > 0]
-    choices = itertools.product(*(n.generators for n, lam in zip(polys, lams) if lam > 0))
+    choices = itertools.product(
+        *(_boundary_generators(n) for n, lam in zip(polys, lams) if lam > 0)
+    )
     return {
         tuple(sum(lam * g[i] for lam, g in zip(weights, choice)) for i in range(d))
         for choice in choices
@@ -383,7 +444,7 @@ def _combo_points(polys, lams):
 
 def _combo(polys, lams) -> NewtonPolyhedron:
     """Integer combination sum(lam_i * N_i), skipping zero coefficients;
-    the constructor keeps the minimal generator sums."""
+    the constructor keeps the minimal sums of boundary generators."""
     return NewtonPolyhedron(polys[0].dim, _combo_points(polys, lams))
 
 

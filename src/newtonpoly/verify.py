@@ -751,18 +751,35 @@ def _interpolation_coefficients(xs, ys):
 
 
 def _mixed_pair_mismatch(n1, n2):
-    """The first index (i, 3 - i) at which ``mixed_covolume`` differs from
+    """The first index (i, d - i) at which ``mixed_covolume`` differs from
     the box-hull oracle, or None.
 
-    Vol(l N1 + N2) = sum_i C(3, i) V(N1^[i], N2^[3 - i]) l^i, so the box-hull
-    volumes at l = 0 .. 3 fix every mixed covolume of the pair.
+    Vol(l N1 + N2) = sum_i C(d, i) V(N1^[i], N2^[d - i]) l^i, so the box-hull
+    volumes at l = 0 .. d fix every mixed covolume of the pair.
     """
-    lams = range(4)
+    d = n1.dim
+    lams = range(d + 1)
     vols = [_box_hull_covolume(ph.sum_d(ph.scale_d(n1, lam), n2)) for lam in lams]
     for i, c in enumerate(_interpolation_coefficients(lams, vols)):
-        if ph.mixed_covolume([n1, n2], ph.MixedVolumeIndex((i, 3 - i))) != c / comb(3, i):
-            return (i, 3 - i)
+        if ph.mixed_covolume([n1, n2], ph.MixedVolumeIndex((i, d - i))) != c / comb(d, i):
+            return (i, d - i)
     return None
+
+
+def _mixed_pairs_result(pairs, label):
+    """One CheckResult for the pairs: the first mismatch, if any."""
+    bad = ""
+    for n1, n2 in pairs:
+        index = _mixed_pair_mismatch(n1, n2)
+        if index is not None:
+            bad = f"index {index} differs on {n1}, {n2}"
+            break
+    return CheckResult(
+        f"{label} mixed covolumes = box-hull interpolation of Vol(l N1 + N2) on "
+        f"{len(pairs)} pairs",
+        not bad,
+        bad,
+    )
 
 
 def suite_monomial_multiplicity(seed=DEFAULT_SEED):
@@ -820,19 +837,16 @@ def suite_monomial_multiplicity(seed=DEFAULT_SEED):
         n1, n2 = _random_monomial_ideal(mixed_rng, 3), _random_monomial_ideal(mixed_rng, 3)
         if n1 != n2 and len(n1.generators) + len(n2.generators) > 6:
             pairs.append((n1, n2))
-    bad = ""
-    for n1, n2 in pairs:
-        index = _mixed_pair_mismatch(n1, n2)
-        if index is not None:
-            bad = f"index {index} differs on {n1}, {n2}"
-            break
-    results.append(
-        CheckResult(
-            "d = 3 mixed covolumes = box-hull interpolation of Vol(l N1 + N2) on 5 pairs",
-            not bad,
-            bad,
-        )
-    )
+    results.append(_mixed_pairs_result(pairs, "d = 3"))
+    # d = 4 pairs from their own generator, so that the clauses above and
+    # below draw the same inputs as without them
+    quartic_pair_rng = random.Random(seed + 12)
+    quartic_pairs = []
+    while len(quartic_pairs) < 2:
+        n1, n2 = _quartic_ideal(quartic_pair_rng), _quartic_ideal(quartic_pair_rng)
+        if n1 != n2:
+            quartic_pairs.append((n1, n2))
+    results.append(_mixed_pairs_result(quartic_pairs, "d = 4"))
 
     ok = True
     for _ in range(50):

@@ -349,7 +349,9 @@ class TestMixedCovolume:
                         if lam > 0:
                             total = sum_d(total, scale_d(n, lam))
                     combo = _combo(polys, lams)
-                    assert combo == total
+                    # the boundary sums generate the same region, whose
+                    # minimal generators may still differ
+                    assert combo._hull_facets == total._hull_facets
                     assert covolume(combo) == covolume(total)
 
     def test_d2_bridge_to_mixed_height(self):
@@ -508,11 +510,22 @@ def _facets_reference(points):
     return [(normal, off, on) for (normal, off), on in sorted(found.items())]
 
 
+def _all_sums(polys, lams):
+    """Every sum of lam_i * g_i over one generator g_i of each N_i with
+    lam_i > 0, the boundary ones or not, as a set."""
+    d = polys[0].dim
+    weights = [lam for lam in lams if lam > 0]
+    choices = itertools.product(*(n.generators for n, lam in zip(polys, lams) if lam > 0))
+    return {tuple(sum(lam * g[i] for lam, g in zip(weights, choice)) for i in range(d))
+            for choice in choices}
+
+
 def _random_combo(rng, d):
-    """lam_1 N + lam_2 (2N): many generators on few hyperplanes."""
+    """lam_1 N + lam_2 (2N) from all generator sums: many generators on few
+    hyperplanes."""
     n = random_finite_polyhedron(rng, d)
     lam = (rng.randint(1, 2), rng.randint(1, 2))
-    return _combo([n, scale_d(n, 2)], lam)
+    return _combination_reference([n, scale_d(n, 2)], lam)
 
 
 def _random_point_sets(d):
@@ -543,7 +556,7 @@ def _generator_sums(rng, d, extras, low, high):
     dominated ones included, with between low and high points."""
     while True:
         pair = [NewtonPolyhedron(d, _antichain(rng, d, extras)) for _ in range(2)]
-        pts = sorted(_combo_points(pair, (1, 1)))
+        pts = sorted(_all_sums(pair, (1, 1)))
         if low <= len(pts) <= high:
             rng.shuffle(pts)
             return pts
@@ -692,10 +705,9 @@ class TestMinimal:
         for _ in range(20):
             pair = [random_finite_polyhedron(rng, d) for _ in range(2)]
             lam = (rng.randint(1, 3), rng.randint(1, 3))
-            pts = sorted(_combo_points(pair, lam))
-            kept = _minimal(pts)
-            assert kept == _minimal_reference(pts)
-            assert kept == _combo(pair, lam).generators
+            pts = sorted(_all_sums(pair, lam))
+            assert _minimal(pts) == _minimal_reference(pts)
+            assert _minimal(sorted(_combo_points(pair, lam))) == _combo(pair, lam).generators
 
     def test_keeps_the_order_of_the_list(self):
         pts = [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 0)]
@@ -722,18 +734,29 @@ def _solve_exact(matrix, rhs):
     return [row[n] for row in a]
 
 
+def _combination_reference(polys, lams):
+    """sum lam_i * N_i from all generator sums, through the public
+    ``scale_d`` and ``sum_d``; scale_d(N, 0) is the orthant, sum_d's zero."""
+    total = scale_d(polys[0], lams[0])
+    for n, lam in zip(polys[1:], lams[1:]):
+        total = sum_d(total, scale_d(n, lam))
+    return total
+
+
 def _mixed_covolume_reference(polys, alpha):
     """The interpolation reference for ``mixed_covolume``: every node
     (beta, 1), |beta| <= d, of the principal lattice builds its combination
-    and takes its covolume, and the Vandermonde-type system for all the
-    degree-d coefficients of Vol(sum lambda_i N_i) is solved in Fractions."""
+    from all generator sums and takes its covolume, and the Vandermonde-type
+    system for all the degree-d coefficients of Vol(sum lambda_i N_i) is
+    solved in Fractions."""
     d, r = polys[0].dim, len(polys)
     exponents = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
     nodes = [tuple(beta) + (1,) for beta in itertools.product(range(d + 1), repeat=r - 1)
              if sum(beta) <= d]
     assert len(nodes) == len(exponents)
     matrix = [[_ipow(lam, e) for e in exponents] for lam in nodes]
-    coeffs = _solve_exact(matrix, [covolume(_combo(polys, lam)) for lam in nodes])
+    coeffs = _solve_exact(matrix, [covolume(_combination_reference(polys, lam))
+                                   for lam in nodes])
     scale_back = math.prod(math.factorial(a) for a in alpha)
     return coeffs[exponents.index(tuple(alpha))] * scale_back / math.factorial(d)
 
@@ -833,6 +856,96 @@ class TestFanReuse:
         m = from_support_d(4, [(3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 3, 0), (0, 0, 0, 4),
                                (2, 0, 1, 1), (1, 1, 1, 0)])
         assert mixed_covolume([n, m], MixedVolumeIndex((2, 2))) == Fraction(27, 8)
+
+
+def _boundary_operand(rng, d):
+    """Axis powers 2k, random points and, at d >= 2, either the midpoint of
+    two axis powers, on an edge of their simplex, or a minimal point
+    strictly above that simplex; a random point may cut below either."""
+    k = rng.randint(2, 3)
+    gens = {tuple(2 * k if i == a else 0 for i in range(d)) for a in range(d)}
+    if d >= 2 and rng.random() < 0.5:
+        pair = rng.sample(range(d), 2)
+        gens.add(tuple(k if i in pair else 0 for i in range(d)))
+    elif d >= 2:
+        gens.add(tuple(2 * k - 1 if i < max(2, d - 1) else 0 for i in range(d)))
+    for _ in range(rng.randint(0, 2)):
+        gens.add(tuple(rng.randint(0, 2 * k) for _ in range(d)))
+    return NewtonPolyhedron(d, gens)
+
+
+class TestBoundaryRule:
+    """``_combo`` sums only the operands' boundary generators, and keeps the
+    region, compact facets and on-points of the combination of all
+    generator sums."""
+
+    @pytest.mark.parametrize("d,count", [(1, 20), (2, 60), (3, 40), (4, 10)])
+    def test_combination_keeps_the_facets_of_all_sums(self, d, count):
+        rng = random.Random(89 + d)
+        origin = NewtonPolyhedron(d, [(0,) * d])
+        above = on_facet = dropped = 0
+        for k in range(count):
+            r = 2 if d == 4 else rng.choice([2, 3])
+            polys = [_boundary_operand(rng, d) for _ in range(r)]
+            if k % 5 == 0:  # an operand at the origin, the orthant: no compact facet
+                polys[rng.randrange(len(polys))] = origin
+            lams = (0,) * len(polys)
+            while not any(lams):
+                lams = tuple(rng.randint(0, 2) for _ in polys)
+            combo, full = _combo(polys, lams), _combination_reference(polys, lams)
+            assert combo._hull_facets == full._hull_facets
+            assert covolume(combo) == covolume(full)
+            for n in polys:
+                on = {p for _, _, pts in n._hull_facets for p in pts}
+                above += bool(on) and any(g not in on for g in n.generators)
+                # the axis midpoint, on a facet and no vertex of it
+                on_facet += any(sum(map(bool, g)) == 2 and len(set(g) - {0}) == 1
+                                and max(g) * 2 == n.max_coordinate for g in on)
+            dropped += len(_combo_points(polys, lams)) < len(_all_sums(polys, lams))
+        if d > 1:
+            assert above > 0 and on_facet > 0 and dropped > 0
+
+    def test_orthant_operand_keeps_the_boundary_generators(self):
+        origin = NewtonPolyhedron(3, [(0, 0, 0)])
+        n = from_support_d(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2)])
+        assert origin._hull_facets == ()
+        assert _combo([n, origin], (1, 1)) == from_support_d(3, n.generators[:3])
+        assert covolume(_combo([n, origin], (1, 1))) == covolume(n)
+
+
+class TestChainFacets:
+    """At d = 2 the compact facets are read off the convex chain, as the
+    enumerator lists them: normals, offsets, on-points and their order."""
+
+    def test_matches_the_enumerator_on_collinear_supports(self):
+        rng = random.Random(97)
+        collinear = 0
+        for _ in range(300):
+            if rng.random() < 0.6:  # the lattice points of a segment from axis to axis
+                a, b, t = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 4)
+                gens = {(a * s, b * (t - s)) for s in range(t + 1)}
+                extras = rng.randint(0, 2)
+            else:
+                gens = {(rng.randint(1, 9), 0), (0, rng.randint(1, 9))}
+                extras = rng.randint(0, 6)
+            gens |= {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(extras)}
+            n = NewtonPolyhedron(2, gens)
+            expected = tuple(f for f in _facets(n.generators) if all(c > 0 for c in f[0]))
+            assert n._hull_facets == expected
+            collinear += any(len(on) > 2 for _, _, on in expected)
+        assert collinear > 100
+
+    def test_runs_no_enumerator(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("_facets ran at d = 2")
+
+        monkeypatch.setattr(polyhedra, "_facets", refuse)
+        n = from_support_d(2, [(0, 6), (1, 4), (2, 2), (3, 1), (5, 0), (4, 4)])
+        assert n._hull_facets == (((1, 1), 4, ((2, 2), (3, 1))),
+                                  ((1, 2), 5, ((3, 1), (5, 0))),
+                                  ((2, 1), 6, ((0, 6), (1, 4), (2, 2))))
+        assert covolume(n) == Fraction(21, 2)
+        assert from_support_d(2, [(0, 0), (3, 3)])._hull_facets == ()
 
 
 def _oracle_cofactors(points):
