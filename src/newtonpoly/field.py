@@ -1,12 +1,13 @@
 """Exact ground fields: towers of simple algebraic extensions over Q.
 
-A level-0 element is a Fraction.  An element of a tower with steps of
-degrees d_1, ..., d_k (k >= 1) is stored as one flat tuple of integer
-numerators over one positive integer denominator: the coefficient of
-a_1^i1 ... a_k^ik is numerator i1 + d1*(i2 + d2*(...)), the slot order of
-the packed kernels of newtonpoly.series.  The form is canonical (the gcd of
-the denominator and the numerators is 1, and zero is all zeros over 1), so
-equal elements have equal data.  Each step stores its monic minimal
+An element of a tower with steps of degrees d_1, ..., d_k is stored as one
+flat tuple of integer numerators over one positive integer denominator: the
+coefficient of a_1^i1 ... a_k^ik is numerator i1 + d1*(i2 + d2*(...)), the
+slot order of the packed kernels of newtonpoly.series.  Over Q (k = 0) that
+is one numerator over its denominator, ((n,), d), so every level runs the
+same integer arithmetic.  The form is canonical (the gcd of the denominator
+and the numerators is 1, and zero is all zeros over 1; _canonical makes
+it), so equal elements have equal data.  Each step stores its monic minimal
 polynomial times the lcm L of its denominators, as integer numerator
 vectors one level down, so a product is an integer convolution reduced
 modulo the minimal polynomials in integers (_dreduce), with no Fraction
@@ -43,7 +44,6 @@ from sympy.polys.factortools import dup_factor_list
 from .errors import ReducibleExtension
 
 _RESERVED_NAMES = {"x", "y", "t", "T", "U", "O", "inf"}
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,16 @@ class GroundField:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, _embed(_ZERO, 0, self.level, self))
+        return FieldElement(self, _embed(((0,), 1), 0, self.level, self))
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, _embed(Fraction(1), 0, self.level, self))
+        return FieldElement(self, _embed(((1,), 1), 0, self.level, self))
 
     def from_rational(self, q) -> "FieldElement":
-        return FieldElement(self, _embed(Fraction(q), 0, self.level, self))
+        """The element of an int or a Fraction; any other type raises TypeError."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"cannot coerce {q!r} into {self!r}")
+        return FieldElement(self, _embed(((q.numerator,), q.denominator), 0, self.level, self))
 
     def generator(self, index=None) -> "FieldElement":
         """The top generator, or the one at the given step index."""
@@ -128,7 +131,7 @@ class GroundField:
         step = self.steps[index]
         if step.degree == 1:
             # degenerate degree-1 step: generator is a constant
-            data = _embed(_dneg(index, _minpoly_data(step, index)[0]), index, index + 1, self)
+            data = _embed(_dneg(_minpoly_data(step, index)[0]), index, index + 1, self)
         else:
             size = _size(self, index)
             data = ((0,) * size + (1,) + (0,) * (size * (step.degree - 1) - 1), 1)
@@ -186,14 +189,12 @@ class GroundField:
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             return self.lift(value)
-        if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
-        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+        return self.from_rational(value)
 
 
 # -- raw data helpers --------------------------------------------------------
-# A datum at level k >= 1 is (nums, den), integer numerators over den > 0 in
-# lowest terms; see the module docstring for their order.
+# A datum at every level k >= 0 is (nums, den), integer numerators over
+# den > 0 in lowest terms; see the module docstring for their order.
 
 
 def _slot_strides(spans):
@@ -243,21 +244,10 @@ def _canonical(nums, den):
     return tuple(nums), den
 
 
-def _datum(level, nums, den):
-    """The datum at level of integer numerators over den; a Fraction at level 0."""
-    return Fraction(nums[0], den) if level == 0 else _canonical(nums, den)
-
-
-def _vector(data):
-    """(nums, den) of a datum; a Fraction is one numerator over its denominator."""
-    return ((data.numerator,), data.denominator) if data.__class__ is Fraction else data
-
-
 def _common(data):
     """(L, numerators): the data at one level over the lcm L of their denominators."""
-    vectors = [_vector(d) for d in data]
-    den = lcm(*[d for _, d in vectors])
-    return den, [tuple(n * (den // d) for n in nums) for nums, d in vectors]
+    den = lcm(*[d for _, d in data])
+    return den, [tuple(n * (den // d) for n in nums) for nums, d in data]
 
 
 def _coefficients(field, level, data):
@@ -265,12 +255,12 @@ def _coefficients(field, level, data):
     as data one level down."""
     nums, den = data
     size = _size(field, level - 1)
-    return [_datum(level - 1, nums[i:i + size], den) for i in range(0, len(nums), size)]
+    return [_canonical(nums[i:i + size], den) for i in range(0, len(nums), size)]
 
 
 def _minpoly_data(step, level):
     """The monic minimal polynomial of a step over level, as data at level."""
-    return [_datum(level, c, step.minpoly[-1][0]) for c in step.minpoly]
+    return [_canonical(c, step.minpoly[-1][0]) for c in step.minpoly]
 
 
 def _embed(data, low: int, high: int, field: GroundField):
@@ -279,19 +269,15 @@ def _embed(data, low: int, high: int, field: GroundField):
     generators above low."""
     if low == high:
         return data
-    nums, den = _vector(data)
+    nums, den = data
     return nums + (0,) * (_size(field, high) - len(nums)), den
 
 
 def _data_is_zero(data) -> bool:
-    if data.__class__ is Fraction:
-        return not data
     return not any(data[0])
 
 
-def _dadd(level, a, b):
-    if level == 0:
-        return a + b
+def _dadd(a, b):
     (na, da), (nb, db) = a, b
     if da == db:
         return _canonical([x + y for x, y in zip(na, nb)], da)
@@ -300,19 +286,17 @@ def _dadd(level, a, b):
     return _canonical([x * ma + y * mb for x, y in zip(na, nb)], da * ma)
 
 
-def _dneg(level, a):
-    if level == 0:
-        return -a
+def _dneg(a):
     return tuple([-x for x in a[0]]), a[1]
 
 
-def _dsub(level, a, b):
-    return _dadd(level, a, _dneg(level, b))
+def _dsub(a, b):
+    return _dadd(a, _dneg(b))
 
 
 def _dmul(field, level, a, b):
     if level == 0:
-        return a * b
+        return _canonical([a[0][0] * b[0][0]], a[1] * b[1])
     nums, den = _dproduct(field, level, a[0], b[0])
     return _canonical(nums, den * a[1] * b[1])
 
@@ -396,7 +380,10 @@ def _dinverse(field, level, data):
     remainder is divided by its content with its Bezout coefficient; above,
     they are data one level down, and only c is inverted there."""
     if level == 0:
-        return 1 / data
+        (n,), den = data
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        return _canonical([den], n)
     base, step = level - 1, field.steps[level - 1]
     nums, den = data
     if base == 0:
@@ -405,7 +392,7 @@ def _dinverse(field, level, data):
     else:
         size = _size(field, base)
         zero, one = ((0,) * size, 1), ((1,) + (0,) * (size - 1), 1)
-        mul, sub, is_zero = partial(_dmul, field, base), partial(_dsub, base), _data_is_zero
+        mul, sub, is_zero = partial(_dmul, field, base), _dsub, _data_is_zero
         r0 = [(c, 1) for c in step.minpoly]
         r1 = [(nums[i:i + size], 1) for i in range(0, len(nums), size)]
     while r1 and is_zero(r1[-1]):
@@ -444,7 +431,8 @@ def _dinverse(field, level, data):
 def _data_str(data, field: GroundField, level: int) -> str:
     """Text of a datum at ``level``, lowest power of its generator first."""
     if level == 0:
-        return str(data)
+        (n,), den = data
+        return str(n) if den == 1 else f"{n}/{den}"
     step = field.steps[level - 1]
     return _sum_str(_coefficients(field, level, data), step.name, field, level - 1,
                     range(step.degree))
@@ -498,14 +486,11 @@ class FieldElement:
         return _data_is_zero(self.data)
 
     def rational_value(self):
-        data = self.data
-        if data.__class__ is Fraction:
-            return data
-        nums, den = data
+        nums, den = self.data
         return None if any(nums[1:]) else Fraction(nums[0], den)
 
     def _binary(self, other, op):
-        """op(level, a, b) on the data of self and other, other an int, a
+        """op(a, b) on the data of self and other, other an int, a
         Fraction or an element of the same field; elements of another field
         raise ValueError (GroundField.lift embeds them explicitly)."""
         if isinstance(other, (int, Fraction)):
@@ -514,21 +499,21 @@ class FieldElement:
             return NotImplemented
         elif other.field != self.field:
             raise ValueError("elements of different fields")
-        return FieldElement(self.field, op(self.field.level, self.data, other.data))
+        return FieldElement(self.field, op(self.data, other.data))
 
     def __add__(self, other):
         if other.__class__ is FieldElement and other.field is self.field:
-            return FieldElement(self.field, _dadd(self.field.level, self.data, other.data))
+            return FieldElement(self.field, _dadd(self.data, other.data))
         return self._binary(other, _dadd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, _dneg(self.field.level, self.data))
+        return FieldElement(self.field, _dneg(self.data))
 
     def __sub__(self, other):
         if other.__class__ is FieldElement and other.field is self.field:
-            return FieldElement(self.field, _dsub(self.field.level, self.data, other.data))
+            return FieldElement(self.field, _dsub(self.data, other.data))
         return self._binary(other, _dsub)
 
     def __rsub__(self, other):
@@ -538,7 +523,7 @@ class FieldElement:
         field = self.field
         if other.__class__ is FieldElement and other.field is field:
             return FieldElement(field, _dmul(field, field.level, self.data, other.data))
-        return self._binary(other, partial(_dmul, field))
+        return self._binary(other, partial(_dmul, field, field.level))
 
     __rmul__ = __mul__
 
@@ -548,7 +533,7 @@ class FieldElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
+            other = self.field.from_rational(other)
         return self * other.inverse() if isinstance(other, FieldElement) else NotImplemented
 
     def __rtruediv__(self, other):
@@ -761,7 +746,7 @@ def _norm_to_qq(field, p):
         norm = sylvester_resultant(m, q)
         terms, zero = dict(norm.coeffs), base.zero()
         coeffs = [terms.get(e, zero).data for e in range(norm.degree() + 1)]
-    return coeffs
+    return [Fraction(n, den) for (n,), den in coeffs]
 
 
 def _trager_shifts(field):

@@ -5,10 +5,12 @@ precision bound (INF for exact polynomials); every operation propagates the
 bound pessimistically, and polygon or valuation extraction refuses to answer
 when a hidden term could change the result.  Over Q the terms are one tuple
 of int exponents and one of int numerators over one positive denominator,
-in lowest terms, so sums, scales, shifts and products run on ints and build
-no Fraction; over a tower they are the exponents and the field elements,
-whose data are integers already.  The ``coeffs`` view of (exp, FieldElement)
-pairs is built on demand for the readers outside the arithmetic.
+in lowest terms: the (nums, den) datum of a field element at every level
+(newtonpoly.field), one numerator per term, made canonical by the same
+field._canonical.  So sums, scales, shifts and products run on ints and
+build no Fraction.  Over a tower the terms are the exponents and the field
+elements.  The ``coeffs`` view of (exp, FieldElement) pairs is built on
+demand for the readers outside the arithmetic.
 Exponents enter through polygon._integral, so a non-integer one raises.
 Operators need operands over one field; only the functions that take two
 polynomials, or a polynomial and a branch or substitution, join nested
@@ -95,8 +97,10 @@ class TruncatedSeries:
     the nonzero terms, each below ``precision``.  Over Q, ``values`` holds
     their integer numerators over one positive denominator ``den``, in
     lowest terms (the gcd of den and the numerators is 1, and zero is ()
-    over 1); over a tower, ``values`` holds the nonzero FieldElements and
-    den is 1.  The form is canonical, so equal series have equal data.
+    over 1): the (nums, den) datum of a FieldElement, one numerator per
+    term, so the term of exponent e is the element (n,) over den made
+    canonical.  Over a tower, ``values`` holds the nonzero FieldElements
+    and den is 1.  The form is canonical, so equal series have equal data.
     ``coeffs`` builds the (exp, FieldElement) pairs on demand.
     """
 
@@ -120,10 +124,8 @@ class TruncatedSeries:
         exps = tuple(sorted(items))
         if field.level:
             return _series(field, var, exps, tuple(items[e] for e in exps), 1, precision)
-        qs = [items[e].data for e in exps]
-        den = lcm(*[q.denominator for q in qs])
-        nums = tuple(q.numerator * (den // q.denominator) for q in qs)
-        return _series(field, var, exps, nums, den, precision)
+        den, nums = fld._common([items[e].data for e in exps])
+        return _series(field, var, exps, tuple([n for n, in nums]), den, precision)
 
     @staticmethod
     def make(field, var, coeff_map, precision=INF) -> "TruncatedSeries":
@@ -159,7 +161,7 @@ class TruncatedSeries:
         if field.level:
             return tuple(zip(self.exps, self.values))
         den = self.den
-        return tuple((e, FieldElement(field, Fraction(n, den)))
+        return tuple((e, FieldElement(field, fld._canonical((n,), den)))
                      for e, n in zip(self.exps, self.values))
 
     @property
@@ -204,7 +206,7 @@ class TruncatedSeries:
             return self.field.zero()
         if self.field.level:
             return self.values[i]
-        return FieldElement(self.field, Fraction(self.values[i], self.den))
+        return FieldElement(self.field, fld._canonical((self.values[i],), self.den))
 
     def _dense(self) -> list:
         """Coefficients of exponents 0 to the top one, constant first."""
@@ -340,11 +342,10 @@ class TruncatedSeries:
             values = () if c.is_zero() else tuple([v * c for v in self.values])
             return _series(field, self.var, self.exps if values else (), values, 1, self.precision)
         # an int is its own numerator over 1
-        q = c if c.__class__ is int else field.coerce(c).data
+        (q,), d = ((c,), 1) if c.__class__ is int else field.coerce(c).data
         if not q:
             return _series(field, self.var, (), (), 1, self.precision)
-        nums = [n * q.numerator for n in self.values]
-        datum = _rational_datum(self.exps, nums, self.den * q.denominator)
+        datum = _rational_datum(self.exps, [n * q for n in self.values], self.den * d)
         return _series(field, self.var, *datum, self.precision)
 
     def derivative(self) -> "TruncatedSeries":
@@ -473,18 +474,12 @@ def _series(field, var, exps, values, den, precision) -> TruncatedSeries:
 
 def _rational_datum(exps, nums, den):
     """The datum (exps, nums, den) over Q of integer numerators nums over
-    den != 0, with the zero numerators and their exponents dropped, den
-    made positive and the whole in lowest terms."""
+    den != 0, with the zero numerators and their exponents dropped, and the
+    rest made canonical by field._canonical."""
     if 0 in nums:
         kept = [(e, n) for e, n in zip(exps, nums) if n]
         exps, nums = [e for e, _ in kept], [n for _, n in kept]
-    if den < 0:
-        nums, den = [-n for n in nums], -den
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = [n // g for n in nums], den // g
-    return tuple(exps), tuple(nums), den
+    return (tuple(exps), *fld._canonical(nums, den))
 
 
 def _sum(field, parts, p):

@@ -116,6 +116,71 @@ class TestArithmetic:
             assert (x / y) * y == x
 
 
+def _seeded_rationals(rng, count):
+    """count rationals of small height, zero and ints among them."""
+    return [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 12]))
+            for _ in range(count)]
+
+
+def _is_rational_datum(e):
+    """The canonical datum over Q: one numerator over a positive denominator
+    in lowest terms, zero as 0 over 1."""
+    (n,), den = e.data
+    return den > 0 and gcd(n, den) == 1
+
+
+class TestRationalModel:
+    """Elements over Q against Python's Fraction, an independent model."""
+
+    def test_arithmetic_matches_fractions(self):
+        rng = random.Random("rational model")
+        values = _seeded_rationals(rng, 60)
+        for a, b in zip(values, reversed(values)):
+            x, y = QQ.from_rational(a), QQ.from_rational(b)
+            results = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+                       (x + b, a + b), (a - y, a - b), (x * b, a * b), (b * x, a * b)]
+            if b:
+                results += [(x / y, a / b), (x / b, a / b), (a / y, a / b),
+                            (y.inverse(), 1 / b)]
+            for n in range(-3, 4):
+                if a or n >= 0:
+                    results.append((x ** n, a ** n))
+            for got, want in results:
+                assert got.field is QQ and _is_rational_datum(got), (a, b)
+                assert got.rational_value() == want and type(got.rational_value()) is Fraction
+                assert got == want and want == got and got == QQ.from_rational(want)
+                assert hash(got) == hash(want)
+                assert repr(got) == str(want)
+                if want.denominator == 1:
+                    assert got == int(want) and hash(got) == hash(int(want))
+                assert (got != want + Fraction(1, 7)) and got != want + 1
+
+    def test_zero_and_one_data(self):
+        assert QQ.zero().data == ((0,), 1) and QQ.one().data == ((1,), 1)
+        for zero in [QQ.from_rational(0), QQ.from_rational(Fraction(0, 5)),
+                     QQ.from_rational(Fraction(3, 4)) - Fraction(3, 4),
+                     QQ.from_rational(Fraction(-2, 3)) * 0]:
+            assert zero.data == ((0,), 1) and zero.is_zero() and zero == QQ.zero()
+        assert QQ.from_rational(Fraction(-6, 4)).data == ((-3,), 2)
+        assert QQ.from_rational(Fraction(2, -3)).inverse().data == ((-3,), 2)
+        assert (QQ.from_rational(Fraction(4, 3)) * Fraction(3, 8)).data == ((1,), 2)
+
+    def test_zero_inverse_has_one_message(self, qq_sqrt2, tower):
+        for k in (QQ, qq_sqrt2, tower):
+            x = k.from_rational(Fraction(5, 3))
+            for divide in [lambda: k.zero().inverse(), lambda: x / k.zero(), lambda: x / 0,
+                           lambda: 1 / k.zero(), lambda: k.zero() ** -2]:
+                with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                    divide()
+
+    @pytest.mark.parametrize("value", [0.1, "1/2", 1.0, None, 2j])
+    def test_from_rational_takes_only_ints_and_fractions(self, value):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            QQ.from_rational(value)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            QQ.coerce(value)
+
+
 class TestValueType:
     def test_attributes_cannot_be_set(self, qq_sqrt2):
         e = qq_sqrt2.generator()
@@ -428,8 +493,6 @@ def _numerators_to_sympy(nums, den, steps, symbols):
 
 def _data_to_sympy(data, steps, symbols):
     """A datum of the tower with these steps as a sympy expression."""
-    if isinstance(data, Fraction):
-        return sympy.Rational(data.numerator, data.denominator)
     return _numerators_to_sympy(*data, steps, symbols)
 
 

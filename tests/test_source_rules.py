@@ -42,7 +42,11 @@ neither ``Fraction`` nor the ``Fraction``-valued ``ElementaryPolygon.slope``.
 Tower arithmetic runs in integers: a tower element is integer numerators
 over one denominator, and field's reduction routine ``_dreduce``, the
 products ``_dproduct`` and ``_dmul`` and series' ``_unflatten`` name no
-``Fraction``.  So does the arithmetic of series over Q, whose terms are
+``Fraction``.  An element over Q is the same datum, one numerator over its
+denominator, so field's element arithmetic (``_canonical``, ``_common``,
+``_embed``, ``_data_is_zero``, ``_dadd``, ``_dneg``, ``_dsub``, ``_dmul``,
+``_dproduct``, ``_dreduce`` and ``_dinverse``) names no ``Fraction`` on any
+level, and the level-0 converters ``_datum`` and ``_vector`` stay gone.  So does the arithmetic of series over Q, whose terms are
 integer numerators over one denominator: ``TruncatedSeries.__mul__``,
 ``__add__`` and ``scale``, the sums and canonical form ``_sum`` and
 ``_rational_datum``, and the packed product ``_packed_product`` with
@@ -509,6 +513,68 @@ def test_tower_arithmetic_builds_no_fraction(module, name):
     assert not any(_uses_fraction(node) for node in _tower_branch(funcs[name])), (
         f"{module} {name} refers to Fraction on a tower level"
     )
+
+
+# field's element arithmetic, which runs on (nums, den) at every level, Q
+# included: the whole bodies, level-0 branches too
+FIELD_INTEGER_PATH = ["_canonical", "_common", "_embed", "_data_is_zero", "_dadd", "_dneg",
+                      "_dsub", "_dmul", "_dproduct", "_dreduce", "_dinverse"]
+FIELD_LEFTOVERS = {"_ZERO", "_datum", "_vector"}
+
+
+def _module_names(tree):
+    """Names that a module defines at its top level: functions, classes and
+    assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_field_arithmetic_scan_sees_every_form():
+    source = (
+        "_ZERO = Fraction(0)\n"
+        "def _data_is_zero(data):\n"
+        "    if data.__class__ is Fraction:\n"
+        "        return not data\n"
+        "    return not any(data[0])\n"
+        "def _dinverse(field, level, data):\n"
+        "    if level == 0:\n"
+        "        return fractions.Fraction(1) / data\n"
+        "    return data\n"
+        "def _dneg(a):\n"
+        "    return tuple([-x for x in a[0]]), a[1]\n"
+        "def _vector(data):\n"
+        "    return data\n"
+    )
+    tree = ast.parse(source)
+    funcs = _functions(tree)
+    assert [_uses_fraction(funcs[name]) for name in ("_data_is_zero", "_dinverse", "_dneg")] == [
+        True, True, False]
+    # a level-0 branch is what the tower rule exempts and this rule scans
+    assert not any(_uses_fraction(node) for node in _tower_branch(funcs["_dinverse"]))
+    assert _module_names(tree) & FIELD_LEFTOVERS == {"_ZERO", "_vector"}
+
+
+@pytest.mark.parametrize("name", FIELD_INTEGER_PATH)
+def test_field_element_arithmetic_names_no_fraction(name):
+    path = PACKAGE / "field.py"
+    funcs = _functions(ast.parse(path.read_text(), filename=str(path)))
+    assert name in funcs, f"field.py defines no {name}"
+    assert not _uses_fraction(funcs[name]), (
+        f"field.py {name} refers to Fraction; an element over Q is one integer "
+        "numerator over its denominator, like a tower datum"
+    )
+
+
+def test_field_defines_no_level_zero_converters():
+    path = PACKAGE / "field.py"
+    leftovers = _module_names(ast.parse(path.read_text(), filename=str(path))) & FIELD_LEFTOVERS
+    assert not leftovers, f"field.py defines {sorted(leftovers)}; every level holds (nums, den)"
 
 
 # the arithmetic of series over Q, which runs on integer numerators over one
