@@ -206,7 +206,7 @@ def _shears(f: YPolynomial):
     """
     d = max((i + j for i, j in f.support_points()), default=0)
     for a in range((d + 1) ** 2):
-        g = f.substitute_linear(1, -a, 0, 1) if a else f
+        g = f.shear(a) if a else f
         if g.is_unitary():
             yield a, g
 

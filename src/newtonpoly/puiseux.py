@@ -147,13 +147,15 @@ def _hensel_root(f: YPolynomial, prec: int) -> TruncatedSeries:
 
 
 def _substitute_edge(f: YPolynomial, p: int, q: int, c0: FieldElement, w: int) -> YPolynomial:
-    """f(x^p, x^q (c0 + y)) / x^w over the field of c0."""
-    out = []
-    for ser in f.substitute({(p, 0): 1}, {(q, 0): c0, (q, 1): 1}).coeffs:
-        if ser.exps and ser.exps[0] < w:
-            raise ArithmeticError("edge substitution order below predicted weight")
-        out.append(ser.shift(-w) if ser.exps else ser)
-    return YPolynomial.make(out, f.xvar, f.yvar)
+    """f(x^p, x^q (c0 + y)) / x^w over the field of c0, by Horner's rule in
+    c0 + y on the terms d_j = c_j(x^p) x^(q*j - w) of f = sum c_j y^j."""
+    if any(c.exps and p * c.exps[0] + q * j < w for j, c in enumerate(f.coeffs)):
+        raise ArithmeticError("edge substitution order below predicted weight")
+    d = [c.lift_field(c0.field).substitute_pow(p).shift(q * j - w) for j, c in enumerate(f.coeffs)]
+    acc = [d.pop()]
+    while d:  # acc * (c0 + y) + d_j
+        acc = [b + a.scale(c0) for a, b in zip(acc, [d.pop()] + acc)] + [acc[-1]]
+    return YPolynomial.make(acc, f.xvar, f.yvar)
 
 
 def _newton_step(f: YPolynomial, chi, p: int, q: int, w: int, prec: int, prefix: str,

@@ -11,10 +11,11 @@ field._canonical.  So sums, scales, shifts and products run on ints and
 build no Fraction.  Over a tower the terms are the exponents and the field
 elements.  The ``coeffs`` view of (exp, FieldElement) pairs is built on
 demand for the readers outside the arithmetic.
-Exponents enter through polygon._integral, so a non-integer one raises.
+Exponents and precision bounds enter through polygon._integral, so a
+non-integer one raises, and so does a negative precision.
 Operators need operands over one field; only the functions that take two
-polynomials, or a polynomial and a branch or substitution, join nested
-towers (join_fields) first.
+polynomials, or a polynomial and a branch, join nested towers (join_fields)
+first.
 
 Series products over every tower share one kernel (Kronecker substitution):
 each operand is read as a polynomial in t and the tower's generators, its
@@ -29,7 +30,10 @@ coefficients are truncated series in x.  This module extracts Newton polygons
 and edge polynomials, decides nondegeneracy of pairs, and computes Sylvester
 resultants, the shifted resultant realising the polygon product, the level
 resultant Res_y(f - T, g), and intersection numbers at the origin read off
-the resultant's valuation.
+the resultant's valuation.  The library's two coordinate changes are series
+operations: the shear f(x - a*y, y) that picks a direction is Taylor's
+formula (YPolynomial.shear), and the Newton step f(x^p, x^q (c0 + y)) / x^w
+of newtonpoly.puiseux is Horner's rule in c0 + y.
 
 Resultants share one kernel too (_packed_resultant).  The Sylvester, shifted
 Res_U(P1(T+U), P2(U)) and level resultants read their operands as
@@ -109,6 +113,7 @@ class TruncatedSeries:
     def __new__(cls, field, var, coeffs=(), precision=INF):
         """The series of the (exp, value) pairs coeffs, values coerced into
         field; zero values and exponents from precision on are dropped."""
+        precision = _precision(precision)
         items, seen = {}, set()
         for exp, c in coeffs:
             exp = _integral(exp)
@@ -133,7 +138,7 @@ class TruncatedSeries:
 
     @staticmethod
     def zero(field, var, precision=INF) -> "TruncatedSeries":
-        return _series(field, var, (), (), 1, precision)
+        return _series(field, var, (), (), 1, _precision(precision))
 
     @staticmethod
     def constant(field, var, value, precision=INF) -> "TruncatedSeries":
@@ -224,13 +229,14 @@ class TruncatedSeries:
         return _series(new_field, self.var, self.exps, values, 1, self.precision)
 
     def truncate(self, precision) -> "TruncatedSeries":
-        p = min(self.precision, precision)
+        p = min(self.precision, _precision(precision))
         return self._between(0, p, p)
 
     def with_precision(self, precision) -> "TruncatedSeries":
         """The same terms, known to precision, which must exceed every
         exponent: a higher precision asserts that the terms between the two
         bounds vanish, as for a root lift checked there."""
+        precision = _precision(precision)
         if self.exps and self.exps[-1] >= precision:
             raise ValueError(f"a term lies beyond precision {precision}")
         return _series(self.field, self.var, self.exps, self.values, self.den, precision)
@@ -362,10 +368,12 @@ class TruncatedSeries:
         return _series(self.field, self.var, *datum, p)
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by var^k; k may be negative if no exponent drops below 0."""
+        """Multiply by var^k; k may be negative if no exponent or precision drops below 0."""
         k = _integral(k)
         if self.exps and self.exps[0] + k < 0:
             raise ValueError("shift would create negative exponents")
+        if self.precision + k < 0:
+            raise ValueError("shift would make the precision negative")
         return _series(
             self.field,
             self.var,
@@ -403,7 +411,7 @@ class TruncatedSeries:
         """
         if not self.exps or self.exps[0] != 0:
             raise NotUnitary("series inverse needs a unit (order-0) series")
-        p = self.precision if target is None else min(self.precision, target)
+        p = self.precision if target is None else min(self.precision, _precision(target))
         k, var = self.field, self.var
         if k.level:
             x = _series(k, var, (0,), (self.values[0].inverse(),), 1, INF)
@@ -458,6 +466,13 @@ class TruncatedSeries:
 _setters = [TruncatedSeries.__dict__[name].__set__ for name in TruncatedSeries.__slots__]
 _set_field, _set_var, _set_exps, _set_values, _set_den, _set_precision = _setters
 _new = object.__new__
+
+
+def _precision(p):
+    """p as a precision bound, INF or a nonnegative int (polygon._integral)."""
+    if p != INF and (p := _integral(p)) < 0:
+        raise ValueError(f"precision {p} is negative")
+    return p
 
 
 def _series(field, var, exps, values, den, precision) -> TruncatedSeries:
@@ -765,34 +780,19 @@ class YPolynomial:
             acc = acc * ys + c
         return acc
 
-    def substitute(self, xs, ys) -> "YPolynomial":
-        """Exact substitution f(X, Y) of polynomials X and Y in (x, y), each
-        given as {(xexp, ydeg): value} with values in f's field or a tower
-        over it (ints and Fractions are coerced).
-
-        Expanded by Horner's rule in y on term dictionaries (_mul_terms and
-        _add_terms), whose products are of field elements, not of series.
-        """
-        if not all(coeff.is_exact for coeff in self.coeffs):
+    def shear(self, a) -> "YPolynomial":
+        """f(x - a*y, y) for a rational a, by Taylor's formula: the y^j
+        coefficient c contributes t_k = (-a)^k c^(k) / k! to the coefficient
+        of y^(j + k), where t_0 = c and t_k = (-a/k) t_(k-1)'."""
+        if not all(c.is_exact for c in self.coeffs):
             raise PrecisionInsufficient("coordinate change needs exact coefficients")
-        k = self.field
-        for v in (*xs.values(), *ys.values()):
-            if isinstance(v, FieldElement):
-                k = join_fields(k, v.field)
-        xs, ys = ({key: k.coerce(v) for key, v in m.items()} for m in (xs, ys))
-        coeffs = self.lift_field(k).coeffs
-        x_powers = [{(0, 0): k.one()}]
-        for _ in range(max((c.exps[-1] for c in coeffs if c.exps), default=0)):
-            x_powers.append(_mul_terms(x_powers[-1], xs))
-        acc = {}
-        for coeff in reversed(coeffs):
-            acc = _add_terms(_mul_terms(acc, ys), (
-                (key, v * c) for e, v in coeff.coeffs for key, c in x_powers[e].items()))
-        return YPolynomial.from_terms(acc, k, self.xvar, self.yvar)
-
-    def substitute_linear(self, a, b, c, d) -> "YPolynomial":
-        """Exact coordinate change (x, y) -> (a x + b y, c x + d y)."""
-        return self.substitute({(1, 0): a, (0, 1): b}, {(1, 0): c, (0, 1): d})
+        top = max((c.exps[-1] for c in self.coeffs if c.exps), default=0)
+        out = [*self.coeffs] + [TruncatedSeries.zero(self.field, self.xvar)] * top
+        for j, t in enumerate(self.coeffs):
+            for k in range(1, t.exps[-1] + 1 if t.exps else 1):
+                t = t.derivative().scale(Fraction(-a, k))
+                out[j + k] = out[j + k] + t
+        return YPolynomial.make(out, self.xvar, self.yvar)
 
     def support(self) -> dict:
         """Known support {(xexp, ydeg): coefficient}."""
@@ -1198,15 +1198,6 @@ def _tokens(text):
             return
 
 
-def _add_terms(terms, pairs):
-    """Terms {(xexp, ydeg): FieldElement} plus each (key, value) pair, zeros
-    dropped."""
-    out = dict(terms)
-    for key, v in pairs:
-        out[key] = out[key] + v if key in out else v
-    return {key: v for key, v in out.items() if not v.is_zero()}
-
-
 def _mul_terms(a, b):
     """Product of two term dictionaries, zeros dropped."""
     out = {}
@@ -1256,11 +1247,13 @@ class _Parser:
         return terms
 
     def parse_expr(self):
-        acc = self.parse_term()
+        acc = self.parse_term()  # a new dictionary, summed into in place
         while tok := self.accept("op", "+") or self.accept("op", "-"):
-            term = self.parse_term().items()
-            acc = _add_terms(acc, term if tok[1] == "+" else ((key, -v) for key, v in term))
-        return acc
+            for key, v in self.parse_term().items():
+                if tok[1] == "-":
+                    v = -v
+                acc[key] = acc[key] + v if key in acc else v
+        return {key: v for key, v in acc.items() if not v.is_zero()}
 
     def parse_term(self):
         acc = self.parse_power()

@@ -376,9 +376,10 @@ class TestMilnor:
         # f also has a critical point at (1, 1); mu at the origin is 2
         f = P("y^2 - x^3 + 11/4*x^2*y^2 - 5/2*x*y^3")
         assert milnor_number(f) == 2
-        # these coordinates put (1, 1) on the line x = 0, where the global
+        # f(x + y, 2x + y) puts (1, 1) on the line x = 0, where the global
         # resultant of the partials also counts it
-        g = f.substitute_linear(1, 1, 2, 1)
+        g = P("1/4*y^4 - y^3 - x*y^3 + y^2 - 3*x*y^2 - 37/4*x^2*y^2 + 4*x*y"
+              " - 3*x^2*y - 17*x^3*y + 4*x^2 - x^3 - 9*x^4")
         assert sylvester_resultant(g.dx(), g.dy()).order() == 3
         with pytest.raises(NotLocal):
             intersection_number(g.dx(), g.dy())
@@ -389,19 +390,19 @@ class TestMilnor:
 
     def test_unitary_germ_taken_as_it_is(self, monkeypatch):
         shears = []
-        substitute = YPolynomial.substitute_linear
+        shear = YPolynomial.shear
 
         def counting(self, *args):
             shears.append(args)
-            return substitute(self, *args)
+            return shear(self, *args)
 
-        monkeypatch.setattr(YPolynomial, "substitute_linear", counting)
+        monkeypatch.setattr(YPolynomial, "shear", counting)
         f = P("(y^3 - x^5)*(y^3 - 2*x^5)*(y^2 - 3*x^7)")
         assert milnor_number(f) == 90  # Kouchnirenko: 2V - a - b + 1 = 114 - 17 - 8 + 1
         assert shears == []
         # f_x(0, y) = 0 while f_y(0, y) has roots other than 0: a = 1 counts it
         assert milnor_number(P("y^3 - x^5 + y^9")) == 8
-        assert shears == [(1, -1, 0, 1)]
+        assert shears == [(1,)]
 
     def test_tower_germ(self):
         f = P("adjoin u: u^2 - 3; (y^3 - u*x^5)*(y^3 - x^5)*(y - x^2)")

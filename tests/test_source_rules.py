@@ -68,11 +68,12 @@ Arithmetic stays inside one field.  The operand checks of the operators
 ``YPolynomial.make`` call none of
 ``join_fields``, ``lift`` and ``lift_field``: operands over different
 towers raise, and towers are joined only where they grow (the Newton steps
-of ``puiseux``) or where a public function takes operands over nested
+of ``puiseux``, whose ``_substitute_edge`` moves f to the new root's tower
+by ``lift_field``) or where a public function takes operands over nested
 towers (the resultants, ``intersection_number``,
 ``is_nondegenerate_pair``, ``eval_on_branch``, and so
-``order_along_branch``, and ``substitute``), so no operator pays for a join
-that no caller needs.
+``order_along_branch``), so no operator pays for a join that no caller
+needs.
 
 The text format is read in one tokenizing pass: ``series.py`` classifies
 characters only in the ASCII classes of the ``_tokens`` regex, so it calls
